@@ -4,13 +4,13 @@ A representation is a transitive structure whose states split into an
 explicit part M and reference leaves C.  A C-state stands for the subtree
 rooted at the M-state it references; a reference pointing at or above its
 own position denotes infinite repetition.  Nominals are handled as
-propositional atoms here (solver-level recoding), so the valuation is a
-single proposition map.
+propositional atoms (the solver recodes them with ``recode_nominals``),
+so the valuation is a single proposition map and formulas given to
+``verify`` carry no nominals.
 
-The evaluator below follows links through C-states by consulting guessed
-types: a diamond crossing into a reference holds exactly when the stripped
-body belongs to the reference's guessed type, which is sound because free
-variables at that point are always bound at or above the crossing.
+Truth on a representation is the checker's: ``checker._Evaluator`` runs on
+the explicit part and follows links through C-states by consulting guessed
+types, through its reference hook.
 """
 
 from __future__ import annotations
@@ -18,27 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .formula import (
-    NOM,
-    PROP,
-    And,
-    Atom,
-    Bot,
-    Box,
-    Diamond,
-    Down,
-    Formula,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    Top,
-    check_hld,
-    diamond_closure,
-    free_vars,
-    strip_free,
-)
-from .model import HybridModel, _closure, cliques
+from .checker import _Evaluator
+from .formula import Formula, diamond_closure
+from .model import HybridModel, _closure, _name_lists, _name_map, _names, _pairs, cliques
 
 PhiType = frozenset
 
@@ -84,7 +66,8 @@ class FiniteRep:
             if target not in m_set:
                 raise ValueError(f"ref({c!r}) = {target!r} is not an m-state")
         m_rel = frozenset((a, b) for a, b in self.rel if a in m_set and b in m_set)
-        m_model = HybridModel(self.m_states, m_rel)
+        m_val = {p: ss & m_set for p, ss in self.val.items()}
+        m_model = HybridModel(self.m_states, m_rel, m_val)
         parts, edges = cliques(m_model)  # raises if not transitive
         node_of = {}
         for idx, part in enumerate(parts):
@@ -110,6 +93,7 @@ class FiniteRep:
                 raise ValueError(
                     f"predecessors of c-state {c!r} are not a node plus its ancestors"
                 )
+        object.__setattr__(self, "_m_model", m_model)
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_node_edges", edges)
         object.__setattr__(self, "_node_of", node_of)
@@ -140,70 +124,25 @@ class FiniteRep:
         return [c for c in self.c_states if (s, c) in self.rel]
 
 
-class _RepEvaluator:
-    """HL-down evaluation on the m-part, following references via guesses."""
-
-    def __init__(self, rep: FiniteRep, c_guess: dict):
-        self.rep = rep
-        self.guess = c_guess
-        self.memo = {}
-        self.fv = {}
-        self.stripped = {}
-
-    def free(self, f):
-        key = id(f)
-        if key not in self.fv:
-            self.fv[key] = free_vars(f)
-        return self.fv[key]
-
-    def strip(self, f):
-        key = id(f)
-        if key not in self.stripped:
-            self.stripped[key] = strip_free(f)
-        return self.stripped[key]
-
-    def run(self, f, g, s):
-        key = (id(f), s, tuple(sorted((v, g[v]) for v in self.free(f) & g.keys())))
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(f, g, s)
-        self.memo[key] = out
-        return out
-
-    def _eval(self, f, g, s):
-        rep = self.rep
-        if isinstance(f, Atom):
-            if f.kind in (PROP, NOM):
-                return s in rep.val.get(f.name, frozenset())
-            return g[f.name] == s
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Not):
-            return not self.run(f.body, g, s)
-        if isinstance(f, And):
-            return self.run(f.left, g, s) and self.run(f.right, g, s)
-        if isinstance(f, Or):
-            return self.run(f.left, g, s) or self.run(f.right, g, s)
-        if isinstance(f, Implies):
-            return not self.run(f.left, g, s) or self.run(f.right, g, s)
-        if isinstance(f, Iff):
-            return self.run(f.left, g, s) == self.run(f.right, g, s)
-        if isinstance(f, Diamond):
-            if any(self.run(f.body, g, t) for t in rep.m_successors(s)):
-                return True
-            chi = self.strip(f.body)
-            return any(chi in self.guess[c] for c in rep.c_successors(s))
-        if isinstance(f, Box):
-            if not all(self.run(f.body, g, t) for t in rep.m_successors(s)):
-                return False
-            chi = self.strip(Not(f.body))
-            return all(chi not in self.guess[c] for c in rep.c_successors(s))
-        if isinstance(f, Down):
-            return self.run(f.body, {**g, f.var.name: s}, s)
-        raise TypeError(f"outside the down-fragment: {f!r}")
+def _evaluate(rep, phi, c_guess):
+    """Types of every state under one guess, and the evaluator that
+    computed them, so that verify reuses its memo for phi."""
+    closure = diamond_closure(phi)
+    guess = _normalize_guess(rep, c_guess, closure)
+    refs = {s: [guess[c] for c in rep.c_successors(s)] for s in rep.m_states}
+    ev = _Evaluator(rep._m_model, refs)
+    truths = {
+        s: frozenset(chi for chi in closure if ev.run(chi, {}, s)) for s in rep.m_states
+    }
+    types = {}
+    for s in rep.m_states:
+        here = set(truths[s])
+        for t in rep.m_successors(s):
+            here |= truths[t]
+        types[s] = frozenset(here)
+    for c in rep.c_states:
+        types[c] = guess[c]
+    return types, ev
 
 
 def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
@@ -216,22 +155,7 @@ def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
     sentence of a type has an explicit witness, because references only
     replace subtrees whose types repeat.
     """
-    check_hld(phi)
-    closure = diamond_closure(phi)
-    guess = _normalize_guess(rep, c_guess, closure)
-    ev = _RepEvaluator(rep, guess)
-    types = {}
-    truths = {
-        s: frozenset(chi for chi in closure if ev.run(chi, {}, s)) for s in rep.m_states
-    }
-    for s in rep.m_states:
-        here = set(truths[s])
-        for t in rep.m_successors(s):
-            here |= truths[t]
-        types[s] = frozenset(here)
-    for c in rep.c_states:
-        types[c] = guess[c]
-    return types
+    return _evaluate(rep, phi, c_guess)[0]
 
 
 def _normalize_guess(rep, c_guess, closure):
@@ -262,7 +186,7 @@ class VerifyResult:
 def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
     """Accept iff every guess matches the referenced state's computed type
     and phi holds at some explicit state."""
-    types = compute_types(rep, phi, c_guess)
+    types, ev = _evaluate(rep, phi, c_guess)
     for c in rep.c_states:
         target = rep.ref[c]
         if types[target] != types[c]:
@@ -271,9 +195,6 @@ def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
                 f"type mismatch: guess for {c!r} differs from type of {target!r}",
                 types,
             )
-    closure = diamond_closure(phi)
-    guess = _normalize_guess(rep, c_guess, closure)
-    ev = _RepEvaluator(rep, guess)
     if not any(ev.run(phi, {}, s) for s in rep.m_states):
         return VerifyResult(False, "formula holds at no explicit state", types)
     return VerifyResult(True, None, types)
@@ -356,11 +277,11 @@ def rep_from_dict(doc: dict) -> FiniteRep:
     if "states" not in doc:
         raise ValueError("representation document lacks 'states'")
     return FiniteRep(
-        tuple(doc["states"]),
-        tuple(doc.get("c_states", [])),
-        frozenset((a, b) for a, b in doc.get("rel", [])),
-        {p: frozenset(ss) for p, ss in doc.get("val", {}).items()},
-        dict(doc.get("ref", {})),
+        tuple(_names(doc, "states")),
+        tuple(_names(doc, "c_states")),
+        frozenset(_pairs(doc, "rel")),
+        {p: frozenset(ss) for p, ss in _name_lists(doc, "val").items()},
+        _name_map(doc, "ref"),
     )
 
 

@@ -32,6 +32,7 @@ from .formula import (
     UntilPlus,
     UntilPlusPlus,
     check_hld,
+    closure_sentence,
     diamond_closure,
     free_vars,
 )
@@ -57,38 +58,44 @@ class UnboundVariableError(EvalError):
 class _Evaluator:
     """One evaluation run over a fixed model.
 
-    Memoized on (subformula identity, state, assignment restricted to the
+    Memoized on (subformula, state, assignment restricted to the
     subformula's free variables), so down-binders only fan out where the
-    bound variable is actually used.
+    bound variable is actually used.  Formula nodes are interned, so a
+    node is its own structural key.
+
+    ``refs`` maps a state to the guessed types of its reference successors
+    (block-tree representations, see ``blocktree.verify``).  A diamond also
+    holds, and a box also fails, when its closure sentence belongs to one
+    of them; that is sound because the free variables of its body are
+    bound at or above the crossing.
     """
 
-    def __init__(self, model: HybridModel):
+    def __init__(self, model: HybridModel, refs: dict | None = None):
         self.m = model
         self.succ = {s: model.successors(s) for s in model.states}
         self.pred = {s: model.predecessors(s) for s in model.states}
+        self.refs = refs or {}
         self._plus = None
         self.memo = {}
-        self.fv = {}
 
     def rel_plus(self):
         if self._plus is None:
             self._plus = _closure(self.m.states, self.m.rel)
         return self._plus
 
-    def free(self, f):
-        key = id(f)
-        if key not in self.fv:
-            self.fv[key] = free_vars(f)
-        return self.fv[key]
-
     def run(self, f: Formula, g: dict, s: str) -> bool:
-        key = (id(f), s, tuple(sorted((v, g[v]) for v in self.free(f) & g.keys())))
+        key = (f, s, tuple(sorted((v, g[v]) for v in f.fv & g.keys())))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         out = self._eval(f, g, s)
         self.memo[key] = out
         return out
+
+    def _guessed(self, f, s):
+        """Whether f's closure sentence is in the guessed type of a
+        reference successor of s."""
+        return any(closure_sentence(f) in t for t in self.refs.get(s, ()))
 
     def _eval(self, f, g, s):
         m = self.m
@@ -117,9 +124,9 @@ class _Evaluator:
         if isinstance(f, Iff):
             return self.run(f.left, g, s) == self.run(f.right, g, s)
         if isinstance(f, (Diamond, Future)):
-            return any(self.run(f.body, g, t) for t in self.succ[s])
+            return any(self.run(f.body, g, t) for t in self.succ[s]) or self._guessed(f, s)
         if isinstance(f, (Box, Globally)):
-            return all(self.run(f.body, g, t) for t in self.succ[s])
+            return all(self.run(f.body, g, t) for t in self.succ[s]) and not self._guessed(f, s)
         if isinstance(f, Past):
             return any(self.run(f.body, g, t) for t in self.pred[s])
         if isinstance(f, Historically):

@@ -47,7 +47,8 @@ def _build_parser():
     p.add_argument(
         "--exhaustive",
         action="store_true",
-        help="raise budgets to the conservative completeness bounds",
+        help="search exactly the conservative completeness bounds, "
+        "in place of the --max-* limits",
     )
     p.add_argument("--witness", default="witness.json")
 
@@ -108,9 +109,7 @@ def _cmd_sat(args):
     phi = parse(args.formula)
     if args.exhaustive:
         nodes, clique, c = solver.bounds_for(phi)
-        budget = solver.Budget(
-            max(args.max_clique, clique), max(args.max_nodes, nodes), max(args.max_c, c)
-        )
+        budget = solver.Budget(clique, nodes, c)
     else:
         budget = solver.Budget(args.max_clique, args.max_nodes, args.max_c)
     run = solver.sat_transitive if args.frame == "trans" else solver.sat_complete
@@ -143,37 +142,8 @@ def _oracle_frame(name):
 def _oracle_worker(payload):
     text, frame, k = payload
     phi = parse(text, allow_reserved=True)
-    hit = _lane_search_exact(phi, frame, k)
+    hit = oracle._lane_search([phi], frame, k, "sat", sizes=(k,))
     return None if hit is None else (model.model_to_dict(hit[0]), hit[1])
-
-
-def _lane_search_exact(phi, frame, k):
-    from itertools import product
-
-    import numpy as np
-
-    from .formula import noms_of, props_of
-    from .oracle import _closure_batch, _decode_hit, _frame_batches, _LaneEngine, _needs_closure
-
-    props, noms = props_of(phi), noms_of(phi)
-    engine = _LaneEngine([phi], props, noms, k)
-    placements = list(product(range(k), repeat=len(noms)))
-    needs_plus = _needs_closure(phi)
-    for batch in _frame_batches(frame, k):
-        plus = _closure_batch(batch) if needs_plus else None
-        engine.set_batch(batch, plus)
-        words = []
-        hit = np.zeros(batch.shape[0], dtype=bool)
-        for placement in placements:
-            engine.set_placement(dict(zip(noms, placement)))
-            w = engine.ev(phi)
-            words.append((placement, w))
-            nz = w.any(axis=(1, 2)) if w.shape[0] > 1 else np.repeat(w.any(), batch.shape[0])
-            hit |= nz
-        if hit.any():
-            b = int(np.argmax(hit))
-            return _decode_hit(engine, words, b, batch[b], props, noms, k)
-    return None
 
 
 def _cmd_oracle(args):
@@ -348,6 +318,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"hylo: {exc}", file=sys.stderr)
         return EX_DATA
+    except Exception as exc:  # exit 1 would read as UNSAT / false
+        print(f"hylo: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ are rejected by the parser unless ``allow_reserved`` is set.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 PROP = "prop"
 NOM = "nom"
@@ -36,13 +38,81 @@ class FragmentError(ValueError):
     """Raised when a formula lies outside the fragment an operation expects."""
 
 
-@dataclass(frozen=True)
-class Formula:
+class _Interned(type):
+    """Builds formula nodes through a weak table: constructing a node equal
+    to a live one returns that node (hash-consing, Filliâtre & Conchon 2006).
+
+    Equal structure therefore means the same object, so nodes compare and
+    hash by identity and serve directly as structural memo keys.  The
+    table holds nodes weakly: a node lives only while something uses it.
+    """
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        node = _TABLE.get(key)
+        if node is None:
+            node = super().__call__(*args)
+            _TABLE[key] = node
+        return node
+
+
+_TABLE = weakref.WeakValueDictionary()
+
+_node = dataclass(frozen=True, eq=False)
+
+
+@_node
+class Formula(metaclass=_Interned):
+    """An interned formula node; ``==`` is ``is``.
+
+    Derived facts are computed once per node: ``fv`` (the free state
+    variables) here, and the stripped form, the fragment test and the
+    closure behind ``strip_free``, ``check_hld`` and ``diamond_closure``.
+    """
+
     def __str__(self):
         return print_formula(self)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which re-interns
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
-@dataclass(frozen=True)
+    @cached_property
+    def fv(self) -> frozenset[str]:
+        """State variables with an occurrence not under a matching down binder."""
+        if isinstance(self, Atom):
+            return frozenset([self.name]) if self.kind == SVAR else _NO_VARS
+        if isinstance(self, At):
+            if self.term.kind == SVAR:
+                return self.body.fv | {self.term.name}
+            return self.body.fv
+        if isinstance(self, Down):
+            return self.body.fv - {self.var.name}
+        return _NO_VARS.union(*(c.fv for c in children(self)))
+
+    @cached_property
+    def _stripped(self):
+        return _false_for(self, self.fv)
+
+    @cached_property
+    def _hld(self):
+        return isinstance(self, _HLD_NODES) and all(c._hld for c in children(self))
+
+    @cached_property
+    def _closure(self):
+        return frozenset(
+            closure_sentence(g) for g in subformulas(self) if isinstance(g, (Diamond, Box))
+        )
+
+    @cached_property
+    def _sentence(self):
+        return strip_free(self.body if isinstance(self, Diamond) else Not(self.body))
+
+
+_NO_VARS = frozenset()
+
+
+@_node
 class Atom(Formula):
     kind: str
     name: str
@@ -66,90 +136,90 @@ def svar(name: str) -> Atom:
     return Atom(SVAR, name)
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Diamond(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Future(Formula):
     """Forward modality F; evaluates exactly like Diamond, prints as F."""
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Globally(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Past(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Historically(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Somewhere(Formula):
     """The global existential modality E."""
 
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Everywhere(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class At(Formula):
     term: Atom
     body: Formula
@@ -159,7 +229,7 @@ class At(Formula):
             raise ValueError("at-term must be a nominal or state variable")
 
 
-@dataclass(frozen=True)
+@_node
 class Down(Formula):
     var: Atom
     body: Formula
@@ -169,37 +239,37 @@ class Down(Formula):
             raise ValueError("down binds a state variable")
 
 
-@dataclass(frozen=True)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Since(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class UntilPlus(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class SincePlus(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class UntilPlusPlus(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class SincePlusPlus(Formula):
     left: Formula
     right: Formula
@@ -258,23 +328,7 @@ def svars_of(f: Formula) -> tuple[str, ...]:
 
 def free_vars(f: Formula) -> frozenset[str]:
     """State variables with an occurrence not under a matching down binder."""
-
-    def rec(g, bound):
-        if isinstance(g, Atom):
-            return {g.name} - bound if g.kind == SVAR else set()
-        if isinstance(g, At):
-            out = rec(g.body, bound)
-            if g.term.kind == SVAR and g.term.name not in bound:
-                out = out | {g.term.name}
-            return out
-        if isinstance(g, Down):
-            return rec(g.body, bound | {g.var.name})
-        out = set()
-        for c in children(g):
-            out |= rec(c, bound)
-        return out
-
-    return frozenset(rec(f, frozenset()))
+    return f.fv
 
 
 def strip_free(f: Formula) -> Formula:
@@ -283,25 +337,26 @@ def strip_free(f: Formula) -> Formula:
     An at-formula whose term is a free variable collapses to false as a
     whole, which is the substitution's image under @_t phi == E(t & phi).
     """
+    # a sentence is its own stripped form; caching it would make a
+    # self-reference that only the cycle collector frees
+    return f._stripped if f.fv else f
 
-    def rec(g, bound):
-        if isinstance(g, Atom):
-            if g.kind == SVAR and g.name not in bound:
-                return Bot()
-            return g
-        if isinstance(g, (Top, Bot)):
-            return g
-        if isinstance(g, At):
-            if g.term.kind == SVAR and g.term.name not in bound:
-                return Bot()
-            return At(g.term, rec(g.body, bound))
-        if isinstance(g, Down):
-            return Down(g.var, rec(g.body, bound | {g.var.name}))
-        if isinstance(g, _UNARY):
-            return type(g)(rec(g.body, bound))
-        return type(g)(rec(g.left, bound), rec(g.right, bound))
 
-    return rec(f, frozenset())
+def _false_for(f, names):
+    """f with every free occurrence of the state variables in names replaced by false."""
+    if not f.fv & names:
+        return f
+    if isinstance(f, Atom):
+        return Bot()
+    if isinstance(f, At):
+        if f.term.kind == SVAR and f.term.name in names:
+            return Bot()
+        return At(f.term, _false_for(f.body, names))
+    if isinstance(f, Down):
+        return Down(f.var, _false_for(f.body, names - {f.var.name}))
+    if isinstance(f, _UNARY):
+        return type(f)(_false_for(f.body, names))
+    return type(f)(_false_for(f.left, names), _false_for(f.right, names))
 
 
 _HLD_NODES = (Atom, Top, Bot, Not, And, Or, Implies, Iff, Diamond, Box, Down)
@@ -309,27 +364,22 @@ _HLD_NODES = (Atom, Top, Bot, Not, And, Or, Implies, Iff, Diamond, Box, Down)
 
 def check_hld(f: Formula) -> None:
     """Reject formulas outside HL-down (atoms, Booleans, diamond/box, down)."""
-    for g in subformulas(f):
-        if not isinstance(g, _HLD_NODES):
-            raise FragmentError(
-                f"operator {type(g).__name__} is outside the down-fragment"
-            )
+    if f._hld:
+        return
+    g = next(g for g in subformulas(f) if not isinstance(g, _HLD_NODES))
+    raise FragmentError(f"operator {type(g).__name__} is outside the down-fragment")
+
+
+def closure_sentence(g: Diamond | Box) -> Formula:
+    """What a modal node contributes to the closure: strip_free of a
+    diamond's body, or of the negated body of a box (not-diamond-not)."""
+    return g._sentence
 
 
 def diamond_closure(phi: Formula) -> frozenset[Formula]:
-    """Closure sentences of phi: strip_free(body) for each diamond subformula.
-
-    Box contributes through its not-diamond-not reading, i.e. box(psi)
-    contributes strip_free(not(psi)).
-    """
+    """Closure sentences of phi: closure_sentence of each diamond and box."""
     check_hld(phi)
-    out = set()
-    for g in subformulas(phi):
-        if isinstance(g, Diamond):
-            out.add(strip_free(g.body))
-        elif isinstance(g, Box):
-            out.add(strip_free(Not(g.body)))
-    return frozenset(out)
+    return phi._closure
 
 
 def modal_depth_count(f: Formula) -> int:

@@ -184,11 +184,47 @@ def model_from_dict(doc: dict) -> HybridModel:
     if "states" not in doc:
         raise ValueError("model document lacks 'states'")
     return HybridModel(
-        tuple(doc["states"]),
-        frozenset((a, b) for a, b in doc.get("rel", [])),
-        {p: frozenset(ss) for p, ss in doc.get("val", {}).items()},
-        dict(doc.get("nom", {})),
+        tuple(_names(doc, "states")),
+        frozenset(_pairs(doc, "rel")),
+        {p: frozenset(ss) for p, ss in _name_lists(doc, "val").items()},
+        _name_map(doc, "nom"),
     )
+
+
+def _is_names(value):
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _names(doc, key):
+    """doc[key] as a list of state names; a wrong shape is a ValueError."""
+    value = doc.get(key, [])
+    if not _is_names(value):
+        raise ValueError(f"{key!r} must be a list of state names")
+    return value
+
+
+def _pairs(doc, key):
+    """doc[key] as a list of state-name pairs."""
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(_is_names(e) and len(e) == 2 for e in value):
+        raise ValueError(f"{key!r} must be a list of [state, state] pairs")
+    return [tuple(e) for e in value]
+
+
+def _name_lists(doc, key):
+    """doc[key] as a mapping from names to lists of state names."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict) or not all(_is_names(v) for v in value.values()):
+        raise ValueError(f"{key!r} must map each name to a list of state names")
+    return value
+
+
+def _name_map(doc, key):
+    """doc[key] as a mapping from names to single state names."""
+    value = doc.get(key, {})
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ValueError(f"{key!r} must map each name to a state name")
+    return value
 
 
 def model_to_dict(m: HybridModel) -> dict:

@@ -312,7 +312,7 @@ class _LaneEngine:
     is set; that matches the valuation-code order of enumerate_models.
     """
 
-    def __init__(self, formulas, props, noms, k):
+    def __init__(self, props, noms, k):
         self.k = k
         self.props = props
         self.noms = noms
@@ -337,11 +337,6 @@ class _LaneEngine:
             self.state_mask.append(rows)
         self.top = np.broadcast_to(self.full, (1, k, self.m))
         self.bot = np.zeros((1, k, self.m), dtype=np.uint64)
-        self.fv = {}
-        for f in formulas:
-            for g in subformulas(f):
-                if id(g) not in self.fv:
-                    self.fv[id(g)] = free_vars(g)
 
     def set_batch(self, rel, plus):
         self.rel = rel
@@ -384,7 +379,7 @@ class _LaneEngine:
     def ev(self, f, env=None):
         if env is None:
             env = {}
-        key = (id(f), tuple(sorted((v, env[v]) for v in self.fv[id(f)] if v in env)))
+        key = (f, tuple(sorted((v, env[v]) for v in f.fv if v in env)))
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -530,19 +525,21 @@ def _decode_hit(engine, words_per_placement, b, rel_row, props, noms, k):
     return HybridModel(names, rel, val, nomval), names[state]
 
 
-def _lane_search(formulas, frame, max_states, mode, atoms=()):
+def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
     """Shared search across brute_sat / global sat / equivalence sweeps.
 
     mode 'sat': first (model, state) where formulas[0] holds.
     mode 'global': first model where formulas[0] holds at every state.
     mode 'diff': first (model, state) where formulas[0] and formulas[1] differ.
+    ``sizes`` restricts the sweep to those model sizes (one slice of a
+    parallel sweep); by default it covers 1..max_states.
     """
     extra_props, extra_noms = _split_atoms(atoms)
     props = tuple(sorted({p for f in formulas for p in props_of(f)} | set(extra_props)))
     noms = tuple(sorted({i for f in formulas for i in noms_of(f)} | set(extra_noms)))
     needs_plus = any(_needs_closure(f) for f in formulas)
-    for k in range(1, max_states + 1):
-        engine = _LaneEngine(formulas, props, noms, k)
+    for k in sizes or range(1, max_states + 1):
+        engine = _LaneEngine(props, noms, k)
         placements = list(product(range(k), repeat=len(noms)))
         for batch in _frame_batches(frame, k):
             plus = _closure_batch(batch) if needs_plus else None

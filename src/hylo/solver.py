@@ -217,9 +217,7 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                         ):
                             guess = dict(zip(rep.c_states, guess_vector))
                             candidates += 1
-                            result = verify(rep, recoded, guess)
-                            if result.accepted:
-                                assert verify(rep, recoded, guess).accepted
+                            if verify(rep, recoded, guess).accepted:
                                 return SatResult(
                                     "sat",
                                     witness_rep=rep,

@@ -203,6 +203,7 @@ class _STContext:
     def __init__(self, phi, anchor):
         self.used = {a.name for a in atoms_of(phi)} | {anchor}
         self.counter = 0
+        self.bound = {}  # state variable -> the first-order variable binding it
 
     def fresh(self):
         while True:
@@ -213,10 +214,10 @@ class _STContext:
                 return name
 
 
-def _st_term(term):
+def _st_term(term, ctx):
     if term.kind == NOM:
         return sat.FOConst(term.name)
-    return sat.FOVar(term.name)
+    return sat.FOVar(ctx.bound.get(term.name, term.name))
 
 
 def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool = False) -> sat.FOFormula:
@@ -233,7 +234,7 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
         if isinstance(f, Atom):
             if f.kind == PROP:
                 return sat.Pred(f.name, sat.FOVar(x))
-            return sat.Eq(_st_term(f), sat.FOVar(x))
+            return sat.Eq(_st_term(f, ctx), sat.FOVar(x))
         if isinstance(f, Top):
             return sat.FOTrue()
         if isinstance(f, Bot):
@@ -275,10 +276,16 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
             return sat.Forall(y, rec(f.body, y))
         if isinstance(f, At):
             y = ctx.fresh()
-            return sat.Exists(y, sat.FOAnd(sat.Eq(sat.FOVar(y), _st_term(f.term)), rec(f.body, y)))
+            return sat.Exists(y, sat.FOAnd(sat.Eq(sat.FOVar(y), _st_term(f.term, ctx)), rec(f.body, y)))
         if isinstance(f, Down):
             v = f.var.name
-            return sat.Exists(v, sat.FOAnd(sat.Eq(sat.FOVar(x), sat.FOVar(v)), rec(f.body, x)))
+            # a binder named like the current world variable would capture it
+            fo_v = ctx.fresh() if v == x else v
+            outer = ctx.bound.get(v, v)
+            ctx.bound[v] = fo_v
+            body = rec(f.body, x)
+            ctx.bound[v] = outer
+            return sat.Exists(fo_v, sat.FOAnd(sat.Eq(sat.FOVar(x), sat.FOVar(fo_v)), body))
         if isinstance(f, (Until, UntilPlus, UntilPlusPlus)):
             y, z = ctx.fresh(), ctx.fresh()
             step = sat.RelPlus if isinstance(f, UntilPlusPlus) else sat.Rel

@@ -1,4 +1,8 @@
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hylo.blocktree import (
     FiniteRep,
@@ -9,7 +13,21 @@ from hylo.blocktree import (
     verify,
 )
 from hylo.checker import eval_formula, phi_type
-from hylo.formula import Bot, parse, prop
+from hylo.formula import (
+    And,
+    Bot,
+    Box,
+    Diamond,
+    Down,
+    Not,
+    Or,
+    Top,
+    diamond_closure,
+    parse,
+    print_formula,
+    prop,
+    svar,
+)
 from hylo.model import is_transitive
 
 CHAIN = parse("p & <>p & []<>p & [] down $x . ~<> $x")
@@ -206,3 +224,39 @@ def test_verify_empty_c_equals_explicit_satisfiability():
         phi = parse(text)
         expected = any(eval_formula(m, {}, s, phi) for s in m.states)
         assert verify(rep, phi, {}).accepted == expected, text
+
+
+
+def _hld_formulas():
+    atoms = st.sampled_from([prop("p"), prop("q"), svar("x"), Top()])
+
+    def extend(child):
+        return st.one_of(
+            st.builds(Not, child),
+            st.builds(Diamond, child),
+            st.builds(Box, child),
+            st.builds(And, child, child),
+            st.builds(Or, child, child),
+            st.builds(Down, st.just(svar("x")), child),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+def _verify_texts(text, guess_texts):
+    """verify on freshly parsed formulas, its answer as plain text."""
+    res = verify(chain_rep(), parse(text), {"c0": frozenset(parse(t) for t in guess_texts)})
+    types = {s: sorted(print_formula(chi) for chi in t) for s, t in res.types.items()}
+    return res.accepted, res.reason, types
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hld_formulas(), st.data())
+def test_verify_depends_on_structure_only(body, data):
+    text = print_formula(Down(svar("x"), body))
+    closure = sorted(print_formula(chi) for chi in diamond_closure(parse(text)))
+    guess_texts = data.draw(st.sets(st.sampled_from(closure))) if closure else set()
+    first = _verify_texts(text, guess_texts)
+    gc.collect()  # let new nodes reuse the addresses of dead ones
+    assert _verify_texts(text, guess_texts) == first
+    assert _verify_texts(text, guess_texts) == first

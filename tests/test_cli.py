@@ -220,3 +220,69 @@ def test_translate_until_down_requires_until_root(capsys):
 def test_fragment_errors_exit_65(capsys):
     code, _, _ = run(capsys, "translate", "--rule", "ml-until", "--formula", "'i")
     assert code == 65
+
+
+def test_sat_exhaustive_searches_exactly_the_bounds(capsys, tmp_path):
+    # bounds (1, 1, 0); the default --max-* limits would take minutes
+    code, out, _ = run(
+        capsys,
+        "sat", "--frame", "trans", "--formula", "p & ~p", "--exhaustive",
+        "--witness", str(tmp_path / "w.json"),
+    )
+    assert code == 1 and out.startswith("UNSAT")
+
+
+def test_sat_verdict_is_the_same_in_every_process(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import hylo
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hylo.__file__)))
+    argv = [
+        sys.executable, "-m", "hylo.cli", "sat", "--frame", "trans",
+        "--formula", "<>true & []p & []~p",
+        "--max-clique", "2", "--max-nodes", "2", "--max-c", "1",
+        "--witness", str(tmp_path / "w.json"),
+    ]
+    for seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, (seed, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"states": 5},
+        {"states": ["a"], "rel": [["a"]]},
+        {"states": ["a"], "val": {"p": "a"}},
+        {"states": ["a"], "nom": {"i": ["a"]}},
+    ],
+)
+def test_misshapen_model_file_exit_65(tmp_path, capsys, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", "--model", str(path), "--formula", "p", "--state", "a")
+    assert code == 65
+    assert "Traceback" not in err
+
+
+def test_misshapen_rep_file_exit_65(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"states": ["a"], "c_states": ["c"], "ref": {"c": ["a"]}}))
+    code, _, _ = run(capsys, "realize", "--rep", str(path), "--depth", "1")
+    assert code == 65
+
+
+def test_internal_error_exit_70(capsys, monkeypatch):
+    import hylo.cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(hylo.cli._COMMANDS, "parse", broken)
+    code, _, err = run(capsys, "parse", "--formula", "p")
+    assert code == 70
+    assert err == "hylo: internal error: RuntimeError: boom\n"

@@ -225,3 +225,31 @@ def test_strip_free_properties(f):
     assert strip_free(s) == s
     if not free_vars(f):
         assert s == f
+
+
+# -- interning ---------------------------------------------------------------
+
+
+def test_equal_structure_is_the_same_node():
+    import copy
+    import pickle
+
+    text = "p & <>p & []<>p & [] down $x . ~<> $x & @'i U(q, $x)"
+    f = parse(text)
+    assert parse(text) is f
+    assert And(p, q) is And(p, q)
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_intern_table_is_weak():
+    import gc
+    import weakref
+
+    f = parse("<>(zz1 & []zz2) & down $x . <>(zz3 & $x)")
+    diamond_closure(f)  # fills the per-node caches too
+    dead = weakref.ref(f.right)
+    del f
+    gc.collect()
+    assert dead() is None

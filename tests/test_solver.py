@@ -118,3 +118,19 @@ def test_witness_realization_satisfies_formula_when_finite():
     assert result.is_sat
     m = realize(result.witness_rep, 2)
     assert any(eval_formula(m, {}, s, phi) for s in m.states)
+
+
+@pytest.mark.parametrize(
+    "text, limits",
+    [
+        ("[]p & []q & <>~q", (2, 2, 1)),
+        ("<>true & []p & []~p", (2, 2, 1)),
+        ("<>[]p & []<>~p", (1, 3, 1)),
+        ("<>p & <>q & [](~p | ~q) & []p", (1, 2, 1)),
+    ],
+)
+def test_unsat_below_bounds_is_unknown(text, limits):
+    # UNSAT on every frame; the budgets are below the completeness bounds
+    clique, nodes, c = limits
+    result = sat_transitive(parse(text), Budget(max_clique=clique, max_nodes=nodes, max_c=c))
+    assert result.status == "unknown"

@@ -346,3 +346,17 @@ def test_translations_commute_with_not_and():
     assert u_to_upp(Not(parse("U(p,q)"))) == Not(u_to_upp(parse("U(p,q)")))
     g = parse("@'i p")
     assert at_elim_linear(Not(g)) == Not(at_elim_linear(g))
+
+
+def test_standard_translation_binder_named_like_anchor():
+    from hylo.satellites import FOStructure, fo_eval
+
+    texts = ["down $x . ~<>$x", "down $x . <>$x", "p & down $x . [](p -> <>$x)",
+             "down $x . <>down $y . @$x <>$y"]
+    for text in texts:
+        phi = parse(text)
+        alpha = standard_translation(phi, anchor="x")
+        for m in enumerate_models("any", 3, atoms=[p] if "p" in text else ()):
+            s = FOStructure(m.states, m.rel, dict(m.val), dict(m.nomval))
+            for state in m.states:
+                assert eval_formula(m, {}, state, phi) == fo_eval(s, {"x": state}, alpha), (text, m)
