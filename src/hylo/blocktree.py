@@ -74,6 +74,7 @@ class FiniteRep:
             for s in part:
                 node_of[s] = idx
         self._check_condensation_tree(parts, edges)
+        c_succ = {s: [] for s in self.m_states}
         for c in self.c_states:
             preds = {a for a, b in self.rel if b == c}
             if not preds:
@@ -93,7 +94,10 @@ class FiniteRep:
                 raise ValueError(
                     f"predecessors of c-state {c!r} are not a node plus its ancestors"
                 )
+            for a in preds:
+                c_succ[a].append(c)
         object.__setattr__(self, "_m_model", m_model)
+        object.__setattr__(self, "_c_succ", c_succ)
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_node_edges", edges)
         object.__setattr__(self, "_node_of", node_of)
@@ -117,11 +121,25 @@ class FiniteRep:
         if len(roots) != 1:
             raise ValueError("condensation of the m-part must have a single root")
 
+    def with_val(self, val: dict) -> FiniteRep:
+        """The same validated structure under another valuation.  Only the
+        valuation is checked; relation, references, cliques and adjacency
+        are shared with this representation."""
+        val = {p: frozenset(ss) for p, ss in val.items()}
+        m_set = set(self.m_states)
+        for p, ss in val.items():
+            if ss - m_set - set(self.c_states):
+                raise ValueError(f"valuation of {p!r} outside states")
+        out = object.__new__(FiniteRep)
+        m_model = self._m_model.with_val({p: ss & m_set for p, ss in val.items()})
+        out.__dict__.update(self.__dict__, val=val, _m_model=m_model)
+        return out
+
     def m_successors(self, s):
-        return [t for t in self.m_states if (s, t) in self.rel]
+        return self._m_model.successors(s)
 
     def c_successors(self, s):
-        return [c for c in self.c_states if (s, c) in self.rel]
+        return list(self._c_succ.get(s, ()))
 
 
 def _evaluate(rep, phi, c_guess):
@@ -129,7 +147,7 @@ def _evaluate(rep, phi, c_guess):
     computed them, so that verify reuses its memo for phi."""
     closure = diamond_closure(phi)
     guess = _normalize_guess(rep, c_guess, closure)
-    refs = {s: [guess[c] for c in rep.c_successors(s)] for s in rep.m_states}
+    refs = {s: [guess[c] for c in cs] for s, cs in rep._c_succ.items()}
     ev = _Evaluator(rep._m_model, refs)
     truths = {
         s: frozenset(chi for chi in closure if ev.run(chi, {}, s)) for s in rep.m_states
@@ -137,7 +155,7 @@ def _evaluate(rep, phi, c_guess):
     types = {}
     for s in rep.m_states:
         here = set(truths[s])
-        for t in rep.m_successors(s):
+        for t in ev.succ[s]:
             here |= truths[t]
         types[s] = frozenset(here)
     for c in rep.c_states:

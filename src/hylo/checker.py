@@ -72,8 +72,7 @@ class _Evaluator:
 
     def __init__(self, model: HybridModel, refs: dict | None = None):
         self.m = model
-        self.succ = {s: model.successors(s) for s in model.states}
-        self.pred = {s: model.predecessors(s) for s in model.states}
+        self.succ, self.pred = model._adjacency()
         self.refs = refs or {}
         self._plus = None
         self.memo = {}
@@ -84,7 +83,8 @@ class _Evaluator:
         return self._plus
 
     def run(self, f: Formula, g: dict, s: str) -> bool:
-        key = (f, s, tuple(sorted((v, g[v]) for v in f.fv & g.keys())))
+        used = f.fv & g.keys() if g else None
+        key = (f, s, tuple(sorted((v, g[v]) for v in used)) if used else ())
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -98,115 +98,133 @@ class _Evaluator:
         return any(closure_sentence(f) in t for t in self.refs.get(s, ()))
 
     def _eval(self, f, g, s):
+        case = _CASES.get(type(f))
+        if case is None:
+            raise TypeError(f"not a formula node: {f!r}")
+        return case(self, f, g, s)
+
+    def _atom(self, f, g, s):
         m = self.m
-        if isinstance(f, Atom):
-            if f.kind == PROP:
-                return s in m.val.get(f.name, frozenset())
-            if f.kind == NOM:
-                if f.name not in m.nomval:
-                    raise UnboundNominalError(f"nominal {f.name!r} not in model")
-                return m.nomval[f.name] == s
-            if f.name not in g:
-                raise UnboundVariableError(f"state variable {f.name!r} unbound")
-            return g[f.name] == s
-        if isinstance(f, Top):
-            return True
-        if isinstance(f, Bot):
-            return False
-        if isinstance(f, Not):
-            return not self.run(f.body, g, s)
-        if isinstance(f, And):
-            return self.run(f.left, g, s) and self.run(f.right, g, s)
-        if isinstance(f, Or):
-            return self.run(f.left, g, s) or self.run(f.right, g, s)
-        if isinstance(f, Implies):
-            return not self.run(f.left, g, s) or self.run(f.right, g, s)
-        if isinstance(f, Iff):
-            return self.run(f.left, g, s) == self.run(f.right, g, s)
-        if isinstance(f, (Diamond, Future)):
-            return any(self.run(f.body, g, t) for t in self.succ[s]) or self._guessed(f, s)
-        if isinstance(f, (Box, Globally)):
-            return all(self.run(f.body, g, t) for t in self.succ[s]) and not self._guessed(f, s)
-        if isinstance(f, Past):
-            return any(self.run(f.body, g, t) for t in self.pred[s])
-        if isinstance(f, Historically):
-            return all(self.run(f.body, g, t) for t in self.pred[s])
-        if isinstance(f, Somewhere):
-            return any(self.run(f.body, g, t) for t in m.states)
-        if isinstance(f, Everywhere):
-            return all(self.run(f.body, g, t) for t in m.states)
-        if isinstance(f, At):
-            t = self._denote(f.term, g)
-            return self.run(f.body, g, t)
-        if isinstance(f, Down):
-            return self.run(f.body, {**g, f.var.name: s}, s)
-        if isinstance(f, Until):
-            return any(
-                self.run(f.left, g, n)
-                and all(
-                    self.run(f.right, g, u)
-                    for u in self.succ[s]
-                    if (u, n) in m.rel
-                )
-                for n in self.succ[s]
+        if f.kind == PROP:
+            return s in m.val.get(f.name, frozenset())
+        if f.kind == NOM:
+            if f.name not in m.nomval:
+                raise UnboundNominalError(f"nominal {f.name!r} not in model")
+            return m.nomval[f.name] == s
+        if f.name not in g:
+            raise UnboundVariableError(f"state variable {f.name!r} unbound")
+        return g[f.name] == s
+
+    def _top(self, f, g, s):
+        return True
+
+    def _bot(self, f, g, s):
+        return False
+
+    def _not(self, f, g, s):
+        return not self.run(f.body, g, s)
+
+    def _and(self, f, g, s):
+        return self.run(f.left, g, s) and self.run(f.right, g, s)
+
+    def _or(self, f, g, s):
+        return self.run(f.left, g, s) or self.run(f.right, g, s)
+
+    def _implies(self, f, g, s):
+        return not self.run(f.left, g, s) or self.run(f.right, g, s)
+
+    def _iff(self, f, g, s):
+        return self.run(f.left, g, s) == self.run(f.right, g, s)
+
+    def _diamond(self, f, g, s):
+        return any(self.run(f.body, g, t) for t in self.succ[s]) or self._guessed(f, s)
+
+    def _box(self, f, g, s):
+        return all(self.run(f.body, g, t) for t in self.succ[s]) and not self._guessed(f, s)
+
+    def _past(self, f, g, s):
+        return any(self.run(f.body, g, t) for t in self.pred[s])
+
+    def _historically(self, f, g, s):
+        return all(self.run(f.body, g, t) for t in self.pred[s])
+
+    def _somewhere(self, f, g, s):
+        return any(self.run(f.body, g, t) for t in self.m.states)
+
+    def _everywhere(self, f, g, s):
+        return all(self.run(f.body, g, t) for t in self.m.states)
+
+    def _at(self, f, g, s):
+        return self.run(f.body, g, self._denote(f.term, g))
+
+    def _down(self, f, g, s):
+        return self.run(f.body, {**g, f.var.name: s}, s)
+
+    def _until(self, f, g, s):
+        rel = self.m.rel
+        return any(
+            self.run(f.left, g, n)
+            and all(self.run(f.right, g, u) for u in self.succ[s] if (u, n) in rel)
+            for n in self.succ[s]
+        )
+
+    def _since(self, f, g, s):
+        rel = self.m.rel
+        return any(
+            self.run(f.left, g, n)
+            and all(self.run(f.right, g, u) for u in self.pred[s] if (n, u) in rel)
+            for n in self.pred[s]
+        )
+
+    def _until_plus(self, f, g, s):
+        plus = self.rel_plus()
+        return any(
+            self.run(f.left, g, n)
+            and all(
+                self.run(f.right, g, u)
+                for u in self.m.states
+                if (s, u) in plus and (u, n) in plus
             )
-        if isinstance(f, Since):
-            return any(
-                self.run(f.left, g, n)
-                and all(
-                    self.run(f.right, g, u)
-                    for u in self.pred[s]
-                    if (n, u) in m.rel
-                )
-                for n in self.pred[s]
+            for n in self.succ[s]
+        )
+
+    def _since_plus(self, f, g, s):
+        plus = self.rel_plus()
+        return any(
+            self.run(f.left, g, n)
+            and all(
+                self.run(f.right, g, u)
+                for u in self.m.states
+                if (n, u) in plus and (u, s) in plus
             )
-        if isinstance(f, UntilPlus):
-            plus = self.rel_plus()
-            return any(
-                self.run(f.left, g, n)
-                and all(
-                    self.run(f.right, g, u)
-                    for u in m.states
-                    if (s, u) in plus and (u, n) in plus
-                )
-                for n in self.succ[s]
+            for n in self.pred[s]
+        )
+
+    def _until_plus_plus(self, f, g, s):
+        plus = self.rel_plus()
+        return any(
+            self.run(f.left, g, n)
+            and all(
+                self.run(f.right, g, u)
+                for u in self.m.states
+                if (s, u) in plus and (u, n) in plus
             )
-        if isinstance(f, SincePlus):
-            plus = self.rel_plus()
-            return any(
-                self.run(f.left, g, n)
-                and all(
-                    self.run(f.right, g, u)
-                    for u in m.states
-                    if (n, u) in plus and (u, s) in plus
-                )
-                for n in self.pred[s]
+            for n in self.m.states
+            if (s, n) in plus
+        )
+
+    def _since_plus_plus(self, f, g, s):
+        plus = self.rel_plus()
+        return any(
+            self.run(f.left, g, n)
+            and all(
+                self.run(f.right, g, u)
+                for u in self.m.states
+                if (n, u) in plus and (u, s) in plus
             )
-        if isinstance(f, UntilPlusPlus):
-            plus = self.rel_plus()
-            return any(
-                self.run(f.left, g, n)
-                and all(
-                    self.run(f.right, g, u)
-                    for u in m.states
-                    if (s, u) in plus and (u, n) in plus
-                )
-                for n in m.states
-                if (s, n) in plus
-            )
-        if isinstance(f, SincePlusPlus):
-            plus = self.rel_plus()
-            return any(
-                self.run(f.left, g, n)
-                and all(
-                    self.run(f.right, g, u)
-                    for u in m.states
-                    if (n, u) in plus and (u, s) in plus
-                )
-                for n in m.states
-                if (n, s) in plus
-            )
-        raise TypeError(f"not a formula node: {f!r}")
+            for n in self.m.states
+            if (n, s) in plus
+        )
 
     def _denote(self, term, g):
         if term.kind == NOM:
@@ -216,6 +234,36 @@ class _Evaluator:
         if term.name not in g:
             raise UnboundVariableError(f"state variable {term.name!r} unbound")
         return g[term.name]
+
+
+# One case per node class; Future and Globally are the tense spellings of
+# Diamond and Box.
+_CASES = {
+    Atom: _Evaluator._atom,
+    Top: _Evaluator._top,
+    Bot: _Evaluator._bot,
+    Not: _Evaluator._not,
+    And: _Evaluator._and,
+    Or: _Evaluator._or,
+    Implies: _Evaluator._implies,
+    Iff: _Evaluator._iff,
+    Diamond: _Evaluator._diamond,
+    Future: _Evaluator._diamond,
+    Box: _Evaluator._box,
+    Globally: _Evaluator._box,
+    Past: _Evaluator._past,
+    Historically: _Evaluator._historically,
+    Somewhere: _Evaluator._somewhere,
+    Everywhere: _Evaluator._everywhere,
+    At: _Evaluator._at,
+    Down: _Evaluator._down,
+    Until: _Evaluator._until,
+    Since: _Evaluator._since,
+    UntilPlus: _Evaluator._until_plus,
+    SincePlus: _Evaluator._since_plus,
+    UntilPlusPlus: _Evaluator._until_plus_plus,
+    SincePlusPlus: _Evaluator._since_plus_plus,
+}
 
 
 def eval_formula(m: HybridModel, g: dict, s: str, f: Formula) -> bool:
@@ -250,5 +298,5 @@ def phi_type(m: HybridModel, phi: Formula, s: str) -> frozenset[Formula]:
         raise UnknownStateError(f"unknown state {s!r}")
     closure = diamond_closure(phi)
     ev = _Evaluator(m)
-    scope = [s] + m.successors(s)
+    scope = [s] + ev.succ[s]
     return frozenset(chi for chi in closure if any(ev.run(chi, {}, t) for t in scope))

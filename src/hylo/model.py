@@ -41,15 +41,47 @@ class HybridModel:
                 raise ValueError(f"nominal {i!r} names unknown state {s!r}")
 
     def successors(self, s: str) -> list[str]:
-        return [t for t in self.states if (s, t) in self.rel]
+        return list(self._adjacency()[0].get(s, ()))
 
     def predecessors(self, s: str) -> list[str]:
-        return [t for t in self.states if (t, s) in self.rel]
+        return list(self._adjacency()[1].get(s, ()))
+
+    def _adjacency(self):
+        """Successor and predecessor lists of every state, in declared
+        state order, computed on first use and kept for the model's life.
+        Callers that read them directly must not mutate them."""
+        adj = self.__dict__.get("_adj")
+        if adj is None:
+            order = {s: i for i, s in enumerate(self.states)}
+            succ = {s: [] for s in self.states}
+            pred = {s: [] for s in self.states}
+            for a, b in sorted(self.rel, key=lambda e: (order[e[0]], order[e[1]])):
+                succ[a].append(b)
+                pred[b].append(a)
+            adj = (succ, pred)
+            object.__setattr__(self, "_adj", adj)
+        return adj
+
+    def with_val(self, val: dict) -> HybridModel:
+        """The same frame under another proposition valuation.  Only the
+        valuation is checked; states, relation, nominals and adjacency
+        lists are shared with this model."""
+        val = {p: frozenset(ss) for p, ss in val.items()}
+        known = set(self.states)
+        for p, ss in val.items():
+            unknown = ss - known
+            if unknown:
+                raise ValueError(f"valuation of {p!r} mentions unknown states {sorted(unknown)}")
+        self._adjacency()
+        out = object.__new__(HybridModel)
+        out.__dict__.update(self.__dict__, val=val)
+        return out
 
 
 def is_transitive(m: HybridModel) -> bool:
-    rel = m.rel
-    return all((a, d) in rel for a, b in rel for c, d in rel if b == c)
+    """Every successor of a successor is a successor."""
+    succ = {s: set(ts) for s, ts in m._adjacency()[0].items()}
+    return all(succ[b] <= succ[a] for a, b in m.rel)
 
 
 def is_complete(m: HybridModel) -> bool:

@@ -7,6 +7,23 @@ lexicographic order over the atoms of the input, and guessed types first
 from the types realized in the explicit part, then all remaining subsets
 of the closure.
 
+The enumeration is symmetry-reduced: a candidate is skipped when an
+earlier one in this order is accepted exactly when it is, which is
+lex-leader symmetry breaking (Crawford et al. 1996).
+- A reference points at the first state of a clique, because all members
+  of a clique have the same type.
+- A valuation is kept only when no permutation inside a clique and no
+  exchange of isomorphic sibling subtrees makes its code smaller; clique
+  kinds and reference pairs are reduced by the same exchanges.
+- Leaves with the same target share one guess.
+- A target whose subtree attaches no leaf has a type that no guess
+  changes; the empty-guess pass computes it and it is the only guess.
+``candidates`` counts the canonical candidates handed to verify().  Each
+(tree, kinds, pairs) structure is built and validated once, and its
+valuations reuse it through ``FiniteRep.with_val``.  ``SatResult.stats``
+counts structures built, valuations skipped by symmetry, guesses fixed
+directly, and verify() rejections by reason.
+
 Verdicts: SAT always carries a witness that verify() accepts.  A bounded
 failure is UNSAT only when the budget covers the (conservative) theoretical
 completeness bounds; otherwise the answer is UNKNOWN, because transitive
@@ -16,6 +33,7 @@ frames have no finite model property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import combinations, product
 
 from .blocktree import FiniteRep, compute_types, verify
@@ -62,6 +80,7 @@ class SatResult:
     bounds: tuple = (0, 0, 0)
     candidates: int = 0
     note: str | None = None
+    stats: dict = field(default_factory=dict)
 
     @property
     def is_sat(self):
@@ -86,6 +105,7 @@ def bounds_for(phi: Formula) -> tuple[int, int, int]:
     return (2 * 2**d, clique_bound, 2 * 2**d)
 
 
+@cache
 def _canonical_trees(n):
     """Non-isomorphic rooted trees on n nodes as parent vectors, parents first."""
     seen = {}
@@ -112,7 +132,57 @@ def _canonical_trees(n):
             rec(i + 1, parents + [p])
 
     rec(1, [-1])
-    return order
+    return tuple(order)
+
+
+@cache
+def _sibling_swaps(parents):
+    """Automorphisms of a rooted tree that exchange two isomorphic sibling
+    subtrees, as node permutations (each its own inverse)."""
+    n = len(parents)
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        kids[parents[i]].append(i)
+    shape = [None] * n
+    for i in reversed(range(n)):  # parents first, so children are done
+        shape[i] = tuple(sorted(shape[j] for j in kids[i]))
+    ordered = [sorted(kids[i], key=lambda j: (shape[j], j)) for i in range(n)]
+
+    def onto(u, v, perm):
+        perm[u] = v
+        for a, b in zip(ordered[u], ordered[v]):
+            onto(a, b, perm)
+
+    swaps = []
+    for v in range(n):
+        for a, b in combinations(kids[v], 2):
+            if shape[a] == shape[b]:
+                perm = list(range(n))
+                onto(a, b, perm)
+                onto(b, a, perm)
+                swaps.append(tuple(perm))
+    return tuple(swaps)
+
+
+def _fixing(x, swaps, image):
+    """The swaps that map x to itself, or None when one maps it to
+    something smaller, so that x is not the least of its orbit."""
+    fixing = []
+    for sw in swaps:
+        y = image(x, sw)
+        if y < x:
+            return None
+        if y == x:
+            fixing.append(sw)
+    return fixing
+
+
+def _swap_kinds(kinds, sw):
+    return tuple(kinds[i] for i in sw)
+
+
+def _swap_pairs(c_pairs, sw):
+    return tuple(sorted((sw[u], sw[t]) for u, t in c_pairs))
 
 
 def _node_kinds(cliq, complete_only):
@@ -125,99 +195,165 @@ def _node_kinds(cliq, complete_only):
     return kinds
 
 
-def _build_rep(parents, kinds, c_pairs, val_code, atoms):
-    n = len(parents)
-    node_states = []
-    counter = 0
-    for size, _refl in kinds:
-        node_states.append([f"m{counter + j}" for j in range(size)])
-        counter += size
-    m_states = [s for group in node_states for s in group]
-    ancestors = [[] for _ in range(n)]
-    for i in range(1, n):
-        p = parents[i]
-        ancestors[i] = ancestors[p] + [p]
-    rel = set()
-    for i, (size, refl) in enumerate(kinds):
-        if size >= 2 or refl:
-            for a in node_states[i]:
-                for b in node_states[i]:
-                    rel.add((a, b))
-        for anc in ancestors[i]:
-            for a in node_states[anc]:
-                for b in node_states[i]:
-                    rel.add((a, b))
-    c_states = []
-    ref = {}
-    for idx, (node, target) in enumerate(c_pairs):
-        cname = f"c{idx}"
-        c_states.append(cname)
-        ref[cname] = target
-        for a in node_states[node]:
-            rel.add((a, cname))
-        for anc in ancestors[node]:
-            for a in node_states[anc]:
-                rel.add((a, cname))
-    n_m = len(m_states)
-    val = {
-        p: frozenset(
-            m_states[s] for s in range(n_m) if (val_code >> (i * n_m + s)) & 1
-        )
-        for i, p in enumerate(atoms)
-    }
-    return FiniteRep(tuple(m_states), tuple(c_states), frozenset(rel), val, ref)
+class _Shape:
+    """One (tree, kinds, reference pairs) structure, built and validated
+    once, with everything its valuations and guesses share.
+
+    ``c_pairs`` are (attachment node, target node); a reference points at
+    the first state of its target's clique.  Leaves are named c0, c1, ...
+    in pair order.
+    """
+
+    def __init__(self, parents, kinds, c_pairs, swaps):
+        n = len(parents)
+        first = []
+        counter = 0
+        for size, _refl in kinds:
+            first.append(counter)
+            counter += size
+        self.n_m = counter
+        # Sibling swaps that fix kinds and pairs, as permutations of states.
+        self.state_swaps = [
+            [first[sw[i]] + k for i, (size, _) in enumerate(kinds) for k in range(size)]
+            for sw in swaps
+        ]
+        m_states = [f"m{i}" for i in range(counter)]
+        node_states = [m_states[first[i] : first[i] + kinds[i][0]] for i in range(n)]
+        ancestors = [[] for _ in range(n)]
+        for i in range(1, n):
+            ancestors[i] = ancestors[parents[i]] + [parents[i]]
+        rel = set()
+        for i, (size, refl) in enumerate(kinds):
+            above = [a for anc in ancestors[i] for a in node_states[anc]]
+            if size >= 2 or refl:
+                above += node_states[i]
+            rel.update((a, b) for a in above for b in node_states[i])
+        ref = {}
+        for idx, (node, target) in enumerate(c_pairs):
+            cname = f"c{idx}"
+            ref[cname] = m_states[first[target]]
+            for anc in ancestors[node] + [node]:
+                rel.update((a, cname) for a in node_states[anc])
+        self.rep = FiniteRep(tuple(m_states), tuple(ref), frozenset(rel), {}, ref)
+        # Valuations are canonical when every clique's state columns are
+        # non-increasing; state j's column packs its atom bits, last atom
+        # highest, as the valuation code does.
+        self.cliques = [
+            range(first[i], first[i] + size) for i, (size, _) in enumerate(kinds) if size >= 2
+        ]
+        # Leaves sharing a target share one guess slot, in order of first
+        # appearance.  A target whose subtree attaches no leaf has a
+        # guess-independent type: its slot takes the empty-guess type only.
+        targets = list(dict.fromkeys(target for _, target in c_pairs))
+        self.slot = {f"c{idx}": targets.index(t) for idx, (_, t) in enumerate(c_pairs)}
+        self.fixed = [not any(u == t or t in ancestors[u] for u, _ in c_pairs) for t in targets]
+        self.target_state = [m_states[first[t]] for t in targets]
+
+    def canonical(self, code, n_atoms):
+        """Whether no permutation within a clique and no remaining sibling
+        swap maps the valuation code to a smaller one."""
+        n_m = self.n_m
+        for states in self.cliques:
+            prev = None
+            for j in states:
+                col = 0
+                for i in range(n_atoms):
+                    col |= ((code >> (i * n_m + j)) & 1) << i
+                if prev is not None and col > prev:
+                    return False
+                prev = col
+        for perm in self.state_swaps:
+            image = 0
+            for i in range(n_atoms):
+                for j, k in enumerate(perm):
+                    image |= ((code >> (i * n_m + j)) & 1) << (i * n_m + k)
+            if image < code:
+                return False
+        return True
+
+    def valuation(self, code, atoms):
+        n_m, m_states = self.n_m, self.rep.m_states
+        return {
+            p: frozenset(m_states[s] for s in range(n_m) if (code >> (i * n_m + s)) & 1)
+            for i, p in enumerate(atoms)
+        }
+
+    def guesses(self, rep, compiled, stats):
+        """Guess vectors in canonical order: per slot, types realized in the
+        explicit part first, then all remaining subsets of the closure."""
+        if not rep.c_states:
+            yield {}
+            return
+        base = compute_types(rep, compiled.phi, {c: frozenset() for c in rep.c_states})
+        options = None
+        per_slot = []
+        for target, fixed in zip(self.target_state, self.fixed):
+            if fixed:
+                stats["guesses_fixed"] += 1
+                per_slot.append((base[target],))
+                continue
+            if options is None:
+                realized = list(dict.fromkeys(base[s] for s in rep.m_states))
+                seen = set(realized)
+                options = realized + [t for t in compiled.subsets if t not in seen]
+            per_slot.append(options)
+        for choice in product(*per_slot):
+            yield {c: choice[k] for c, k in self.slot.items()}
 
 
-def _guess_candidates(rep, phi, closure_list):
-    """Guess order: types realized in the explicit part first, then all
-    remaining subsets by size and position."""
-    if not rep.c_states:
-        return [frozenset()]
-    empty = {c: frozenset() for c in rep.c_states}
-    base = compute_types(rep, phi, empty)
-    realized = []
-    for s in rep.m_states:
-        if base[s] not in realized:
-            realized.append(base[s])
-    rest = []
-    for size in range(len(closure_list) + 1):
-        for combo in combinations(range(len(closure_list)), size):
-            t = frozenset(closure_list[i] for i in combo)
-            if t not in realized:
-                rest.append(t)
-    return realized + rest
+class _Compiled:
+    """What a search derives from its input once: the recoded formula,
+    checked against the fragment, its atoms and, on first use, every
+    subset of its closure in guess order (by size, then by position in the
+    printed order of the closure)."""
+
+    def __init__(self, phi):
+        self.phi = recode_nominals(phi)
+        check_hld(self.phi)
+        self.atoms = props_of(self.phi)
+
+    @cached_property
+    def subsets(self):
+        closure_list = sorted(diamond_closure(self.phi), key=print_formula)
+        return [
+            frozenset(combo)
+            for size in range(len(closure_list) + 1)
+            for combo in combinations(closure_list, size)
+        ]
 
 
 def _search(phi, budget, complete_only, nominal_warning, bounds):
-    recoded = recode_nominals(phi)
-    check_hld(recoded)
-    closure = diamond_closure(recoded)
-    closure_list = sorted(closure, key=print_formula)
-    atoms = props_of(recoded)
+    compiled = _Compiled(phi)
+    recoded, atoms = compiled.phi, compiled.atoms
+    stats = {"structures": 0, "valuations_skipped": 0, "guesses_fixed": 0, "rejected": {}}
     candidates = 0
-    levels = budget.levels()
-    for nodes, cliq, n_c in levels:
+    for nodes, cliq, n_c in budget.levels():
         if complete_only and (nodes != 1 or n_c != 0):
             continue
         kinds_pool = _node_kinds(cliq, complete_only)
+        pair_pool = [(node, t) for node in range(nodes) for t in range(nodes)]
         for parents in _canonical_trees(nodes):
             for kinds in product(kinds_pool, repeat=nodes):
                 if max(size for size, _ in kinds) != cliq:
                     continue
-                n_m = sum(size for size, _ in kinds)
-                pair_pool = [
-                    (node, f"m{t}") for node in range(nodes) for t in range(n_m)
-                ]
+                kinds_swaps = _fixing(kinds, _sibling_swaps(parents), _swap_kinds)
+                if kinds_swaps is None:
+                    continue
                 for c_pairs in combinations(pair_pool, n_c):
-                    for val_code in range(1 << (len(atoms) * n_m)):
-                        rep = _build_rep(parents, kinds, c_pairs, val_code, atoms)
-                        for guess_vector in product(
-                            _guess_candidates(rep, recoded, closure_list),
-                            repeat=len(rep.c_states),
-                        ):
-                            guess = dict(zip(rep.c_states, guess_vector))
+                    swaps = _fixing(c_pairs, kinds_swaps, _swap_pairs)
+                    if swaps is None:
+                        continue
+                    shape = _Shape(parents, kinds, c_pairs, swaps)
+                    stats["structures"] += 1
+                    for code in range(1 << (len(atoms) * shape.n_m)):
+                        if not shape.canonical(code, len(atoms)):
+                            stats["valuations_skipped"] += 1
+                            continue
+                        rep = shape.rep.with_val(shape.valuation(code, atoms))
+                        for guess in shape.guesses(rep, compiled, stats):
                             candidates += 1
-                            if verify(rep, recoded, guess).accepted:
+                            result = verify(rep, recoded, guess)
+                            if result.accepted:
                                 return SatResult(
                                     "sat",
                                     witness_rep=rep,
@@ -225,7 +361,10 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                                     nominal_warning=nominal_warning,
                                     bounds=bounds,
                                     candidates=candidates,
+                                    stats=stats,
                                 )
+                            reason = result.reason.split(":")[0]
+                            stats["rejected"][reason] = stats["rejected"].get(reason, 0) + 1
     limit = (budget.max_nodes, budget.max_clique, budget.max_c)
     if budget.depth_schedule is None and all(a >= b for a, b in zip(limit, bounds)):
         return SatResult(
@@ -234,6 +373,7 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
             nominal_warning=nominal_warning,
             bounds=bounds,
             candidates=candidates,
+            stats=stats,
             note=(
                 "exhausted all representations within the conservative "
                 f"completeness bounds nodes={bounds[0]}, clique={bounds[1]}, "
@@ -245,6 +385,7 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
         nominal_warning=nominal_warning,
         bounds=bounds,
         candidates=candidates,
+        stats=stats,
         note=(
             "search exhausted the budget without reaching the conservative "
             f"completeness bounds nodes={bounds[0]}, clique={bounds[1]}, "

@@ -260,3 +260,28 @@ def test_verify_depends_on_structure_only(body, data):
     gc.collect()  # let new nodes reuse the addresses of dead ones
     assert _verify_texts(text, guess_texts) == first
     assert _verify_texts(text, guess_texts) == first
+
+
+def test_with_val_reuses_the_structure_and_checks_the_valuation():
+    rep = chain_rep()
+    other = rep.with_val({"p": frozenset({"m1"})})
+    fresh = FiniteRep(rep.m_states, rep.c_states, rep.rel, {"p": frozenset({"m1"})}, rep.ref)
+    assert other == fresh
+    assert other._parts is rep._parts
+    assert rep.val == {"p": frozenset({"m0", "m1", "c0"})}
+    assert compute_types(other, CHAIN, {"c0": frozenset()}) == compute_types(
+        fresh, CHAIN, {"c0": frozenset()}
+    )
+    assert verify(rep.with_val(rep.val), CHAIN, {"c0": frozenset()}).accepted == verify(
+        rep, CHAIN, {"c0": frozenset()}
+    ).accepted
+    with pytest.raises(ValueError, match="outside states"):
+        rep.with_val({"p": frozenset({"zz"})})
+
+
+def test_successor_lists_are_cached_per_structure():
+    rep = chain_rep()
+    assert rep.m_successors("m0") == ["m1"]
+    assert rep.c_successors("m0") == ["c0"] and rep.c_successors("m1") == ["c0"]
+    rep.c_successors("m0").clear()
+    assert rep.c_successors("m0") == ["c0"]

@@ -174,3 +174,23 @@ def test_model_to_dict_is_sorted_and_loadable():
     doc = model_to_dict(m)
     assert doc["states"] == ["b", "a"]
     assert model_from_dict(doc) == m
+
+
+def test_adjacency_is_cached_in_state_order_and_handed_out_as_copies():
+    m = M(["a", "b", "c"], [("c", "a"), ("a", "c"), ("a", "b"), ("b", "b")])
+    assert m.successors("a") == ["b", "c"]
+    assert m.predecessors("b") == ["a", "b"]
+    assert m.successors("zz") == []
+    m.successors("a").append("zz")
+    assert m.successors("a") == ["b", "c"]
+    assert m._adjacency() is m._adjacency()
+
+
+def test_with_val_shares_the_frame_and_checks_the_valuation():
+    m = M(["a", "b"], [("a", "b")], {"p": {"a"}}, {"i": "b"})
+    m2 = m.with_val({"p": {"b"}, "q": set()})
+    assert m2 == M(["a", "b"], [("a", "b")], {"p": {"b"}, "q": set()}, {"i": "b"})
+    assert m2._adjacency() is m._adjacency()
+    assert m.val == {"p": frozenset({"a"})}
+    with pytest.raises(ValueError, match="unknown states"):
+        m.with_val({"p": {"zz"}})

@@ -134,3 +134,16 @@ def test_unsat_below_bounds_is_unknown(text, limits):
     clique, nodes, c = limits
     result = sat_transitive(parse(text), Budget(max_clique=clique, max_nodes=nodes, max_c=c))
     assert result.status == "unknown"
+
+
+def test_stats_count_structures_prunings_and_rejections():
+    result = sat_transitive(parse("<>(p & ~p)"), Budget(max_clique=1, max_nodes=3, max_c=1))
+    stats = result.stats
+    assert set(stats) == {"structures", "valuations_skipped", "guesses_fixed", "rejected"}
+    assert sum(stats["rejected"].values()) == result.candidates
+    assert stats["structures"] > 0
+    assert stats["valuations_skipped"] > 0
+    assert stats["guesses_fixed"] > 0
+    sat = sat_transitive(CHAIN, Budget(max_clique=2, max_nodes=2, max_c=2))
+    assert sum(sat.stats["rejected"].values()) == sat.candidates - 1
+    assert set(sat.stats["rejected"]) <= {"type mismatch", "formula holds at no explicit state"}
