@@ -6,6 +6,7 @@ from .formula import (
     NOM,
     PROP,
     SVAR,
+    UNTIL_FORMS,
     And,
     At,
     Atom,
@@ -23,20 +24,14 @@ from .formula import (
     Not,
     Or,
     Past,
-    Since,
-    SincePlus,
-    SincePlusPlus,
     Somewhere,
     Top,
-    Until,
-    UntilPlus,
-    UntilPlusPlus,
     check_hld,
     closure_sentence,
     diamond_closure,
     free_vars,
 )
-from .model import HybridModel, _closure, is_transitive
+from .model import HybridModel, is_transitive
 
 
 class EvalError(ValueError):
@@ -72,15 +67,9 @@ class _Evaluator:
 
     def __init__(self, model: HybridModel, refs: dict | None = None):
         self.m = model
-        self.succ, self.pred = model._adjacency()
+        self.succ = model._relation()[0]
         self.refs = refs or {}
-        self._plus = None
         self.memo = {}
-
-    def rel_plus(self):
-        if self._plus is None:
-            self._plus = _closure(self.m.states, self.m.rel)
-        return self._plus
 
     def run(self, f: Formula, g: dict, s: str) -> bool:
         used = f.fv & g.keys() if g else None
@@ -143,10 +132,10 @@ class _Evaluator:
         return all(self.run(f.body, g, t) for t in self.succ[s]) and not self._guessed(f, s)
 
     def _past(self, f, g, s):
-        return any(self.run(f.body, g, t) for t in self.pred[s])
+        return any(self.run(f.body, g, t) for t in self.m._relation(converse=True)[0][s])
 
     def _historically(self, f, g, s):
-        return all(self.run(f.body, g, t) for t in self.pred[s])
+        return all(self.run(f.body, g, t) for t in self.m._relation(converse=True)[0][s])
 
     def _somewhere(self, f, g, s):
         return any(self.run(f.body, g, t) for t in self.m.states)
@@ -161,69 +150,14 @@ class _Evaluator:
         return self.run(f.body, {**g, f.var.name: s}, s)
 
     def _until(self, f, g, s):
-        rel = self.m.rel
+        # one clause for the six forms: a Since form reads the converse views
+        form = UNTIL_FORMS[type(f)]
+        step = self.m._relation(form.step_plus, form.backward)[0]
+        between, guard = self.m._relation(form.guard_plus, form.backward)
         return any(
             self.run(f.left, g, n)
-            and all(self.run(f.right, g, u) for u in self.succ[s] if (u, n) in rel)
-            for n in self.succ[s]
-        )
-
-    def _since(self, f, g, s):
-        rel = self.m.rel
-        return any(
-            self.run(f.left, g, n)
-            and all(self.run(f.right, g, u) for u in self.pred[s] if (n, u) in rel)
-            for n in self.pred[s]
-        )
-
-    def _until_plus(self, f, g, s):
-        plus = self.rel_plus()
-        return any(
-            self.run(f.left, g, n)
-            and all(
-                self.run(f.right, g, u)
-                for u in self.m.states
-                if (s, u) in plus and (u, n) in plus
-            )
-            for n in self.succ[s]
-        )
-
-    def _since_plus(self, f, g, s):
-        plus = self.rel_plus()
-        return any(
-            self.run(f.left, g, n)
-            and all(
-                self.run(f.right, g, u)
-                for u in self.m.states
-                if (n, u) in plus and (u, s) in plus
-            )
-            for n in self.pred[s]
-        )
-
-    def _until_plus_plus(self, f, g, s):
-        plus = self.rel_plus()
-        return any(
-            self.run(f.left, g, n)
-            and all(
-                self.run(f.right, g, u)
-                for u in self.m.states
-                if (s, u) in plus and (u, n) in plus
-            )
-            for n in self.m.states
-            if (s, n) in plus
-        )
-
-    def _since_plus_plus(self, f, g, s):
-        plus = self.rel_plus()
-        return any(
-            self.run(f.left, g, n)
-            and all(
-                self.run(f.right, g, u)
-                for u in self.m.states
-                if (n, u) in plus and (u, s) in plus
-            )
-            for n in self.m.states
-            if (n, s) in plus
+            and all(self.run(f.right, g, u) for u in between[s] if (u, n) in guard)
+            for n in step[s]
         )
 
     def _denote(self, term, g):
@@ -257,12 +191,7 @@ _CASES = {
     Everywhere: _Evaluator._everywhere,
     At: _Evaluator._at,
     Down: _Evaluator._down,
-    Until: _Evaluator._until,
-    Since: _Evaluator._since,
-    UntilPlus: _Evaluator._until_plus,
-    SincePlus: _Evaluator._since_plus,
-    UntilPlusPlus: _Evaluator._until_plus_plus,
-    SincePlusPlus: _Evaluator._since_plus_plus,
+    **dict.fromkeys(UNTIL_FORMS, _Evaluator._until),
 }
 
 

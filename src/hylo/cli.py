@@ -12,7 +12,7 @@ import multiprocessing
 import sys
 
 from . import blocktree, checker, model, oracle, solver, translate
-from .formula import FragmentError, ParseError, fragment_of, parse, print_formula
+from .formula import FragmentError, ParseError, Until, fragment_of, parse, print_formula
 from .satellites import FOParseError, fo_to_text, parse_fo, pdl_to_text
 
 EX_USAGE = 64
@@ -65,7 +65,7 @@ def _build_parser():
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("translate", help="apply a translation rule")
-    p.add_argument("--rule", required=True, choices=sorted(_RULES))
+    p.add_argument("--rule", required=True, choices=sorted(_TRANSLATIONS))
     p.add_argument("--formula")
     p.add_argument("--fo")
     p.add_argument("--sigma", help="comma-separated alphabet for the string rule")
@@ -189,98 +189,66 @@ def _parallel_oracle(phi, frame, max_states, jobs):
     return None
 
 
-_RULES = {
-    "until-down",
-    "until-down-tense",
-    "ml-until",
-    "globsat",
-    "u-upp",
-    "upp-u",
-    "st",
-    "ht",
-    "complete",
-    "zigzag",
-    "spy-at",
-    "spy-fp",
-    "tt-nat-tense",
-    "tt-nat-at",
-    "at-elim-linear",
-    "string",
-    "e-at",
-    "pdl",
-    "pdl-flat",
-}
+def _until_parts(phi, args):
+    if not isinstance(phi, Until):
+        raise ValueError(f"rule {args.rule} expects a formula of the form U(f, g)")
+    return phi.left, phi.right
 
-_FORMULA_RULES = {
-    "until-down",
-    "until-down-tense",
-    "ml-until",
-    "globsat",
-    "u-upp",
-    "upp-u",
-    "st",
-    "tt-nat-tense",
-    "tt-nat-at",
-    "at-elim-linear",
-    "e-at",
-    "pdl",
-    "pdl-flat",
+
+def _sigma(args):
+    if not args.sigma:
+        raise ValueError("rule string needs --sigma")
+    return [s.strip() for s in args.sigma.split(",") if s.strip()]
+
+
+def _show_hl(f, args):
+    return print_formula(f)
+
+
+def _show_fo(alpha, args):
+    return fo_to_text(alpha, rplus_as_lfp=args.lfp)
+
+
+def _show_pdl(p, args):
+    return pdl_to_text(p)
+
+
+# rule -> (input option, translation, printer).  Translations and printers
+# take the parsed input or the result, and the command's arguments; each
+# translation looks its hylo.translate function up when it runs, so a
+# wrapped (traced) function is the one called.
+_TRANSLATIONS = {
+    "until-down": ("formula", lambda f, a: translate.until_via_down(*_until_parts(f, a)), _show_hl),
+    "until-down-tense": (
+        "formula", lambda f, a: translate.until_via_down_tense(*_until_parts(f, a)), _show_hl
+    ),
+    "ml-until": ("formula", lambda f, a: translate.ml_to_until(f), _show_hl),
+    "globsat": ("formula", lambda f, a: translate.globsat_reduction(f), _show_hl),
+    "u-upp": ("formula", lambda f, a: translate.u_to_upp(f), _show_hl),
+    "upp-u": ("formula", lambda f, a: translate.upp_to_u(f), _show_hl),
+    "st": ("formula", lambda f, a: translate.standard_translation(f), _show_fo),
+    "ht": ("fo", lambda f, a: translate.ht(f), _show_hl),
+    "complete": ("fo", lambda f, a: translate.complete_reduction(f), _show_hl),
+    "zigzag": ("fo", lambda f, a: translate.zigzag(f), _show_fo),
+    "spy-at": ("fo", lambda f, a: translate.spy_at(f), _show_hl),
+    "spy-fp": ("fo", lambda f, a: translate.spy_fp(f), _show_hl),
+    "tt-nat-tense": ("formula", lambda f, a: translate.tt_to_nat_tense(f), _show_hl),
+    "tt-nat-at": ("formula", lambda f, a: translate.tt_to_nat_at(f), _show_hl),
+    "at-elim-linear": ("formula", lambda f, a: translate.at_elim_linear(f), _show_hl),
+    "string": ("fo", lambda f, a: translate.string_reduction(f, _sigma(a)), _show_hl),
+    "e-at": ("formula", lambda f, a: translate.exists_to_at(f), _show_hl),
+    "pdl": ("formula", lambda f, a: translate.pdl_reduction(f), _show_pdl),
+    "pdl-flat": ("formula", lambda f, a: translate.pdl_reduction_flat(f), _show_pdl),
 }
 
 
 def _cmd_translate(args):
-    rule = args.rule
-    if rule in _FORMULA_RULES:
-        if args.formula is None:
-            raise ValueError(f"rule {rule} needs --formula")
-        phi = parse(args.formula)
-    else:
-        if args.fo is None:
-            raise ValueError(f"rule {rule} needs --fo")
-        alpha = parse_fo(args.fo)
-    if rule in ("until-down", "until-down-tense"):
-        from .formula import Until
-
-        if not isinstance(phi, Until):
-            raise ValueError(f"rule {rule} expects a formula of the form U(f, g)")
-        fn = translate.until_via_down if rule == "until-down" else translate.until_via_down_tense
-        print(print_formula(fn(phi.left, phi.right)))
-    elif rule == "ml-until":
-        print(print_formula(translate.ml_to_until(phi)))
-    elif rule == "globsat":
-        print(print_formula(translate.globsat_reduction(phi)))
-    elif rule == "u-upp":
-        print(print_formula(translate.u_to_upp(phi)))
-    elif rule == "upp-u":
-        print(print_formula(translate.upp_to_u(phi)))
-    elif rule == "st":
-        print(fo_to_text(translate.standard_translation(phi), rplus_as_lfp=args.lfp))
-    elif rule == "ht":
-        print(print_formula(translate.ht(alpha)))
-    elif rule == "complete":
-        print(print_formula(translate.complete_reduction(alpha)))
-    elif rule == "zigzag":
-        print(fo_to_text(translate.zigzag(alpha)))
-    elif rule == "spy-at":
-        print(print_formula(translate.spy_at(alpha)))
-    elif rule == "spy-fp":
-        print(print_formula(translate.spy_fp(alpha)))
-    elif rule == "tt-nat-tense":
-        print(print_formula(translate.tt_to_nat_tense(phi)))
-    elif rule == "tt-nat-at":
-        print(print_formula(translate.tt_to_nat_at(phi)))
-    elif rule == "at-elim-linear":
-        print(print_formula(translate.at_elim_linear(phi)))
-    elif rule == "string":
-        if not args.sigma:
-            raise ValueError("rule string needs --sigma")
-        sigma = [s.strip() for s in args.sigma.split(",") if s.strip()]
-        print(print_formula(translate.string_reduction(alpha, sigma)))
-    elif rule == "e-at":
-        print(print_formula(translate.exists_to_at(phi)))
-    elif rule in ("pdl", "pdl-flat"):
-        fn = translate.pdl_reduction if rule == "pdl" else translate.pdl_reduction_flat
-        print(pdl_to_text(fn(phi)))
+    kind, run, show = _TRANSLATIONS[args.rule]
+    text = getattr(args, kind)
+    if text is None:
+        raise ValueError(f"rule {args.rule} needs --{kind}")
+    source = parse(text) if kind == "formula" else parse_fo(text)
+    print(show(run(source, args), args))
     return 0
 
 

@@ -13,6 +13,7 @@ import re
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 PROP = "prop"
 NOM = "nom"
@@ -275,8 +276,32 @@ class SincePlusPlus(Formula):
     right: Formula
 
 
+class UntilForm(NamedTuple):
+    """How one of the six Until/Since forms reads the relation.
+
+    ``U(phi, psi)`` holds at s when a step from s reaches some n with phi,
+    and psi holds at every u with s G u and u G n, where the step and the
+    guard G are R or R+.  A Since form is its Until form on the converse
+    relation (``backward``), so the checker, the lane engine and the
+    standard translation each write the clause once.
+    """
+
+    backward: bool
+    step_plus: bool
+    guard_plus: bool
+
+
+UNTIL_FORMS = {
+    Until: UntilForm(False, False, False),
+    Since: UntilForm(True, False, False),
+    UntilPlus: UntilForm(False, False, True),
+    SincePlus: UntilForm(True, False, True),
+    UntilPlusPlus: UntilForm(False, True, True),
+    SincePlusPlus: UntilForm(True, True, True),
+}
+
 _UNARY = (Not, Diamond, Box, Future, Globally, Past, Historically, Somewhere, Everywhere)
-_BINARY = (And, Or, Implies, Iff, Until, Since, UntilPlus, SincePlus, UntilPlusPlus, SincePlusPlus)
+_BINARY = (And, Or, Implies, Iff, *UNTIL_FORMS)
 
 
 def children(f: Formula) -> tuple[Formula, ...]:

@@ -39,40 +39,43 @@ class HybridModel:
         for i, s in self.nomval.items():
             if s not in known:
                 raise ValueError(f"nominal {i!r} names unknown state {s!r}")
+        object.__setattr__(self, "_views", {})
 
     def successors(self, s: str) -> list[str]:
-        return list(self._adjacency()[0].get(s, ()))
+        return list(self._relation()[0].get(s, ()))
 
     def predecessors(self, s: str) -> list[str]:
-        return list(self._adjacency()[1].get(s, ()))
+        return list(self._relation(converse=True)[0].get(s, ()))
 
-    def _adjacency(self):
-        """Successor and predecessor lists of every state, in declared
-        state order, computed on first use and kept for the model's life.
-        Callers that read them directly must not mutate them."""
-        adj = self.__dict__.get("_adj")
-        if adj is None:
+    def _relation(self, plus: bool = False, converse: bool = False):
+        """R, or its transitive closure R+ with ``plus``, read forwards or
+        (with ``converse``) backwards, as (the successor list of every
+        state in declared state order, the pair set).  Each view is
+        computed on first use and kept for the model's life; callers must
+        not mutate them."""
+        view = self._views.get((plus, converse))
+        if view is None:
+            if converse:
+                pairs = frozenset((b, a) for a, b in self._relation(plus)[1])
+            else:
+                pairs = _closure(self.states, self.rel) if plus else self.rel
             order = {s: i for i, s in enumerate(self.states)}
             succ = {s: [] for s in self.states}
-            pred = {s: [] for s in self.states}
-            for a, b in sorted(self.rel, key=lambda e: (order[e[0]], order[e[1]])):
+            for a, b in sorted(pairs, key=lambda e: (order[e[0]], order[e[1]])):
                 succ[a].append(b)
-                pred[b].append(a)
-            adj = (succ, pred)
-            object.__setattr__(self, "_adj", adj)
-        return adj
+            view = self._views[(plus, converse)] = (succ, pairs)
+        return view
 
     def with_val(self, val: dict) -> HybridModel:
         """The same frame under another proposition valuation.  Only the
-        valuation is checked; states, relation, nominals and adjacency
-        lists are shared with this model."""
+        valuation is checked; states, relation, nominals and relation
+        views are shared with this model."""
         val = {p: frozenset(ss) for p, ss in val.items()}
         known = set(self.states)
         for p, ss in val.items():
             unknown = ss - known
             if unknown:
                 raise ValueError(f"valuation of {p!r} mentions unknown states {sorted(unknown)}")
-        self._adjacency()
         out = object.__new__(HybridModel)
         out.__dict__.update(self.__dict__, val=val)
         return out
@@ -80,7 +83,7 @@ class HybridModel:
 
 def is_transitive(m: HybridModel) -> bool:
     """Every successor of a successor is a successor."""
-    succ = {s: set(ts) for s, ts in m._adjacency()[0].items()}
+    succ = {s: set(ts) for s, ts in m._relation()[0].items()}
     return all(succ[b] <= succ[a] for a, b in m.rel)
 
 

@@ -28,6 +28,7 @@ from .formula import (
     NOM,
     PROP,
     SVAR,
+    UNTIL_FORMS,
     And,
     At,
     Atom,
@@ -45,14 +46,8 @@ from .formula import (
     Not,
     Or,
     Past,
-    Since,
-    SincePlus,
-    SincePlusPlus,
     Somewhere,
     Top,
-    Until,
-    UntilPlus,
-    UntilPlusPlus,
     free_vars,
     noms_of,
     props_of,
@@ -293,10 +288,8 @@ def enumerate_models(frame, max_states, atoms=()):
 
 
 def _needs_closure(f):
-    return any(
-        isinstance(g, (UntilPlus, SincePlus, UntilPlusPlus, SincePlusPlus))
-        for g in subformulas(f)
-    )
+    forms = (UNTIL_FORMS.get(type(g)) for g in subformulas(f))
+    return any(form is not None and form.guard_plus for form in forms)
 
 
 def _bigint_to_words(value, m):
@@ -340,9 +333,7 @@ class _LaneEngine:
 
     def set_batch(self, rel, plus):
         self.rel = rel
-        self.relT = np.transpose(rel, (0, 2, 1))
         self.plus = plus
-        self.plusT = None if plus is None else np.transpose(plus, (0, 2, 1))
         self.B = rel.shape[0]
         self.memo = {}
         self.placement = {}
@@ -364,7 +355,13 @@ class _LaneEngine:
             out &= np.where(rel_slice[:, :, t, None], w[:, t, None, :], self.full)
         return out
 
+    def _relation(self, plus=False, converse=False):
+        rel = self.plus if plus else self.rel
+        return np.transpose(rel, (0, 2, 1)) if converse else rel
+
     def _until_like(self, f, env, outer, guard):
+        # out[:, s] = OR_t outer[:, s, t] ? left[t] & AND_u (guard[:, s, u] &
+        # guard[:, u, t] ? right[u]); a Since form passes the converse views
         wl = self.ev(f.left, env)
         wr = self.ev(f.right, env)
         out = np.zeros((self.B, self.k, self.m), dtype=np.uint64)
@@ -413,9 +410,9 @@ class _LaneEngine:
         if isinstance(f, (Box, Globally)):
             return self._forall_step(self.rel, self.ev(f.body, env))
         if isinstance(f, Past):
-            return self._exists_step(self.relT, self.ev(f.body, env))
+            return self._exists_step(self._relation(converse=True), self.ev(f.body, env))
         if isinstance(f, Historically):
-            return self._forall_step(self.relT, self.ev(f.body, env))
+            return self._forall_step(self._relation(converse=True), self.ev(f.body, env))
         if isinstance(f, Somewhere):
             w = self.ev(f.body, env)
             red = w[:, 0, :]
@@ -440,35 +437,12 @@ class _LaneEngine:
                 w = self.ev(f.body, {**env, f.var.name: s})
                 rows.append(np.broadcast_to(w[:, s, :], (self.B, self.m)))
             return np.stack(rows, axis=1)
-        if isinstance(f, Until):
-            return self._until_like(f, env, self.rel, self.rel)
-        if isinstance(f, Since):
-            return self._since_like(f, env, plain=True)
-        if isinstance(f, UntilPlus):
-            return self._until_like(f, env, self.rel, self.plus)
-        if isinstance(f, SincePlus):
-            return self._since_like(f, env, plain=False, outer_plain=True)
-        if isinstance(f, UntilPlusPlus):
-            return self._until_like(f, env, self.plus, self.plus)
-        if isinstance(f, SincePlusPlus):
-            return self._since_like(f, env, plain=False)
+        form = UNTIL_FORMS.get(type(f))
+        if form is not None:
+            step = self._relation(form.step_plus, form.backward)
+            guard = self._relation(form.guard_plus, form.backward)
+            return self._until_like(f, env, step, guard)
         raise TypeError(f"not a formula node: {f!r}")
-
-    def _since_like(self, f, env, plain, outer_plain=False):
-        # S(phi, psi) at s: exists t with t R s, phi at t, and psi at every u
-        # with t R u and u R s (closure variants use R-plus in the guard).
-        wl = self.ev(f.left, env)
-        wr = self.ev(f.right, env)
-        guard = self.rel if plain else self.plus
-        outer = self.relT if (plain or outer_plain) else self.plusT
-        out = np.zeros((self.B, self.k, self.m), dtype=np.uint64)
-        for t in range(self.k):
-            betw = np.broadcast_to(self.full, (self.B, self.k, self.m)).copy()
-            for u in range(self.k):
-                cond = guard[:, t, u][:, None] & guard[:, u, :]
-                betw &= np.where(cond[:, :, None], wr[:, u, None, :], self.full)
-            out |= np.where(outer[:, :, t, None], wl[:, t, None, :] & betw, self.zero)
-        return out
 
 
 def _closure_batch(rel):
@@ -633,7 +607,6 @@ class _FOSearch:
         self.consts = {}
         self.store = {}
         self.pending = []
-        self.fv = {}
 
     # -- assignments with transitivity propagation --------------------------
 
@@ -684,57 +657,6 @@ class _FOSearch:
 
     # -- requirements --------------------------------------------------------
 
-    def _canon(self, g):
-        """Alpha-invariant code plus the free variables in slot order.
-
-        Duplicated subformulas that differ only in bound-variable names get
-        the same code, so commitments on one copy conflict with opposite
-        commitments on another.
-        """
-        key = id(g)
-        hit = self.fv.get(key)
-        if hit is not None:
-            return hit
-        slots: list[str] = []
-
-        def term(t, bound):
-            if isinstance(t, sat.FOConst):
-                return ("c", t.name)
-            if t.name in bound:
-                return ("b", bound[t.name])
-            if t.name not in slots:
-                slots.append(t.name)
-            return ("f", slots.index(t.name))
-
-        def rec(h, bound):
-            if isinstance(h, sat.FOTrue):
-                return ("true",)
-            if isinstance(h, sat.FOFalse):
-                return ("false",)
-            if isinstance(h, sat.Rel):
-                return ("rel", term(h.left, bound), term(h.right, bound))
-            if isinstance(h, sat.RelPlus):
-                return ("relp", term(h.left, bound), term(h.right, bound))
-            if isinstance(h, sat.Eq):
-                return ("eq", term(h.left, bound), term(h.right, bound))
-            if isinstance(h, sat.Pred):
-                return ("pred", h.name, term(h.term, bound))
-            if isinstance(h, sat.FONot):
-                return ("not", rec(h.body, bound))
-            if isinstance(h, (sat.FOAnd, sat.FOOr, sat.FOImplies)):
-                tag = {sat.FOAnd: "and", sat.FOOr: "or", sat.FOImplies: "implies"}[type(h)]
-                return (tag, rec(h.left, bound), rec(h.right, bound))
-            if isinstance(h, (sat.Exists, sat.Forall)):
-                tag = "ex" if isinstance(h, sat.Exists) else "all"
-                inner = {**bound, h.var: len(bound)}
-                return (tag, rec(h.body, inner))
-            raise TypeError(f"not an FO node: {h!r}")
-
-        code = rec(g, {})
-        out = (code, tuple(slots))
-        self.fv[key] = out
-        return out
-
     def _term(self, t, env):
         if isinstance(t, sat.FOVar):
             return env[t.name]
@@ -758,7 +680,9 @@ class _FOSearch:
             raise ValueError("closure atoms are not searchable")
         if isinstance(g, sat.FONot):
             return self._require(g.body, env, not value)
-        code, slots = self._canon(g)
+        # alpha-equivalent copies share a key, so commitments on one copy
+        # conflict with opposite commitments on another
+        code, slots = g.alpha_code
         key = (code, tuple(env[v] for v in slots))
         if key in self.store:
             return self.store[key] == value
@@ -951,18 +875,8 @@ def brute_fo_sat(alpha: sat.FOFormula, frame: str, max_elems: int):
     for k in range(1, max_elems + 1):
         if frame in ("any", "transitive", "complete"):
             presets = [None]
-        elif frame == "linear":
-            presets = []
-            for perm in permutations(range(k)):
-                rel = [[False] * k for _ in range(k)]
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        rel[perm[i]][perm[j]] = True
-                presets.append(rel)
-        elif frame == "transitive-tree":
-            presets = [arr.tolist() for arr in _transitive_tree_frames(k)]
         else:
-            raise ValueError(f"unknown frame class {frame!r}")
+            presets = [rel.tolist() for batch in _frame_batches(frame, k) for rel in batch]
         for preset in presets:
             for assignment in product(range(k), repeat=len(consts)):
                 searcher = _FOSearch(alpha, k, frame, rel_fixed=preset)

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
+
+from .model import _closure
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +38,49 @@ class FOConst(FOTerm):
 class FOFormula:
     def __str__(self):
         return fo_to_text(self)
+
+    @cached_property
+    def alpha_code(self) -> tuple:
+        """Alpha-invariant code plus the free variables in slot order,
+        computed once per node: formulas that differ only in the names of
+        their bound variables get the same code."""
+        slots: list[str] = []
+
+        def term(t, bound):
+            if isinstance(t, FOConst):
+                return ("c", t.name)
+            if t.name in bound:
+                return ("b", bound[t.name])
+            if t.name not in slots:
+                slots.append(t.name)
+            return ("f", slots.index(t.name))
+
+        def rec(h, bound):
+            if isinstance(h, FOTrue):
+                return ("true",)
+            if isinstance(h, FOFalse):
+                return ("false",)
+            if isinstance(h, Rel):
+                return ("rel", term(h.left, bound), term(h.right, bound))
+            if isinstance(h, RelPlus):
+                return ("relp", term(h.left, bound), term(h.right, bound))
+            if isinstance(h, Eq):
+                return ("eq", term(h.left, bound), term(h.right, bound))
+            if isinstance(h, Pred):
+                return ("pred", h.name, term(h.term, bound))
+            if isinstance(h, FONot):
+                return ("not", rec(h.body, bound))
+            if isinstance(h, (FOAnd, FOOr, FOImplies)):
+                tag = {FOAnd: "and", FOOr: "or", FOImplies: "implies"}[type(h)]
+                return (tag, rec(h.left, bound), rec(h.right, bound))
+            if isinstance(h, (Exists, Forall)):
+                tag = "ex" if isinstance(h, Exists) else "all"
+                inner = {**bound, h.var: len(bound)}
+                return (tag, rec(h.body, inner))
+            raise TypeError(f"not an FO node: {h!r}")
+
+        code = rec(self, {})
+        return code, tuple(slots)
 
 
 @dataclass(frozen=True)
@@ -187,6 +233,11 @@ class FOStructure:
     unary: dict = field(default_factory=dict)
     constants: dict = field(default_factory=dict)
 
+    @cached_property
+    def _plus(self) -> frozenset:
+        """The transitive closure of ``binrel``, computed on first use."""
+        return _closure(self.domain, self.binrel)
+
     def __post_init__(self):
         object.__setattr__(self, "domain", tuple(self.domain))
         object.__setattr__(self, "binrel", frozenset(tuple(e) for e in self.binrel))
@@ -211,19 +262,6 @@ class FOEvalError(ValueError):
 def fo_eval(s: FOStructure, env: dict, alpha: FOFormula) -> bool:
     """Classical truth over a finite structure."""
 
-    def closure():
-        out = set(s.binrel)
-        changed = True
-        while changed:
-            changed = False
-            new = {(a, d) for a, b in out for c, d in out if b == c and (a, d) not in out}
-            if new:
-                out |= new
-                changed = True
-        return out
-
-    plus = None
-
     def term(t, env):
         if isinstance(t, FOVar):
             if t.name not in env:
@@ -234,7 +272,6 @@ def fo_eval(s: FOStructure, env: dict, alpha: FOFormula) -> bool:
         return s.constants[t.name]
 
     def rec(g, env):
-        nonlocal plus
         if isinstance(g, FOTrue):
             return True
         if isinstance(g, FOFalse):
@@ -242,9 +279,7 @@ def fo_eval(s: FOStructure, env: dict, alpha: FOFormula) -> bool:
         if isinstance(g, Rel):
             return (term(g.left, env), term(g.right, env)) in s.binrel
         if isinstance(g, RelPlus):
-            if plus is None:
-                plus = closure()
-            return (term(g.left, env), term(g.right, env)) in plus
+            return (term(g.left, env), term(g.right, env)) in s._plus
         if isinstance(g, Eq):
             return term(g.left, env) == term(g.right, env)
         if isinstance(g, Pred):

@@ -11,6 +11,9 @@ from .formula import (
     NOM,
     PROP,
     SVAR,
+    UNTIL_FORMS,
+    _BINARY,
+    _UNARY,
     And,
     At,
     Atom,
@@ -30,12 +33,10 @@ from .formula import (
     Or,
     Past,
     Since,
-    SincePlus,
     SincePlusPlus,
     Somewhere,
     Top,
     Until,
-    UntilPlus,
     UntilPlusPlus,
     atoms_of,
     check_hld,
@@ -44,17 +45,14 @@ from .formula import (
 )
 from . import satellites as sat
 
-_UNARY_MAP = (Not, Diamond, Box, Future, Globally, Past, Historically, Somewhere, Everywhere)
-_BINARY_MAP = (And, Or, Implies, Iff, Until, Since, UntilPlus, SincePlus, UntilPlusPlus, SincePlusPlus)
-
 
 def map_formula(f: Formula, rewrite) -> Formula:
     """Bottom-up rewrite: children first, then the node itself."""
     if isinstance(f, (Atom, Top, Bot)):
         return rewrite(f)
-    if isinstance(f, _UNARY_MAP):
+    if isinstance(f, _UNARY):
         return rewrite(type(f)(map_formula(f.body, rewrite)))
-    if isinstance(f, _BINARY_MAP):
+    if isinstance(f, _BINARY):
         return rewrite(type(f)(map_formula(f.left, rewrite), map_formula(f.right, rewrite)))
     if isinstance(f, At):
         return rewrite(At(f.term, map_formula(f.body, rewrite)))
@@ -220,6 +218,17 @@ def _st_term(term, ctx):
     return sat.FOVar(ctx.bound.get(term.name, term.name))
 
 
+# modal node -> (quantifier, connective, reads the relation backwards)
+_ST_MODAL = {
+    Diamond: (sat.Exists, sat.FOAnd, False),
+    Future: (sat.Exists, sat.FOAnd, False),
+    Box: (sat.Forall, sat.FOImplies, False),
+    Globally: (sat.Forall, sat.FOImplies, False),
+    Past: (sat.Exists, sat.FOAnd, True),
+    Historically: (sat.Forall, sat.FOImplies, True),
+}
+
+
 def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool = False) -> sat.FOFormula:
     """ST over one binary relation; closure operators emit R-plus atoms.
 
@@ -250,24 +259,14 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
         if isinstance(f, Iff):
             a, b = rec(f.left, x), rec(f.right, x)
             return sat.FOAnd(sat.FOImplies(a, b), sat.FOImplies(b, a))
-        if isinstance(f, (Diamond, Future)):
+        if type(f) in _ST_MODAL:
+            quantifier, connective, backward = _ST_MODAL[type(f)]
             y = ctx.fresh()
             body = rec(f.body, y)
-            if complete_frames:
-                return sat.Exists(y, body)
-            return sat.Exists(y, sat.FOAnd(sat.Rel(sat.FOVar(x), sat.FOVar(y)), body))
-        if isinstance(f, (Box, Globally)):
-            y = ctx.fresh()
-            body = rec(f.body, y)
-            if complete_frames:
-                return sat.Forall(y, body)
-            return sat.Forall(y, sat.FOImplies(sat.Rel(sat.FOVar(x), sat.FOVar(y)), body))
-        if isinstance(f, Past):
-            y = ctx.fresh()
-            return sat.Exists(y, sat.FOAnd(sat.Rel(sat.FOVar(y), sat.FOVar(x)), rec(f.body, y)))
-        if isinstance(f, Historically):
-            y = ctx.fresh()
-            return sat.Forall(y, sat.FOImplies(sat.Rel(sat.FOVar(y), sat.FOVar(x)), rec(f.body, y)))
+            if complete_frames:  # check_hld let only <> and [] through
+                return quantifier(y, body)
+            a, b = (y, x) if backward else (x, y)
+            return quantifier(y, connective(sat.Rel(sat.FOVar(a), sat.FOVar(b)), body))
         if isinstance(f, Somewhere):
             y = ctx.fresh()
             return sat.Exists(y, rec(f.body, y))
@@ -286,35 +285,22 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
             body = rec(f.body, x)
             ctx.bound[v] = outer
             return sat.Exists(fo_v, sat.FOAnd(sat.Eq(sat.FOVar(x), sat.FOVar(fo_v)), body))
-        if isinstance(f, (Until, UntilPlus, UntilPlusPlus)):
+        form = UNTIL_FORMS.get(type(f))
+        if form is not None:
             y, z = ctx.fresh(), ctx.fresh()
-            step = sat.RelPlus if isinstance(f, UntilPlusPlus) else sat.Rel
-            guard = sat.Rel if isinstance(f, Until) else sat.RelPlus
+            step = sat.RelPlus if form.step_plus else sat.Rel
+            guard = sat.RelPlus if form.guard_plus else sat.Rel
+            # the path runs from the anchor to the witness y, or for a past
+            # form from the witness to the anchor, through every z between
+            a, b = (y, x) if form.backward else (x, y)
             return sat.Exists(
                 y,
                 sat.FOAnd(
-                    sat.FOAnd(step(sat.FOVar(x), sat.FOVar(y)), rec(f.left, y)),
+                    sat.FOAnd(step(sat.FOVar(a), sat.FOVar(b)), rec(f.left, y)),
                     sat.Forall(
                         z,
                         sat.FOImplies(
-                            sat.FOAnd(guard(sat.FOVar(x), sat.FOVar(z)), guard(sat.FOVar(z), sat.FOVar(y))),
-                            rec(f.right, z),
-                        ),
-                    ),
-                ),
-            )
-        if isinstance(f, (Since, SincePlus, SincePlusPlus)):
-            y, z = ctx.fresh(), ctx.fresh()
-            step = sat.RelPlus if isinstance(f, SincePlusPlus) else sat.Rel
-            guard = sat.Rel if isinstance(f, Since) else sat.RelPlus
-            return sat.Exists(
-                y,
-                sat.FOAnd(
-                    sat.FOAnd(step(sat.FOVar(y), sat.FOVar(x)), rec(f.left, y)),
-                    sat.Forall(
-                        z,
-                        sat.FOImplies(
-                            sat.FOAnd(guard(sat.FOVar(y), sat.FOVar(z)), guard(sat.FOVar(z), sat.FOVar(x))),
+                            sat.FOAnd(guard(sat.FOVar(a), sat.FOVar(z)), guard(sat.FOVar(z), sat.FOVar(b))),
                             rec(f.right, z),
                         ),
                     ),

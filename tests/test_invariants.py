@@ -1,5 +1,9 @@
 """Cross-module invariant sweeps pinned by the module contracts."""
 
+import ast
+from pathlib import Path
+
+import hylo
 from hylo.checker import phi_type
 from hylo.formula import parse, prop
 from hylo.model import HybridModel, cliques, is_transitive, transitive_closure
@@ -108,3 +112,15 @@ def test_brute_sat_decides_complete_fragment():
 def test_solver_bounds_are_exhaustive_for_complete(capsys):
     result = sat_complete(parse("(down $x . ~<> $x) & <>true"), Budget(max_clique=4))
     assert result.status == "unsat" and result.exhaustive
+
+
+def test_no_cache_is_keyed_on_object_identity():
+    # CPython reuses the address of a freed object, so an id()-keyed memo
+    # can hand one object's entry to another; interned and cached nodes
+    # make id() unnecessary anywhere in the package
+    calls = []
+    for path in sorted(Path(hylo.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

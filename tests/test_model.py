@@ -183,14 +183,22 @@ def test_adjacency_is_cached_in_state_order_and_handed_out_as_copies():
     assert m.successors("zz") == []
     m.successors("a").append("zz")
     assert m.successors("a") == ["b", "c"]
-    assert m._adjacency() is m._adjacency()
+    assert m._relation() is m._relation()
+    for plus in (False, True):
+        assert m._relation(plus, converse=True) is m._relation(plus, converse=True)
+    # R+ and its converse, successor lists in declared state order
+    assert m._relation(plus=True)[0] == {"a": ["a", "b", "c"], "b": ["b"], "c": ["a", "b", "c"]}
+    assert m._relation(plus=True, converse=True)[0]["b"] == ["a", "b", "c"]
+    assert m._relation(converse=True)[1] == {(a, b) for b, a in m.rel}
 
 
 def test_with_val_shares_the_frame_and_checks_the_valuation():
     m = M(["a", "b"], [("a", "b")], {"p": {"a"}}, {"i": "b"})
     m2 = m.with_val({"p": {"b"}, "q": set()})
     assert m2 == M(["a", "b"], [("a", "b")], {"p": {"b"}, "q": set()}, {"i": "b"})
-    assert m2._adjacency() is m._adjacency()
+    for plus in (False, True):
+        for converse in (False, True):
+            assert m2._relation(plus, converse) is m._relation(plus, converse)
     assert m.val == {"p": frozenset({"a"})}
     with pytest.raises(ValueError, match="unknown states"):
         m.with_val({"p": {"zz"}})

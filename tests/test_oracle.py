@@ -5,12 +5,17 @@ import pytest
 from hylo.checker import eval_formula, global_eval
 from hylo.formula import nom, parse, prop
 from hylo.model import (
+    HybridModel,
     is_complete,
     is_linear,
     is_transitive,
     is_transitive_tree,
 )
 from hylo.oracle import (
+    _closure_batch,
+    _decode_valuation,
+    _frame_batches,
+    _LaneEngine,
     brute_fo_sat,
     brute_global_sat,
     brute_sat,
@@ -166,13 +171,30 @@ def test_lane_engine_agrees_with_checker(frame):
 
 
 def test_lane_engine_exhaustive_pointwise_agreement():
-    # every model with <= 2 states over {p, q}: lane words equal the checker
-    # at every state, checked through find_eval_difference against a
-    # deliberately different second formula and a tautology pair
-    for text in LANE_BATTERY:
-        phi = parse(text)
-        diff = find_eval_difference(phi, phi, "any", 2)
-        assert diff is None, text
+    # every model with <= 2 states over {p, q} and every placement of 'i:
+    # the lane word of each battery formula equals the checker at every
+    # state, not just at the first hit
+    props = ("p", "q")
+    for k in (1, 2):
+        names = tuple(f"s{i}" for i in range(k))
+        engine = _LaneEngine(props, ("i",), k)
+        for batch in _frame_batches("any", k):
+            engine.set_batch(batch, _closure_batch(batch))
+            for place in range(k):
+                engine.set_placement({"i": place})
+                for text in LANE_BATTERY:
+                    phi = parse(text)
+                    words = engine.ev(phi)
+                    for b, row in enumerate(batch):
+                        rel = {(names[s], names[t]) for s, t in product(range(k), repeat=2) if row[s, t]}
+                        word = words[b if words.shape[0] > 1 else 0]
+                        for lane in range(engine.lanes):
+                            val = _decode_valuation(lane, props, names)
+                            m = HybridModel(names, rel, val, {"i": names[place]})
+                            for s in range(k):
+                                bit = (int(word[s, lane // 64]) >> (lane % 64)) & 1
+                                expected = eval_formula(m, {}, names[s], phi)
+                                assert bool(bit) == expected, (text, sorted(rel), val, s)
 
 
 def test_find_eval_difference_reports_first():

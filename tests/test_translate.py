@@ -143,6 +143,15 @@ def test_standard_translation_table():
         "E y0. (R+(x,y0) & p(y0) & A y1. (R+(x,y1) & R+(y1,y0) -> q(y1)))"
     )
     assert upp == expected
+    # a past form's path runs from the witness y0 to the anchor x
+    for text, expected in [
+        ("P p", "E y0. (R(y0,x) & p(y0))"),
+        ("H p", "A y0. (R(y0,x) -> p(y0))"),
+        ("S(p, q)", "E y0. (R(y0,x) & p(y0) & A y1. (R(y0,y1) & R(y1,x) -> q(y1)))"),
+        ("S+(p, q)", "E y0. (R(y0,x) & p(y0) & A y1. (R+(y0,y1) & R+(y1,x) -> q(y1)))"),
+        ("S++(p, q)", "E y0. (R+(y0,x) & p(y0) & A y1. (R+(y0,y1) & R+(y1,x) -> q(y1)))"),
+    ]:
+        assert standard_translation(parse(text)) == fo_open(expected), text
 
 
 def test_standard_translation_down_and_at():
