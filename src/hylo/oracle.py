@@ -3,18 +3,33 @@
 This is the ground truth the rest of the toolkit is checked against.  Two
 layers share the same frame generators and the same enumeration order:
 
-* ``enumerate_models`` materializes every model explicitly (no isomorphism
-  reduction, deterministic order);
+* ``enumerate_models`` and ``frames`` materialize every labeled model or
+  frame explicitly (no isomorphism reduction, deterministic order);
 * ``brute_sat`` / ``brute_global_sat`` / ``find_eval_difference`` evaluate
   formulas over all valuations of a frame at once, one bit lane per
-  valuation, with frames processed in numpy batches.  Within-frame lane
-  order equals the explicit enumeration order, so both layers report the
-  same first hit.  The lane evaluator is cross-checked against the plain
-  checker exhaustively at small sizes in the test suite.
+  valuation.  Within-frame lane order equals the explicit enumeration
+  order, so both layers report the same first hit.  The lane evaluator is
+  cross-checked against the plain checker exhaustively at small sizes in
+  the test suite.
+
+Sweeps run in batches cut to a word budget: consecutive generator pieces
+are joined, in generator order, into arrays of about ``_WORD_BUDGET``
+words per (frame, state, lane plane) array, so small frames share one
+numpy call and memory stays flat however many lanes a frame has.  The
+first hit is the least (size, frame, lane, placement), whatever the batch
+size.  A linear sweep visits one order per size, since all are isomorphic
+and every valuation and placement of it is covered.  ``any`` frames are
+the only class whose R+ differs from R, so only their batches build it.
 
 ``brute_fo_sat`` searches relational structures for a first-order sentence
 by backtracking over atom truth values with frame-constraint propagation;
 naive enumeration cannot refute at the domain sizes the translations need.
+Over the classes closed under permutations (``any``, ``transitive``,
+``complete``) it breaks element symmetry: constants take only
+restricted-growth assignments, and an existential branch tries the named
+elements and the least unnamed one (``_FOSearch``).  Each pruned branch is
+isomorphic to one tried before it, so the first structure found is the
+one the full search finds.
 """
 
 from __future__ import annotations
@@ -58,7 +73,12 @@ from . import satellites as sat
 
 FRAME_CLASSES = ("any", "transitive", "complete", "transitive-tree", "linear")
 
-_CHUNK = 16384
+# A sweep batch holds about this many uint64 words per (frame, state, lane
+# plane) array: batches of small frames share one numpy call, and memory per
+# array stays fixed however many lanes a frame has.  Explicit enumeration
+# (``frames``, the first-order presets) takes _FRAMES_PER_BATCH at a time.
+_WORD_BUDGET = 1 << 13
+_FRAMES_PER_BATCH = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -175,33 +195,27 @@ def _transitive_tree_frames(k):
     return arr
 
 
-def _frame_batches(frame, k, chunk=_CHUNK):
-    """Yield (B, k, k) boolean relation batches in canonical order."""
+def _frame_pieces(frame, k, size):
+    """Yield (B, k, k) boolean relation arrays in canonical order, in the
+    units the generator makes them (``any`` in runs of ``size`` codes)."""
     if frame == "any":
         total = 1 << (k * k)
         positions = np.arange(k * k, dtype=np.uint64)
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
+        for start in range(0, total, size):
+            stop = min(start + size, total)
             codes = np.arange(start, stop, dtype=np.uint64)
             bits = (codes[:, None] >> positions[None, :]) & np.uint64(1)
             yield bits.astype(bool).reshape(stop - start, k, k)
     elif frame == "complete":
         yield np.ones((1, k, k), dtype=bool)
     elif frame == "linear":
-        frames = []
         for perm in permutations(range(k)):
-            rel = np.zeros((k, k), dtype=bool)
-            for i in range(k):
-                for j in range(i + 1, k):
-                    rel[perm[i]][perm[j]] = True
-            frames.append(rel)
-        arr = np.array(frames, dtype=bool).reshape(len(frames), k, k)
-        for start in range(0, len(frames), chunk):
-            yield arr[start : start + chunk]
+            rel = np.zeros((1, k, k), dtype=bool)
+            for i, s in enumerate(perm):
+                rel[0, s, list(perm[i + 1 :])] = True
+            yield rel
     elif frame == "transitive-tree":
-        arr = _transitive_tree_frames(k)
-        for start in range(0, len(arr), chunk):
-            yield arr[start : start + chunk]
+        yield _transitive_tree_frames(k)
     elif frame == "transitive":
         for classes in _partitions(k):
             singles = [c[0] for c in classes if len(c) == 1]
@@ -209,7 +223,7 @@ def _frame_batches(frame, k, chunk=_CHUNK):
             for ci, members in enumerate(classes):
                 for s in members:
                     classof[s] = ci
-            posets = _posets(len(classes))
+            lifted = _posets(len(classes))[:, classof[:, None], classof[None, :]]
             for flagcode in range(1 << len(singles)):
                 base = np.zeros((k, k), dtype=bool)
                 for ci, members in enumerate(classes):
@@ -218,13 +232,34 @@ def _frame_batches(frame, k, chunk=_CHUNK):
                 for bit, s in enumerate(singles):
                     if (flagcode >> bit) & 1:
                         base[s, s] = True
-                for start in range(0, len(posets), chunk):
-                    lifted = posets[start : start + chunk][
-                        :, classof[:, None], classof[None, :]
-                    ]
-                    yield lifted | base
+                yield lifted | base
     else:
         raise ValueError(f"unknown frame class {frame!r}")
+
+
+def _frame_batches(frame, k, size=_FRAMES_PER_BATCH, labeled=True):
+    """Yield (B, k, k) boolean relation batches in canonical order.
+
+    Consecutive generator pieces are joined and split so that every batch
+    but the last holds exactly ``size`` frames.  With ``labeled=False`` a
+    linear class yields only its first order: all k! linear orders on k
+    points are isomorphic, so a search that covers every valuation and
+    placement of one covers them all, and its first hit is on that order.
+    """
+    pieces = _frame_pieces(frame, k, size)
+    if frame == "linear" and not labeled:
+        pieces = iter([next(pieces)])
+    held, count = [], 0
+    for piece in pieces:
+        held.append(piece)
+        count += len(piece)
+        while count >= size:
+            whole = held[0] if len(held) == 1 else np.concatenate(held)
+            yield whole[:size]
+            rest = whole[size:]
+            held, count = ([rest] if len(rest) else []), len(rest)
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def frames(frame, k):
@@ -335,6 +370,7 @@ class _LaneEngine:
         self.rel = rel
         self.plus = plus
         self.B = rel.shape[0]
+        self.views = {}
         self.memo = {}
         self.placement = {}
 
@@ -342,35 +378,44 @@ class _LaneEngine:
         self.placement = placement
         self.memo = {}
 
-    def _exists_step(self, rel_slice, w):
-        # out[:, s] = OR_t rel[:, s, t] ? w[:, t]
-        out = np.zeros((self.B, self.k, self.m), dtype=np.uint64)
-        for t in range(self.k):
-            out |= np.where(rel_slice[:, :, t, None], w[:, t, None, :], self.zero)
+    def _exists_step(self, mask, w):
+        # out[:, s] = OR_t mask[:, s, t] & w[:, t]
+        out = mask[:, :, 0, None] & w[:, 0, None, :]
+        for t in range(1, self.k):
+            out |= mask[:, :, t, None] & w[:, t, None, :]
         return out
 
-    def _forall_step(self, rel_slice, w):
-        out = np.broadcast_to(self.full, (self.B, self.k, self.m)).copy()
-        for t in range(self.k):
-            out &= np.where(rel_slice[:, :, t, None], w[:, t, None, :], self.full)
-        return out
+    def _forall_step(self, mask, w):
+        # out[:, s] = AND_t ~mask[:, s, t] | w[:, t], cut back to the lanes
+        out = ~mask[:, :, 0, None] | w[:, 0, None, :]
+        for t in range(1, self.k):
+            out &= ~mask[:, :, t, None] | w[:, t, None, :]
+        return out & self.full
 
     def _relation(self, plus=False, converse=False):
-        rel = self.plus if plus else self.rel
-        return np.transpose(rel, (0, 2, 1)) if converse else rel
+        """R or R+, forwards or converse, as a (B, k, k) word mask: all
+        ones on a pair of the relation, zero off it; built once a batch."""
+        view = self.views.get((plus, converse))
+        if view is None:
+            rel = self.plus if plus else self.rel
+            if converse:
+                rel = np.transpose(rel, (0, 2, 1))
+            view = np.where(rel, ~self.zero, self.zero)
+            self.views[plus, converse] = view
+        return view
 
     def _until_like(self, f, env, outer, guard):
-        # out[:, s] = OR_t outer[:, s, t] ? left[t] & AND_u (guard[:, s, u] &
-        # guard[:, u, t] ? right[u]); a Since form passes the converse views
+        # out[:, s] = OR_t outer[:, s, t] & left[t] & AND_u (~(guard[:, s, u]
+        # & guard[:, u, t]) | right[u]); a Since form passes the converse views
         wl = self.ev(f.left, env)
         wr = self.ev(f.right, env)
         out = np.zeros((self.B, self.k, self.m), dtype=np.uint64)
         for t in range(self.k):
-            betw = np.broadcast_to(self.full, (self.B, self.k, self.m)).copy()
+            betw = wl[:, t, None, :] & outer[:, :, t, None]
             for u in range(self.k):
                 cond = guard[:, :, u] & guard[:, u, t][:, None]
-                betw &= np.where(cond[:, :, None], wr[:, u, None, :], self.full)
-            out |= np.where(outer[:, :, t, None], wl[:, t, None, :] & betw, self.zero)
+                betw &= ~cond[:, :, None] | wr[:, u, None, :]
+            out |= betw
         return out
 
     def ev(self, f, env=None):
@@ -406,9 +451,9 @@ class _LaneEngine:
         if isinstance(f, Iff):
             return (self.ev(f.left, env) ^ self.ev(f.right, env)) ^ self.full
         if isinstance(f, (Diamond, Future)):
-            return self._exists_step(self.rel, self.ev(f.body, env))
+            return self._exists_step(self._relation(), self.ev(f.body, env))
         if isinstance(f, (Box, Globally)):
-            return self._forall_step(self.rel, self.ev(f.body, env))
+            return self._forall_step(self._relation(), self.ev(f.body, env))
         if isinstance(f, Past):
             return self._exists_step(self._relation(converse=True), self.ev(f.body, env))
         if isinstance(f, Historically):
@@ -436,6 +481,13 @@ class _LaneEngine:
             for s in range(self.k):
                 w = self.ev(f.body, {**env, f.var.name: s})
                 rows.append(np.broadcast_to(w[:, s, :], (self.B, self.m)))
+            # an entry that binds the variable beside another one is one of
+            # up to k^depth and is seldom asked for again: drop it, so the
+            # memo holds O(k) arrays per subformula whatever the batch size
+            var = f.var.name
+            self.memo = {
+                key: w for key, w in self.memo.items() if len(key[1]) < 2 or var not in dict(key[1])
+            }
             return np.stack(rows, axis=1)
         form = UNTIL_FORMS.get(type(f))
         if form is not None:
@@ -453,14 +505,6 @@ def _closure_batch(rel):
     return plus
 
 
-def _word_lowest_lane(words):
-    for j, w in enumerate(words):
-        value = int(w)
-        if value:
-            return 64 * j + (value & -value).bit_length() - 1
-    return None
-
-
 @dataclass(frozen=True)
 class Found:
     model: HybridModel
@@ -474,29 +518,15 @@ def _sentence_guard(phi):
         raise ValueError(f"not a sentence, free: {sorted(fv)}")
 
 
-def _decode_hit(engine, words_per_placement, b, rel_row, props, noms, k):
-    names = tuple(f"s{i}" for i in range(k))
-    best = None
-    for pl_idx, (placement, words) in enumerate(words_per_placement):
-        row = words[b] if words.shape[0] > 1 else words[0]
-        union = row[0].copy()
-        for s in range(1, k):
-            union |= row[s]
-        lane = _word_lowest_lane(union)
-        if lane is None:
-            continue
-        plane, bit = divmod(lane, 64)
-        state = next(s for s in range(k) if (int(row[s][plane]) >> bit) & 1)
-        cand = (lane, pl_idx, state, placement)
-        if best is None or cand[:3] < best[:3]:
-            best = cand
-    lane, pl_idx, state, placement = best
-    rel = frozenset(
-        (names[s], names[t]) for s in range(k) for t in range(k) if rel_row[s, t]
-    )
-    val = _decode_valuation(lane, props, names)
-    nomval = {i: names[s] for i, s in zip(noms, placement)}
-    return HybridModel(names, rel, val, nomval), names[state]
+def _first_lane(row):
+    """Lowest lane set at any state of one frame's (states, m) words, and
+    the first state holding it; some lane must be set."""
+    union = np.bitwise_or.reduce(row, axis=0)
+    plane = int(np.flatnonzero(union)[0])
+    value = int(union[plane])
+    bit = (value & -value).bit_length() - 1
+    state = next(s for s in range(len(row)) if (int(row[s][plane]) >> bit) & 1)
+    return 64 * plane + bit, state
 
 
 def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
@@ -507,39 +537,49 @@ def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
     mode 'diff': first (model, state) where formulas[0] and formulas[1] differ.
     ``sizes`` restricts the sweep to those model sizes (one slice of a
     parallel sweep); by default it covers 1..max_states.
+
+    The first hit is the least (frame, lane, placement) in enumeration
+    order; each placement keeps only its own first hit in a batch.
     """
     extra_props, extra_noms = _split_atoms(atoms)
     props = tuple(sorted({p for f in formulas for p in props_of(f)} | set(extra_props)))
     noms = tuple(sorted({i for f in formulas for i in noms_of(f)} | set(extra_noms)))
-    needs_plus = any(_needs_closure(f) for f in formulas)
+    # the other classes are transitive already, so there R+ is R
+    needs_plus = frame == "any" and any(_needs_closure(f) for f in formulas)
     for k in sizes or range(1, max_states + 1):
         engine = _LaneEngine(props, noms, k)
         placements = list(product(range(k), repeat=len(noms)))
-        for batch in _frame_batches(frame, k):
-            plus = _closure_batch(batch) if needs_plus else None
-            engine.set_batch(batch, plus)
-            words_per_placement = []
-            hit = np.zeros(batch.shape[0], dtype=bool)
-            for placement_tuple in placements:
-                engine.set_placement(dict(zip(noms, placement_tuple)))
+        per_batch = max(1, _WORD_BUDGET // (k * engine.m))
+        for batch in _frame_batches(frame, k, per_batch, labeled=False):
+            engine.set_batch(batch, _closure_batch(batch) if needs_plus else batch)
+            best = None
+            for pl_idx, placement in enumerate(placements):
+                engine.set_placement(dict(zip(noms, placement)))
+                w = engine.ev(formulas[0])
                 if mode == "diff":
-                    w = engine.ev(formulas[0]) ^ engine.ev(formulas[1])
-                else:
-                    w = engine.ev(formulas[0])
+                    w = w ^ engine.ev(formulas[1])
                 if mode == "global":
                     red = w[:, 0, :]
                     for s in range(1, k):
                         red = red & w[:, s, :]
-                    w = np.broadcast_to(red[:, None, :], (red.shape[0], k, engine.m))
-                words_per_placement.append((placement_tuple, w))
-                nz = w.any(axis=(1, 2)) if w.shape[0] > 1 else np.repeat(w.any(), batch.shape[0])
-                hit |= nz
-            if hit.any():
-                b = int(np.argmax(hit))
-                model, state = _decode_hit(
-                    engine, words_per_placement, b, batch[b], props, noms, k
+                    w = red[:, None, :]
+                nz = w.any(axis=(1, 2))
+                b = int(np.argmax(nz))
+                if not nz[b] or (best is not None and b > best[0]):
+                    continue
+                lane, state = _first_lane(w[b])
+                cand = (b, lane, pl_idx, state, placement)
+                if best is None or cand[:3] < best[:3]:
+                    best = cand
+            if best is not None:
+                b, lane, _, state, placement = best
+                names = tuple(f"s{i}" for i in range(k))
+                rel = frozenset(
+                    (names[s], names[t]) for s in range(k) for t in range(k) if batch[b, s, t]
                 )
-                return model, state
+                val = _decode_valuation(lane, props, names)
+                nomval = {i: names[s] for i, s in zip(noms, placement)}
+                return HybridModel(names, rel, val, nomval), names[state]
     return None
 
 
@@ -589,12 +629,24 @@ class _FOSearch:
     so opposite commitments on the same instance conflict without being
     expanded.  Status checks use Kleene evaluation with an early-unknown
     exit on quantifiers.
+
+    Without a fixed relation the frame class is closed under permutations
+    of the domain, and the search breaks that symmetry (the least-number
+    heuristic).  An element is *named* once a constant denotes it or a
+    branch on the current path mentions it.  Permuting the unnamed
+    elements maps the structures that extend the current state onto
+    themselves, so a branch on an existential instance tries the named
+    elements and only the least unnamed one: any other unnamed element
+    gives an isomorphic subtree, tried after the least one's, that has a
+    model exactly when the least one's has.  The search is complete, so it
+    returns the same first structure as without the cut.
     """
 
-    def __init__(self, alpha, k, frame, rel_fixed=None):
+    def __init__(self, alpha, k, frame, rel_fixed=None, consts=None):
         self.alpha = alpha
         self.k = k
         self.frame = frame
+        self.symmetric = rel_fixed is None
         self.preds = sorted(sat.fo_preds(alpha))
         if rel_fixed is not None:
             self.rel = [[_T if rel_fixed[a][b] else _F for b in range(k)] for a in range(k)]
@@ -604,9 +656,11 @@ class _FOSearch:
             self.rel = [[_U] * k for _ in range(k)]
         self.unary = {p: [_U] * k for p in self.preds}
         self.trail = []
-        self.consts = {}
+        self.consts = dict(consts or {})
+        self.named = set(self.consts.values())
         self.store = {}
         self.pending = []
+        self.nodes = 0
 
     # -- assignments with transitivity propagation --------------------------
 
@@ -652,6 +706,8 @@ class _FOSearch:
             elif kind == "pend":
                 popped = self.pending.pop()
                 assert popped is not None
+            elif kind == "name":
+                self.named.discard(entry[1])
             else:  # done flag
                 self.pending[entry[1]][3] = False
 
@@ -705,11 +761,26 @@ class _FOSearch:
         self.trail.append(("pend",))
         return True
 
+    def _name(self, elements):
+        for e in elements:
+            if e not in self.named:
+                self.named.add(e)
+                self.trail.append(("name", e))
+
+    def _witnesses(self):
+        """Elements an existential branch tries, in domain order: all of
+        them, or under symmetry breaking the named ones and the least
+        unnamed one."""
+        if not self.symmetric:
+            return range(self.k)
+        fresh = next((d for d in range(self.k) if d not in self.named), None)
+        return [d for d in range(self.k) if d in self.named or d == fresh]
+
     def _options(self, g, env, value):
         if isinstance(g, sat.Exists) and value:
-            return [(g.body, {**env, g.var: d}, True) for d in range(self.k)]
+            return [(g.body, {**env, g.var: d}, True) for d in self._witnesses()]
         if isinstance(g, sat.Forall) and not value:
-            return [(g.body, {**env, g.var: d}, False) for d in range(self.k)]
+            return [(g.body, {**env, g.var: d}, False) for d in self._witnesses()]
         if isinstance(g, sat.FOAnd):
             return [(g.left, env, False), (g.right, env, False)]
         if isinstance(g, sat.FOOr):
@@ -827,6 +898,7 @@ class _FOSearch:
         return True
 
     def _dfs(self):
+        self.nodes += 1
         if not self._propagate():
             return None
         best = None
@@ -844,8 +916,11 @@ class _FOSearch:
         i = best[1]
         g, env, value, _, _ = self.pending[i]
         self._mark_done(i)
+        # a branch fixes the elements its instance mentions
+        self._name(env.values())
         for option in self._options(g, env, value):
             mark = self._mark()
+            self._name(option[1].values())
             if self._require(*option):
                 out = self._dfs()
                 if out is not None:
@@ -876,11 +951,21 @@ def brute_fo_sat(alpha: sat.FOFormula, frame: str, max_elems: int):
         if frame in ("any", "transitive", "complete"):
             presets = [None]
         else:
-            presets = [rel.tolist() for batch in _frame_batches(frame, k) for rel in batch]
+            presets = [
+                rel.tolist() for batch in _frame_batches(frame, k, labeled=False) for rel in batch
+            ]
         for preset in presets:
             for assignment in product(range(k), repeat=len(consts)):
-                searcher = _FOSearch(alpha, k, frame, rel_fixed=preset)
-                searcher.consts = dict(zip(consts, assignment))
+                # with a symmetric frame class every assignment is
+                # isomorphic to its restricted-growth form, which comes
+                # first in this order
+                if preset is None and any(
+                    a > max(assignment[:i], default=-1) + 1 for i, a in enumerate(assignment)
+                ):
+                    continue
+                searcher = _FOSearch(
+                    alpha, k, frame, rel_fixed=preset, consts=dict(zip(consts, assignment))
+                )
                 out = searcher.search()
                 if out is not None:
                     return FOFound(out)

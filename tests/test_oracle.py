@@ -11,10 +11,13 @@ from hylo.model import (
     is_transitive,
     is_transitive_tree,
 )
+import hylo.oracle as oracle
 from hylo.oracle import (
+    FRAME_CLASSES,
     _closure_batch,
     _decode_valuation,
     _frame_batches,
+    _FOSearch,
     _LaneEngine,
     brute_fo_sat,
     brute_global_sat,
@@ -63,6 +66,29 @@ def test_frame_class_predicates_hold():
             for rel in frames(frame, k):
                 m = HybridModel(tuple(f"s{i}" for i in range(k)), rel)
                 assert pred(m), (frame, k, sorted(rel))
+
+
+@pytest.mark.parametrize("frame", FRAME_CLASSES)
+def test_frame_batches_hold_size_frames_in_generator_order(frame):
+    for k in (1, 2, 3) if frame == "any" else (1, 2, 3, 4):
+        expected = list(frames(frame, k))
+        for size in (1, 7, 64, 5000):
+            batches = list(_frame_batches(frame, k, size))
+            assert all(len(b) == size for b in batches[:-1])
+            assert 1 <= len(batches[-1]) <= size
+            names = [f"s{i}" for i in range(k)]
+            got = [
+                frozenset((names[s], names[t]) for s in range(k) for t in range(k) if row[s, t])
+                for batch in batches
+                for row in batch
+            ]
+            assert got == expected, (frame, k, size)
+
+
+def test_unlabeled_linear_batches_hold_one_order_per_size():
+    for k in (1, 2, 3, 4):
+        (batch,) = list(_frame_batches("linear", k, labeled=False))
+        assert batch.tolist() == [[[s < t for t in range(k)] for s in range(k)]]
 
 
 def test_linear_frame_counts():
@@ -138,9 +164,11 @@ LANE_BATTERY = [
     "E p & A (p | q)",
     "@'i p",
     "'i & <>'i",
+    "p & @'i ~p",
     "down $x . <> $x",
     "down $x . []<> $x",
     "down $x . <>(q & <> $x)",
+    "down $x . <> down $y . (@$x <>$y & (p | ~<>$x))",
     "U(p, q)",
     "S(p, q)",
     "U+(p, q)",
@@ -168,6 +196,28 @@ def test_lane_engine_agrees_with_checker(frame):
         else:
             assert fast is not None, text
             assert (fast.model, fast.state) == slow, text
+
+
+def _battery_first_hits(frame, n):
+    """First hits of every sweep mode on the battery; the sat sweeps need
+    two or three states, so their hits lie past the first frames."""
+    out = []
+    for text in LANE_BATTERY:
+        phi = parse(text)
+        out.append(brute_sat(parse(f"({text}) & <>(~p & <>p)"), frame, n))
+        out.append(brute_global_sat(phi, frame, n))
+        out.append(find_eval_difference(phi, parse("<>p"), frame, n))
+    return out
+
+
+@pytest.mark.parametrize("frame", FRAME_CLASSES)
+def test_first_hits_do_not_depend_on_the_batch_size(frame, monkeypatch):
+    # one frame per batch against the word budget; any stops at 3 states,
+    # where a miss at 4 would take 65,536 one-frame batches
+    n = 3 if frame == "any" else 4
+    budgeted = _battery_first_hits(frame, n)
+    monkeypatch.setattr(oracle, "_WORD_BUDGET", 1)
+    assert _battery_first_hits(frame, n) == budgeted
 
 
 def test_lane_engine_exhaustive_pointwise_agreement():
@@ -262,13 +312,13 @@ FO_BATTERY = [
 ]
 
 
-@pytest.mark.parametrize("frame", ["any", "transitive"])
+@pytest.mark.parametrize("frame", ["any", "transitive", "complete"])
 def test_brute_fo_sat_agrees_with_naive(frame):
     for text in FO_BATTERY:
         alpha = parse_fo(text)
         preds = sorted({g.name for g in _fo_preds(alpha)})
-        fast = brute_fo_sat(alpha, frame, 2) is not None
-        slow = _naive_fo_sat(alpha, frame, 2, preds)
+        fast = brute_fo_sat(alpha, frame, 3) is not None
+        slow = _naive_fo_sat(alpha, frame, 3, preds)
         assert fast == slow, (frame, text)
 
 
@@ -284,6 +334,43 @@ def test_brute_fo_sat_respects_frames():
     # over transitive frames an irreflexive serial relation needs an infinite
     # descending structure, so no small model exists
     assert brute_fo_sat(serial_irrefl, "transitive", 4) is None
+
+
+SERIAL_IRREFLEXIVE = "(A x. ~R(x,x)) & (A x. E y. R(x,y))"
+
+
+def test_fo_search_breaks_element_symmetry():
+    # no transitive model exists; the refutation at 7 elements takes 7
+    # search nodes with the least-number cut and 22,876 without it
+    searcher = _FOSearch(parse_fo(SERIAL_IRREFLEXIVE), 7, "transitive")
+    assert searcher.search() is None
+    assert searcher.nodes <= 14
+
+
+def _is_restricted_growth(values):
+    return all(v <= max(values[:i], default=-1) + 1 for i, v in enumerate(values))
+
+
+@pytest.mark.parametrize("frame", ["any", "linear"])
+def test_constant_assignments_tried(frame, monkeypatch):
+    # symmetric classes try each assignment up to a permutation of the
+    # domain (restricted-growth strings); a fixed relation tries them all
+    tried = []
+
+    class Recording(_FOSearch):
+        def search(self):
+            tried.append((self.k, tuple(self.consts[c] for c in sorted(self.consts))))
+            return super().search()
+
+    monkeypatch.setattr(oracle, "_FOSearch", Recording)
+    assert brute_fo_sat(parse_fo("p(c) & ~p(c) & R(d,e)"), frame, 3) is None
+    expected = [
+        (k, a)
+        for k in (1, 2, 3)
+        for a in product(range(k), repeat=3)
+        if frame == "linear" or _is_restricted_growth(a)
+    ]
+    assert tried == expected
 
 
 def test_brute_fo_sat_with_constants():
