@@ -63,7 +63,16 @@ _node = dataclass(frozen=True, eq=False)
 
 
 @_node
-class Formula(metaclass=_Interned):
+class _Node(metaclass=_Interned):
+    """The base of every interned node class, hybrid and first-order."""
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which re-interns
+        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+
+
+@_node
+class Formula(_Node):
     """An interned formula node; ``==`` is ``is``.
 
     Derived facts are computed once per node: ``fv`` (the free state
@@ -73,10 +82,6 @@ class Formula(metaclass=_Interned):
 
     def __str__(self):
         return print_formula(self)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which re-interns
-        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
     @cached_property
     def fv(self) -> frozenset[str]:

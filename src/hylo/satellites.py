@@ -1,8 +1,9 @@
 """First-order fragment and PDL over sibling-ordered trees.
 
 These are the targets and sources of the logic-to-logic translations: a
-small FO AST with a Tarskian evaluator over finite structures, and a PDL
-AST with the relational program semantics over finite ordered trees.
+small interned FO AST with a Tarskian evaluator over finite structures,
+and a PDL AST with the relational program semantics over finite ordered
+trees.
 """
 
 from __future__ import annotations
@@ -12,32 +13,49 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
+from .formula import _Node, _node
 from .model import _closure
 
 
 # ---------------------------------------------------------------------------
 # First-order formulas over one binary relation, unary predicates, equality
+#
+# Nodes are interned like the hybrid ones (``hylo.formula._Node``): equal
+# structure is the same object.  Generic walks read a node's fields in
+# declaration order; a field is a subformula, a term, or a name.
 
 
-@dataclass(frozen=True)
-class FOTerm:
+@_node
+class FOTerm(_Node):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FOVar(FOTerm):
     name: str
 
+    @cached_property
+    def fv(self) -> frozenset[str]:
+        return frozenset([self.name])
 
-@dataclass(frozen=True)
+
+@_node
 class FOConst(FOTerm):
     name: str
 
+    fv = frozenset()
 
-@dataclass(frozen=True)
-class FOFormula:
+
+@_node
+class FOFormula(_Node):
     def __str__(self):
         return fo_to_text(self)
+
+    @cached_property
+    def fv(self) -> frozenset[str]:
+        """Variables with an occurrence not under a matching quantifier."""
+        out = frozenset().union(*(p.fv for p in _fields(self) if not isinstance(p, str)))
+        return out - {self.var} if isinstance(self, (Exists, Forall)) else out
 
     @cached_property
     def alpha_code(self) -> tuple:
@@ -46,60 +64,48 @@ class FOFormula:
         their bound variables get the same code."""
         slots: list[str] = []
 
-        def term(t, bound):
-            if isinstance(t, FOConst):
-                return ("c", t.name)
-            if t.name in bound:
-                return ("b", bound[t.name])
-            if t.name not in slots:
-                slots.append(t.name)
-            return ("f", slots.index(t.name))
+        def part(p, bound):
+            if isinstance(p, FOFormula):
+                return rec(p, bound)
+            if isinstance(p, FOConst):
+                return ("c", p.name)
+            if not isinstance(p, FOVar):
+                return p
+            if p.name in bound:
+                return ("b", bound[p.name])
+            if p.name not in slots:
+                slots.append(p.name)
+            return ("f", slots.index(p.name))
 
         def rec(h, bound):
-            if isinstance(h, FOTrue):
-                return ("true",)
-            if isinstance(h, FOFalse):
-                return ("false",)
-            if isinstance(h, Rel):
-                return ("rel", term(h.left, bound), term(h.right, bound))
-            if isinstance(h, RelPlus):
-                return ("relp", term(h.left, bound), term(h.right, bound))
-            if isinstance(h, Eq):
-                return ("eq", term(h.left, bound), term(h.right, bound))
-            if isinstance(h, Pred):
-                return ("pred", h.name, term(h.term, bound))
-            if isinstance(h, FONot):
-                return ("not", rec(h.body, bound))
-            if isinstance(h, (FOAnd, FOOr, FOImplies)):
-                tag = {FOAnd: "and", FOOr: "or", FOImplies: "implies"}[type(h)]
-                return (tag, rec(h.left, bound), rec(h.right, bound))
             if isinstance(h, (Exists, Forall)):
-                tag = "ex" if isinstance(h, Exists) else "all"
-                inner = {**bound, h.var: len(bound)}
-                return (tag, rec(h.body, inner))
-            raise TypeError(f"not an FO node: {h!r}")
+                # a binder's code is its depth, so a shadowing binder never
+                # shares a code with a binder still in scope
+                inner = {**bound, h.var: max(bound.values(), default=-1) + 1}
+                return (type(h), rec(h.body, inner))
+            return (type(h), *(part(p, bound) for p in _fields(h)))
 
         code = rec(self, {})
         return code, tuple(slots)
 
 
-@dataclass(frozen=True)
+@_node
 class FOTrue(FOFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class FOFalse(FOFormula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Rel(FOFormula):
     left: FOTerm
     right: FOTerm
 
 
-@dataclass(frozen=True)
+@_node
 class RelPlus(FOFormula):
     """Transitive-closure atom; evaluated against the closure of the relation."""
 
@@ -107,63 +113,61 @@ class RelPlus(FOFormula):
     right: FOTerm
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(FOFormula):
     left: FOTerm
     right: FOTerm
 
 
-@dataclass(frozen=True)
+@_node
 class Pred(FOFormula):
     name: str
     term: FOTerm
 
 
-@dataclass(frozen=True)
+@_node
 class FONot(FOFormula):
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOAnd(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOOr(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class FOImplies(FOFormula):
     left: FOFormula
     right: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(FOFormula):
     var: str
     body: FOFormula
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(FOFormula):
     var: str
     body: FOFormula
 
 
+def _fields(f) -> list:
+    return [getattr(f, name) for name in f.__match_args__]
+
+
 def fo_children(f: FOFormula) -> tuple[FOFormula, ...]:
-    if isinstance(f, (FOTrue, FOFalse, Rel, RelPlus, Eq, Pred)):
-        return ()
-    if isinstance(f, FONot):
-        return (f.body,)
-    if isinstance(f, (FOAnd, FOOr, FOImplies)):
-        return (f.left, f.right)
-    if isinstance(f, (Exists, Forall)):
-        return (f.body,)
-    raise TypeError(f"not an FO node: {f!r}")
+    if not isinstance(f, FOFormula):
+        raise TypeError(f"not an FO node: {f!r}")
+    return tuple(p for p in _fields(f) if isinstance(p, FOFormula))
 
 
 def fo_subformulas(f: FOFormula):
@@ -175,50 +179,59 @@ def fo_subformulas(f: FOFormula):
 
 
 def fo_free_vars(f: FOFormula) -> frozenset[str]:
-    def term_vars(t):
-        return {t.name} if isinstance(t, FOVar) else set()
-
-    def rec(g, bound):
-        if isinstance(g, (Rel, RelPlus, Eq)):
-            return (term_vars(g.left) | term_vars(g.right)) - bound
-        if isinstance(g, Pred):
-            return term_vars(g.term) - bound
-        if isinstance(g, (FOTrue, FOFalse)):
-            return set()
-        if isinstance(g, (Exists, Forall)):
-            return rec(g.body, bound | {g.var})
-        out = set()
-        for c in fo_children(g):
-            out |= rec(c, bound)
-        return out
-
-    return frozenset(rec(f, frozenset()))
+    return f.fv
 
 
 def fo_constants(f: FOFormula) -> frozenset[str]:
-    out = set()
-    for g in fo_subformulas(f):
-        terms = ()
-        if isinstance(g, (Rel, RelPlus, Eq)):
-            terms = (g.left, g.right)
-        elif isinstance(g, Pred):
-            terms = (g.term,)
-        out.update(t.name for t in terms if isinstance(t, FOConst))
-    return frozenset(out)
+    return frozenset(
+        p.name for g in fo_subformulas(f) for p in _fields(g) if isinstance(p, FOConst)
+    )
 
 
 def fo_preds(f: FOFormula) -> frozenset[str]:
     return frozenset(g.name for g in fo_subformulas(f) if isinstance(g, Pred))
 
 
-def is_all_u1(f: FOFormula, max_unary: int | None = None) -> bool:
-    """Membership in [all,(u,1)]: one binary relation, unary preds, no equality."""
+def fo_vars(f: FOFormula) -> frozenset[str]:
+    """Every variable name in f, bound or free."""
+    out = set()
     for g in fo_subformulas(f):
-        if isinstance(g, (Eq, RelPlus)):
-            return False
-    if max_unary is not None and len(fo_preds(f)) > max_unary:
-        return False
-    return True
+        if isinstance(g, (Exists, Forall)):
+            out.add(g.var)
+        out.update(p.name for p in _fields(g) if isinstance(p, FOVar))
+    return frozenset(out)
+
+
+def fo_map(f: FOFormula, rewrite) -> FOFormula:
+    """Bottom-up rewrite: children first, then the node itself."""
+    parts = (fo_map(p, rewrite) if isinstance(p, FOFormula) else p for p in _fields(f))
+    return rewrite(type(f)(*parts))
+
+
+def fo_rename(f: FOFormula, bind, free, scope=None) -> FOFormula:
+    """Scoped rewrite of the variables of f.
+
+    A quantifier on v binds ``bind(v, scope)`` instead, where scope maps
+    each variable bound above to its binder's new name; an occurrence
+    takes its binder's new name, and a free one becomes ``free(name)``.
+    """
+    scope = scope or {}
+    if isinstance(f, (Exists, Forall)):
+        new = bind(f.var, scope)
+        return type(f)(new, fo_rename(f.body, bind, free, {**scope, f.var: new}))
+    parts = []
+    for p in _fields(f):
+        if isinstance(p, FOFormula):
+            p = fo_rename(p, bind, free, scope)
+        elif isinstance(p, FOVar):
+            p = FOVar(scope[p.name]) if p.name in scope else free(p.name)
+        parts.append(p)
+    return type(f)(*parts)
+
+
+def is_all_u1(f: FOFormula) -> bool:
+    """Membership in [all,(u,1)]: one binary relation, unary preds, no equality."""
+    return not any(isinstance(g, (Eq, RelPlus)) for g in fo_subformulas(f))
 
 
 def is_mc_eq(f: FOFormula) -> bool:
@@ -261,44 +274,41 @@ class FOEvalError(ValueError):
 
 def fo_eval(s: FOStructure, env: dict, alpha: FOFormula) -> bool:
     """Classical truth over a finite structure."""
+    return _holds(s, dict(env), alpha)
 
-    def term(t, env):
-        if isinstance(t, FOVar):
-            if t.name not in env:
-                raise FOEvalError(f"unbound variable {t.name!r}")
-            return env[t.name]
-        if t.name not in s.constants:
-            raise FOEvalError(f"unbound constant {t.name!r}")
-        return s.constants[t.name]
 
-    def rec(g, env):
-        if isinstance(g, FOTrue):
-            return True
-        if isinstance(g, FOFalse):
-            return False
-        if isinstance(g, Rel):
-            return (term(g.left, env), term(g.right, env)) in s.binrel
-        if isinstance(g, RelPlus):
-            return (term(g.left, env), term(g.right, env)) in s._plus
-        if isinstance(g, Eq):
-            return term(g.left, env) == term(g.right, env)
-        if isinstance(g, Pred):
-            return term(g.term, env) in s.unary.get(g.name, frozenset())
-        if isinstance(g, FONot):
-            return not rec(g.body, env)
-        if isinstance(g, FOAnd):
-            return rec(g.left, env) and rec(g.right, env)
-        if isinstance(g, FOOr):
-            return rec(g.left, env) or rec(g.right, env)
-        if isinstance(g, FOImplies):
-            return not rec(g.left, env) or rec(g.right, env)
-        if isinstance(g, Exists):
-            return any(rec(g.body, {**env, g.var: d}) for d in s.domain)
-        if isinstance(g, Forall):
-            return all(rec(g.body, {**env, g.var: d}) for d in s.domain)
+def _holds(s, env, g):
+    case = _FO_CASES.get(type(g))
+    if case is None:
         raise TypeError(f"not an FO node: {g!r}")
+    return case(s, env, g)
 
-    return rec(alpha, dict(env))
+
+def _value(s, env, t):
+    if isinstance(t, FOVar):
+        if t.name not in env:
+            raise FOEvalError(f"unbound variable {t.name!r}")
+        return env[t.name]
+    if t.name not in s.constants:
+        raise FOEvalError(f"unbound constant {t.name!r}")
+    return s.constants[t.name]
+
+
+# One case per node class, each called as case(structure, env, node).
+_FO_CASES = {
+    FOTrue: lambda s, env, g: True,
+    FOFalse: lambda s, env, g: False,
+    Rel: lambda s, env, g: (_value(s, env, g.left), _value(s, env, g.right)) in s.binrel,
+    RelPlus: lambda s, env, g: (_value(s, env, g.left), _value(s, env, g.right)) in s._plus,
+    Eq: lambda s, env, g: _value(s, env, g.left) == _value(s, env, g.right),
+    Pred: lambda s, env, g: _value(s, env, g.term) in s.unary.get(g.name, frozenset()),
+    FONot: lambda s, env, g: not _holds(s, env, g.body),
+    FOAnd: lambda s, env, g: _holds(s, env, g.left) and _holds(s, env, g.right),
+    FOOr: lambda s, env, g: _holds(s, env, g.left) or _holds(s, env, g.right),
+    FOImplies: lambda s, env, g: not _holds(s, env, g.left) or _holds(s, env, g.right),
+    Exists: lambda s, env, g: any(_holds(s, {**env, g.var: d}, g.body) for d in s.domain),
+    Forall: lambda s, env, g: all(_holds(s, {**env, g.var: d}, g.body) for d in s.domain),
+}
 
 
 def string_structure(word) -> FOStructure:
@@ -343,6 +353,8 @@ class _FOParser:
             m = _FO_TOKEN_RE.match(text, pos)
             if not m:
                 raise FOParseError(f"unexpected character {text[pos]!r} at {pos}")
+            if m.lastgroup == "ident" and m.group().startswith("_"):
+                raise FOParseError(f"identifier {m.group()!r} at {pos} uses the reserved namespace")
             if m.lastgroup != "ws":
                 self.toks.append((m.lastgroup, m.group().strip()))
             pos = m.end()
@@ -445,42 +457,13 @@ class _FOParser:
         raise FOParseError(f"expected an FO formula, found {value!r}")
 
 
-def _bind_constants(f: FOFormula, bound: frozenset) -> FOFormula:
-    """Free occurrences are constants; bound ones stay variables."""
-
-    def fix_term(t, bound):
-        if isinstance(t, FOVar) and t.name not in bound:
-            return FOConst(t.name)
-        return t
-
-    def rec(g, bound):
-        if isinstance(g, Rel):
-            return Rel(fix_term(g.left, bound), fix_term(g.right, bound))
-        if isinstance(g, RelPlus):
-            return RelPlus(fix_term(g.left, bound), fix_term(g.right, bound))
-        if isinstance(g, Eq):
-            return Eq(fix_term(g.left, bound), fix_term(g.right, bound))
-        if isinstance(g, Pred):
-            return Pred(g.name, fix_term(g.term, bound))
-        if isinstance(g, (FOTrue, FOFalse)):
-            return g
-        if isinstance(g, FONot):
-            return FONot(rec(g.body, bound))
-        if isinstance(g, (FOAnd, FOOr, FOImplies)):
-            return type(g)(rec(g.left, bound), rec(g.right, bound))
-        if isinstance(g, (Exists, Forall)):
-            return type(g)(g.var, rec(g.body, bound | {g.var}))
-        raise TypeError(f"not an FO node: {g!r}")
-
-    return rec(f, bound)
-
-
 def parse_fo(text: str) -> FOFormula:
     parser = _FOParser(text)
     f = parser.formula()
     if parser.peek()[0] != "eof":
         raise FOParseError(f"trailing input {parser.peek()[1]!r}")
-    return _bind_constants(f, frozenset())
+    # free names are constants; bound ones stay variables
+    return fo_rename(f, lambda v, scope: v, FOConst)
 
 
 def fo_to_text(f: FOFormula, rplus_as_lfp: bool = False) -> str:

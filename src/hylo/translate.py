@@ -7,6 +7,8 @@ in the input, so no translation captures a variable free in its input.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .formula import (
     NOM,
     PROP,
@@ -62,12 +64,18 @@ def map_formula(f: Formula, rewrite) -> Formula:
 
 
 class _Names:
-    """Fresh-name source seeded with every atom name of the inputs."""
+    """Fresh-name source seeded with every name of the inputs: the atom
+    names of a hybrid formula, or the variable names of a first-order one
+    (its constants and predicates become nominals and propositions, which
+    no state variable can capture)."""
 
     def __init__(self, *formulas):
         self.used = set()
         for f in formulas:
-            self.used.update(a.name for a in atoms_of(f))
+            if isinstance(f, sat.FOFormula):
+                self.used.update(sat.fo_vars(f))
+            else:
+                self.used.update(a.name for a in atoms_of(f))
         self.counter = 0
 
     def svar(self, pretty):
@@ -327,40 +335,49 @@ def _pred_to_prop(name):
     return "q" + name
 
 
+def _fo_to_hl(alpha, reach, place, step, prop_name):
+    """The first-order-to-hybrid skeleton the reductions share.
+
+    Booleans map to themselves.  E x. a becomes reach(down x. a'), where
+    reach leads to some element, and A x. a is its dual.  An atom puts a
+    hybrid formula at the element a term names, through place: P(t)
+    places P's proposition, t=u places u, and R(t,u) places step(u).
+    Constants become nominals and variables state variables.
+    """
+
+    def term(t):
+        return Atom(NOM if isinstance(t, sat.FOConst) else SVAR, t.name)
+
+    def rec(g):
+        kind = type(g)
+        if kind in _FO_BOOLEANS:
+            return _FO_BOOLEANS[kind](*map(rec, sat.fo_children(g)))
+        if kind is sat.Exists:
+            return reach(Down(svar(g.var), rec(g.body)))
+        if kind is sat.Forall:
+            return Not(reach(Down(svar(g.var), Not(rec(g.body)))))
+        if kind is sat.Pred:
+            return place(term(g.term), Atom(PROP, prop_name(g.name)))
+        if kind is sat.Eq:
+            return place(term(g.left), term(g.right))
+        if kind is sat.Rel:
+            return place(term(g.left), step(term(g.right)))
+        raise TypeError(f"unsupported FO node: {g!r}")
+
+    return rec(alpha)
+
+
+_FO_BOOLEANS = {
+    sat.FOTrue: Top, sat.FOFalse: Bot, sat.FONot: Not,
+    sat.FOAnd: And, sat.FOOr: Or, sat.FOImplies: Implies,
+}
+
+
 def ht(alpha: sat.FOFormula) -> Formula:
     """Monadic-class sentences into the down-fragment over complete frames."""
     if not sat.is_mc_eq(alpha):
         raise FragmentError("ht expects a formula of the monadic class with equality")
-
-    def term(t):
-        if isinstance(t, sat.FOConst):
-            return Atom(NOM, t.name)
-        return Atom(SVAR, t.name)
-
-    def rec(g):
-        if isinstance(g, sat.FOTrue):
-            return Top()
-        if isinstance(g, sat.FOFalse):
-            return Bot()
-        if isinstance(g, sat.Pred):
-            return Diamond(And(term(g.term), Atom(PROP, _pred_to_prop(g.name))))
-        if isinstance(g, sat.Eq):
-            return Diamond(And(term(g.left), term(g.right)))
-        if isinstance(g, sat.FONot):
-            return Not(rec(g.body))
-        if isinstance(g, sat.FOAnd):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, sat.FOOr):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, sat.FOImplies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, sat.Exists):
-            return Diamond(Down(Atom(SVAR, g.var), rec(g.body)))
-        if isinstance(g, sat.Forall):
-            return Not(Diamond(Down(Atom(SVAR, g.var), Not(rec(g.body)))))
-        raise TypeError(f"not an FO node: {g!r}")
-
-    return rec(alpha)
+    return _fo_to_hl(alpha, Diamond, lambda t, h: Diamond(And(t, h)), Diamond, _pred_to_prop)
 
 
 def complete_reduction(alpha: sat.FOFormula) -> Formula:
@@ -374,15 +391,9 @@ def complete_reduction(alpha: sat.FOFormula) -> Formula:
 
 
 def _rename_apart(alpha):
-    """Each quantifier binds a distinct fresh-where-needed variable."""
-    used = set()
-    for g in sat.fo_subformulas(alpha):
-        if isinstance(g, (sat.Exists, sat.Forall)):
-            used.add(g.var)
-        elif isinstance(g, (sat.Rel, sat.RelPlus, sat.Eq)):
-            used.update(t.name for t in (g.left, g.right) if isinstance(t, sat.FOVar))
-        elif isinstance(g, sat.Pred) and isinstance(g.term, sat.FOVar):
-            used.add(g.term.name)
+    """Each quantifier that rebinds a variable bound above it binds a
+    fresh name instead."""
+    used = set(sat.fo_vars(alpha))
     counter = [0]
 
     def fresh(base):
@@ -393,34 +404,7 @@ def _rename_apart(alpha):
                 used.add(name)
                 return name
 
-    def fix_term(t, sub):
-        if isinstance(t, sat.FOVar) and t.name in sub:
-            return sat.FOVar(sub[t.name])
-        return t
-
-    def rec(g, sub, bound_names):
-        if isinstance(g, (sat.FOTrue, sat.FOFalse)):
-            return g
-        if isinstance(g, sat.Rel):
-            return sat.Rel(fix_term(g.left, sub), fix_term(g.right, sub))
-        if isinstance(g, sat.RelPlus):
-            return sat.RelPlus(fix_term(g.left, sub), fix_term(g.right, sub))
-        if isinstance(g, sat.Eq):
-            return sat.Eq(fix_term(g.left, sub), fix_term(g.right, sub))
-        if isinstance(g, sat.Pred):
-            return sat.Pred(g.name, fix_term(g.term, sub))
-        if isinstance(g, sat.FONot):
-            return sat.FONot(rec(g.body, sub, bound_names))
-        if isinstance(g, (sat.FOAnd, sat.FOOr, sat.FOImplies)):
-            return type(g)(rec(g.left, sub, bound_names), rec(g.right, sub, bound_names))
-        if isinstance(g, (sat.Exists, sat.Forall)):
-            if g.var in bound_names:
-                new = fresh(g.var)
-                return type(g)(new, rec(g.body, {**sub, g.var: new}, bound_names | {new}))
-            return type(g)(g.var, rec(g.body, sub, bound_names | {g.var}))
-        raise TypeError(f"not an FO node: {g!r}")
-
-    return rec(alpha, {}, set())
+    return sat.fo_rename(alpha, lambda v, scope: fresh(v) if v in scope else v, sat.FOVar)
 
 
 def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
@@ -428,10 +412,7 @@ def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
     if not sat.is_all_u1(alpha) or sat.fo_preds(alpha):
         raise FragmentError("zigzag expects a sentence over one binary relation only")
     alpha = _rename_apart(alpha)
-    used = set()
-    for g in sat.fo_subformulas(alpha):
-        if isinstance(g, (sat.Exists, sat.Forall)):
-            used.add(g.var)
+    used = set(sat.fo_vars(alpha))
     counters = {}
 
     def fresh(base):
@@ -443,13 +424,12 @@ def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
                 used.add(name)
                 return name
 
-    def rec(g):
-        if isinstance(g, (sat.FOTrue, sat.FOFalse)):
-            return g
+    def rewrite(g):
         if isinstance(g, sat.Rel):
             x, y = g.left, g.right
             a, b, c = (sat.FOVar(fresh(n)) for n in ("a", "b", "c"))
-            body = _fo_conj(
+            body = reduce(
+                sat.FOAnd,
                 [
                     sat.Rel(x, a),
                     sat.Rel(b, a),
@@ -460,101 +440,48 @@ def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
                     sat.Pred("2", b),
                     sat.Pred("3", c),
                     sat.Pred("0", y),
-                ]
+                ],
             )
             return sat.Exists(a.name, sat.Exists(b.name, sat.Exists(c.name, body)))
-        if isinstance(g, sat.FONot):
-            return sat.FONot(rec(g.body))
-        if isinstance(g, (sat.FOAnd, sat.FOOr, sat.FOImplies)):
-            return type(g)(rec(g.left), rec(g.right))
         if isinstance(g, sat.Exists):
-            return sat.Exists(g.var, sat.FOAnd(sat.Pred("0", sat.FOVar(g.var)), rec(g.body)))
+            return sat.Exists(g.var, sat.FOAnd(sat.Pred("0", sat.FOVar(g.var)), g.body))
         if isinstance(g, sat.Forall):
-            return sat.Forall(g.var, sat.FOImplies(sat.Pred("0", sat.FOVar(g.var)), rec(g.body)))
-        raise TypeError(f"unsupported node in [all,(0,1)]: {g!r}")
+            return sat.Forall(g.var, sat.FOImplies(sat.Pred("0", sat.FOVar(g.var)), g.body))
+        return g
 
-    return rec(alpha)
-
-
-def _fo_conj(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = sat.FOAnd(out, p)
-    return out
+    return sat.fo_map(alpha, rewrite)
 
 
 # ---------------------------------------------------------------------------
 # Spy-point reductions from [all,(u,1)]
 
 
-def _spy_translate(alpha, spy, mode):
-    """mode 'at': @-based rules; mode 'tense': P/F-based rules."""
-
-    def term(t):
-        if isinstance(t, sat.FOConst):
-            return Atom(NOM, t.name)
-        return Atom(SVAR, t.name)
-
-    def rec(g):
-        if isinstance(g, (sat.FOTrue, sat.FOFalse)):
-            return Top() if isinstance(g, sat.FOTrue) else Bot()
-        if isinstance(g, sat.Rel):
-            x, y = term(g.left), term(g.right)
-            if mode == "at":
-                return At(x, Diamond(y))
-            return Past(And(spy, Future(And(x, Future(y)))))
-        if isinstance(g, sat.Pred):
-            x = term(g.term)
-            p = Atom(PROP, _pred_to_prop(g.name))
-            if mode == "at":
-                return At(x, p)
-            return Past(And(spy, Future(And(x, p))))
-        if isinstance(g, sat.FONot):
-            return Not(rec(g.body))
-        if isinstance(g, sat.FOAnd):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, sat.FOOr):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, sat.FOImplies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, sat.Exists):
-            x = Atom(SVAR, g.var)
-            if mode == "at":
-                return At(spy, Diamond(Down(x, rec(g.body))))
-            return Past(And(spy, Future(Down(x, rec(g.body)))))
-        if isinstance(g, sat.Forall):
-            x = Atom(SVAR, g.var)
-            if mode == "at":
-                return Not(At(spy, Diamond(Down(x, Not(rec(g.body))))))
-            return Not(Past(And(spy, Future(Down(x, Not(rec(g.body)))))))
-        raise TypeError(f"unsupported node in [all,(u,1)]: {g!r}")
-
-    return rec(alpha)
-
-
-def _spy_reduce(alpha, mode):
+def _spy_sentence(alpha):
+    """alpha with its quantifiers renamed apart, and a spy variable fresh for it."""
     if not sat.is_all_u1(alpha):
         raise FragmentError("spy reductions expect a sentence of [all,(u,1)]")
     if sat.fo_free_vars(alpha):
         raise FragmentError("spy reductions expect a sentence")
     alpha = _rename_apart(alpha)
-    bound = {g.var for g in sat.fo_subformulas(alpha) if isinstance(g, (sat.Exists, sat.Forall))}
-    spy_name = "i" if "i" not in bound else "_spy"
-    spy = Atom(SVAR, spy_name)
-    body = _spy_translate(alpha, spy, mode)
-    if mode == "at":
-        return Down(spy, And(Not(Diamond(spy)), Diamond(body)))
-    return Down(spy, And(Not(Future(spy)), Future(body)))
+    return alpha, _Names(alpha).svar("i")
 
 
 def spy_at(alpha: sat.FOFormula) -> Formula:
     """f(alpha) = down i. (~dia i & dia alpha^t), @-based spy point."""
-    return _spy_reduce(alpha, "at")
+    alpha, spy = _spy_sentence(alpha)
+    body = _fo_to_hl(alpha, lambda h: At(spy, Diamond(h)), At, Diamond, _pred_to_prop)
+    return Down(spy, And(Not(Diamond(spy)), Diamond(body)))
 
 
 def spy_fp(alpha: sat.FOFormula) -> Formula:
     """The F,P variant of the spy-point reduction."""
-    return _spy_reduce(alpha, "tense")
+    alpha, spy = _spy_sentence(alpha)
+
+    def reach(h):
+        return Past(And(spy, Future(h)))
+
+    body = _fo_to_hl(alpha, reach, lambda t, h: reach(And(t, h)), Future, _pred_to_prop)
+    return Down(spy, And(Not(Future(spy)), Future(body)))
 
 
 # ---------------------------------------------------------------------------
@@ -681,40 +608,9 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
     if sat.fo_free_vars(alpha):
         raise FragmentError("string reduction expects a sentence")
     alpha = _rename_apart(alpha)
-    bound = {g.var for g in sat.fo_subformulas(alpha) if isinstance(g, (sat.Exists, sat.Forall))}
-    s_name = "s" if "s" not in bound else "_spy"
-    s = Atom(SVAR, s_name)
-
-    def term(t):
-        if isinstance(t, sat.FOConst):
-            return Atom(NOM, t.name)
-        return Atom(SVAR, t.name)
-
-    def rec(g):
-        if isinstance(g, (sat.FOTrue, sat.FOFalse)):
-            return Top() if isinstance(g, sat.FOTrue) else Bot()
-        if isinstance(g, sat.Pred):
-            return At(s, Diamond(And(term(g.term), Atom(PROP, g.name))))
-        if isinstance(g, sat.Eq):
-            return At(s, Diamond(And(term(g.left), term(g.right))))
-        if isinstance(g, sat.Rel):
-            return At(s, Diamond(And(term(g.left), Diamond(term(g.right)))))
-        if isinstance(g, sat.FONot):
-            return Not(rec(g.body))
-        if isinstance(g, sat.FOAnd):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, sat.FOOr):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, sat.FOImplies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, sat.Exists):
-            return At(s, Diamond(Down(Atom(SVAR, g.var), rec(g.body))))
-        if isinstance(g, sat.Forall):
-            return Not(At(s, Diamond(Down(Atom(SVAR, g.var), Not(rec(g.body))))))
-        raise TypeError(f"not an FO node: {g!r}")
-
-    names = _Names()
-    names.used = set(bound) | {s_name} | set(sigma)
+    names = _Names(alpha)
+    s = names.svar("s")
+    names.used.update(sigma)
     x, y = names.svar("x"), names.svar("y")
     fl = And(
         Diamond(Down(x, At(s, Box(Not(Diamond(x)))))),
@@ -738,7 +634,11 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
         )
     )
     psi = And(And(fl, discrete), unique)
-    return Down(s, And(rec(alpha), psi))
+
+    def reach(h):
+        return At(s, Diamond(h))
+
+    return Down(s, And(_fo_to_hl(alpha, reach, lambda t, h: reach(And(t, h)), Diamond, str), psi))
 
 
 # ---------------------------------------------------------------------------
@@ -751,16 +651,19 @@ _HLE_US_NODES = (
 )
 
 
-def exists_to_at(phi: Formula) -> Formula:
-    """f(phi) = i & ~dia i & dia phi^t with E psi mapped to @i dia psi."""
+def _check_e_us(phi):
     for g in subformulas(phi):
         if isinstance(g, Atom):
             if g.kind == SVAR:
                 raise FragmentError("the E-U,S language has no state variables")
         elif not isinstance(g, _HLE_US_NODES):
             raise FragmentError(f"operator {type(g).__name__} is outside the E-U,S language")
-    noms = {a.name for a in atoms_of(phi) if a.kind == NOM}
-    spy = Atom(NOM, "i" if "i" not in noms else "_spy")
+
+
+def exists_to_at(phi: Formula) -> Formula:
+    """f(phi) = i & ~dia i & dia phi^t with E psi mapped to @i dia psi."""
+    _check_e_us(phi)
+    spy = _Names(phi).nom("i")
 
     def rewrite(g):
         if isinstance(g, Somewhere):
@@ -793,12 +696,7 @@ def _pdl_conj(parts):
 
 def _normalize_for_pdl(phi):
     """Rewrite the E-U,S language so only atoms, not, and, E, U, S remain."""
-    for g in subformulas(phi):
-        if isinstance(g, Atom):
-            if g.kind == SVAR:
-                raise FragmentError("the E-U,S language has no state variables")
-        elif not isinstance(g, _HLE_US_NODES):
-            raise FragmentError(f"operator {type(g).__name__} is outside the E-U,S language")
+    _check_e_us(phi)
 
     def rewrite(g):
         if isinstance(g, Top):

@@ -212,6 +212,13 @@ def test_translate_string_and_pdl(capsys):
     parse_pdl(out.strip())
 
 
+def test_fo_reserved_identifiers_exit_65(capsys):
+    text = "E i. E _spy. ((A z. ~R(_spy,z)) & (E w. R(w,w)))"
+    code, out, err = run(capsys, "translate", "--rule", "spy-at", "--fo", text)
+    assert code == 65 and out == ""
+    assert "'_spy'" in err and "reserved" in err
+
+
 def test_translate_until_down_requires_until_root(capsys):
     code, _, err = run(capsys, "translate", "--rule", "until-down", "--formula", "p")
     assert code == 65

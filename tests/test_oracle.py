@@ -309,6 +309,8 @@ FO_BATTERY = [
     "A x. A y. (R(x,y) -> E z. (R(x,z) & R(z,y)))",
     "E x. E y. (~x=y)",
     "E x. (p(x) & ~q(x))",
+    # inner binders shadow outer ones: the two conjuncts are not alpha-equivalent
+    "(E x. E x. E y. R(x,y)) & ~(E x. E x. E y. R(y,y))",
 ]
 
 

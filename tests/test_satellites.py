@@ -8,6 +8,7 @@ from hylo.satellites import (
     FOAnd,
     FOConst,
     FONot,
+    FOParseError,
     FOStructure,
     FOVar,
     Forall,
@@ -78,6 +79,37 @@ def test_fo_parser_binds_free_names_as_constants():
     assert f == Exists("x", Rel(FOVar("x"), FOConst("c")))
     g = parse_fo("E x. A y. (R(x,y) -> ~x=y)")
     assert fo_free_vars(g) == frozenset()
+
+
+@pytest.mark.parametrize("text", ["E _x. R(_x,_x)", "E x. _p(x)", "E x. R(x, _c)"])
+def test_fo_parser_rejects_reserved_identifiers(text):
+    with pytest.raises(FOParseError, match="reserved namespace"):
+        parse_fo(text)
+
+
+def test_fo_equal_structure_is_the_same_node():
+    import copy
+    import pickle
+
+    text = "E x. A y. (R(x,y) | x=y) & ~p(c) & (R+(c,c) -> true)"
+    f = parse_fo(text)
+    assert parse_fo(text) is f
+    assert Rel(x, FOConst("c")) is Rel(x, FOConst("c"))
+    assert copy.deepcopy(f) is f
+    assert copy.copy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_fo_intern_table_is_weak():
+    import gc
+    import weakref
+
+    f = parse_fo("E x. (zz1(x) & A y. R(x,y))")
+    assert f.alpha_code and not f.fv  # fills the per-node caches too
+    dead = weakref.ref(f.body.right)
+    del f
+    gc.collect()
+    assert dead() is None
 
 
 def test_fo_parser_syntax():

@@ -2,7 +2,9 @@ import pytest
 
 from hylo.checker import eval_formula
 from hylo.formula import (
+    NOM,
     And,
+    Atom,
     Bot,
     Diamond,
     FragmentError,
@@ -17,7 +19,19 @@ from hylo.formula import (
     subformulas,
 )
 from hylo.oracle import brute_fo_sat, brute_sat, enumerate_models, find_eval_difference
-from hylo.satellites import parse_fo, parse_pdl, pdl_eval, SiblingTree
+from hylo.satellites import (
+    Exists,
+    FOAnd,
+    FONot,
+    FOVar,
+    Forall,
+    Pred,
+    Rel,
+    SiblingTree,
+    parse_fo,
+    parse_pdl,
+    pdl_eval,
+)
 from hylo.translate import (
     at_elim_linear,
     complete_reduction,
@@ -231,6 +245,24 @@ def test_spy_sat_transfer():
     assert brute_fo_sat(bad, "transitive", 3) is None
     assert brute_sat(spy_at(bad), "transitive", 3) is None
     assert brute_sat(spy_fp(bad), "transitive", 3) is None
+
+
+def test_spy_names_avoid_every_input_name():
+    # built as ASTs: the parser rejects the reserved name _spy; a spy or
+    # string point named _spy would be rebound by the inner quantifier
+    spy, z, w = FOVar("_spy"), FOVar("z"), FOVar("w")
+    alpha = Exists(
+        "i", Exists("_spy", FOAnd(Forall("z", FONot(Rel(spy, z))), Exists("w", Rel(w, w))))
+    )
+    assert brute_fo_sat(alpha, "any", 3) is not None
+    assert brute_sat(spy_at(alpha), "any", 4) is not None
+    assert brute_sat(spy_fp(alpha), "any", 4) is not None
+    word = Exists("s", Exists("_spy", FOAnd(Pred("a", spy), Exists("w", Rel(w, spy)))))
+    assert brute_fo_sat(word, "linear", 3) is not None
+    assert brute_sat(string_reduction(word, ["a"]), "linear", 5) is not None
+    phi = And(parse("'i"), Atom(NOM, "_spy"))
+    assert brute_sat(phi, "transitive", 2) is not None
+    assert brute_sat(exists_to_at(phi), "transitive", 3) is not None
 
 
 def test_tt_to_nat_tense_fully_expanded():
