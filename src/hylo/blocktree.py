@@ -99,8 +99,6 @@ class FiniteRep:
         object.__setattr__(self, "_m_model", m_model)
         object.__setattr__(self, "_c_succ", c_succ)
         object.__setattr__(self, "_parts", parts)
-        object.__setattr__(self, "_node_edges", edges)
-        object.__setattr__(self, "_node_of", node_of)
 
     @staticmethod
     def _check_condensation_tree(parts, edges):

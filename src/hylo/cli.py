@@ -12,8 +12,8 @@ import multiprocessing
 import sys
 
 from . import blocktree, checker, model, oracle, solver, translate
-from .formula import FragmentError, ParseError, Until, fragment_of, parse, print_formula
-from .satellites import FOParseError, fo_to_text, parse_fo, pdl_to_text
+from .formula import Until, fragment_of, parse, print_formula
+from .satellites import fo_to_text, parse_fo, pdl_to_text
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -280,10 +280,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, FOParseError, FragmentError) as exc:
-        print(f"hylo: {exc}", file=sys.stderr)
-        return EX_DATA
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # parse, fragment and input errors
         print(f"hylo: {exc}", file=sys.stderr)
         return EX_DATA
     except Exception as exc:  # exit 1 would read as UNSAT / false

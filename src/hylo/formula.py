@@ -4,7 +4,13 @@ Atoms come in three kinds, told apart by their sigil in concrete syntax:
 bare identifiers are propositions, a leading apostrophe marks a nominal
 (``'i``), a leading dollar marks a state variable (``$x``).  Identifiers
 starting with an underscore are reserved for internally generated names and
-are rejected by the parser unless ``allow_reserved`` is set.
+are rejected by the parser unless ``allow_reserved`` is set; a keyword
+(``RESERVED_WORDS``) names no proposition.
+
+The token cursor ``_Tokens`` serves all three concrete syntaxes (hybrid,
+first-order and PDL): one lexer with line and column tracking, one
+error position, one left-associative infix loop.  The hybrid parser reads
+its operator keywords from the printer's token tables.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ PROP = "prop"
 NOM = "nom"
 SVAR = "var"
 
+# identifiers the parser reads as operators or constants, so no
+# proposition may take one as its name
 RESERVED_WORDS = frozenset(
     ["true", "false", "down", "U", "S", "F", "G", "P", "H", "E", "A"]
 )
@@ -128,6 +136,8 @@ class Atom(Formula):
             raise ValueError(f"bad atom kind: {self.kind!r}")
         if not _IDENT_RE.fullmatch(self.name):
             raise ValueError(f"bad atom name: {self.name!r}")
+        if self.kind == PROP and self.name in RESERVED_WORDS:
+            raise ValueError(f"proposition name {self.name!r} is a keyword")
 
 
 def prop(name: str) -> Atom:
@@ -361,6 +371,12 @@ def free_vars(f: Formula) -> frozenset[str]:
     return f.fv
 
 
+def _sentence_guard(f: Formula) -> None:
+    fv = free_vars(f)
+    if fv:
+        raise ValueError(f"not a sentence, free: {sorted(fv)}")
+
+
 def strip_free(f: Formula) -> Formula:
     """Replace every free state-variable occurrence by false.
 
@@ -476,13 +492,13 @@ def fragment_of(f: Formula) -> str:
     return f"{base}{sup}_{{{','.join(subs)}}}"
 
 
-def recode_nominals(f: Formula, prefix: str = "_n_") -> Formula:
+def recode_nominals(f: Formula) -> Formula:
     """Rewrite every nominal atom into a reserved-namespace proposition."""
 
     def rec(g):
         if isinstance(g, Atom):
             if g.kind == NOM:
-                return Atom(PROP, prefix + g.name)
+                return Atom(PROP, "_n_" + g.name)
             return g
         if isinstance(g, (Top, Bot)):
             return g
@@ -516,55 +532,43 @@ def fresh_svars(count: int, *formulas: Formula) -> list[Atom]:
 # Lexer / parser
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<iff><->)
-  | (?P<implies>->)
-  | (?P<diamond><>)
-  | (?P<box>\[\])
-  | (?P<nomtok>'[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<svartok>\$[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[()&|~@+,.])
-    """,
-    re.VERBOSE,
-)
+class _Tokens:
+    """A cursor over the tokens of one text, shared by the concrete syntaxes.
 
+    A subclass gives its token ``pattern`` (one named group per kind; ``ws``
+    is dropped), the ``reserved`` kinds whose identifiers may not start
+    with an underscore unless ``allow_reserved`` is set, and the ``error``
+    class it raises.  Every error carries the 1-based line and column of
+    the token at fault.
+    """
 
-def _tokenize(text, allow_reserved):
-    line, col = 1, 1
-    pos = 0
-    toks = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            if kind in ("nomtok", "svartok", "ident"):
-                bare = value.lstrip("'$")
-                if bare.startswith("_") and not allow_reserved:
-                    raise ParseError(
-                        f"identifier {value!r} uses the reserved namespace", line, col
-                    )
-            toks.append((kind, value, line, col))
-        nl = value.count("\n")
-        if nl:
-            line += nl
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    toks.append(("eof", "", line, col))
-    return toks
+    pattern: re.Pattern
+    reserved = ()
+    error = ParseError
 
-
-class _Parser:
-    def __init__(self, toks):
-        self.toks = toks
+    def __init__(self, text, allow_reserved=False):
+        line, col = 1, 1
+        pos = 0
+        self.toks = []
         self.i = 0
+        while pos < len(text):
+            m = self.pattern.match(text, pos)
+            if not m:
+                raise self.error(f"unexpected character {text[pos]!r}", line, col)
+            kind = m.lastgroup
+            value = m.group()
+            if kind in self.reserved and value.lstrip("'$").startswith("_") and not allow_reserved:
+                raise self.error(f"identifier {value!r} uses the reserved namespace", line, col)
+            if kind != "ws":
+                self.toks.append((kind, value, line, col))
+            nl = value.count("\n")
+            if nl:
+                line += nl
+                col = len(value) - value.rfind("\n")
+            else:
+                col += len(value)
+            pos = m.end()
+        self.toks.append(("eof", "", line, col))
 
     def peek(self):
         return self.toks[self.i]
@@ -574,55 +578,66 @@ class _Parser:
         self.i += 1
         return tok
 
-    def error(self, message):
+    def fail(self, message):
         kind, value, line, col = self.peek()
         shown = value if kind != "eof" else "end of input"
-        raise ParseError(f"{message} (found {shown!r})", line, col)
+        raise self.error(f"{message} (found {shown!r})", line, col)
 
     def expect(self, value):
         kind, got, line, col = self.next()
         if got != value:
-            raise ParseError(f"expected {value!r}, found {got!r}", line, col)
+            raise self.error(f"expected {value!r}, found {got!r}", line, col)
 
-    def formula(self):
-        left = self.implies_level()
-        while self.peek()[1] == "<->":
-            self.next()
-            left = Iff(left, self.implies_level())
+    def done(self, result):
+        """result, once every token is read."""
+        if self.peek()[0] != "eof":
+            self.fail("trailing input")
+        return result
+
+    def chain(self, ops, operand):
+        """One left-associative infix level: operands joined by the tokens
+        of ops, each mapped to the node class it builds."""
+        left = operand()
+        while self.peek()[1] in ops:
+            left = ops[self.next()[1]](left, operand())
         return left
 
+
+class _Parser(_Tokens):
+    pattern = re.compile(
+        r"""
+        (?P<ws>\s+)
+      | (?P<iff><->)
+      | (?P<implies>->)
+      | (?P<diamond><>)
+      | (?P<box>\[\])
+      | (?P<nomtok>'[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<svartok>\$[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>[()&|~@+,.])
+        """,
+        re.VERBOSE,
+    )
+    reserved = ("nomtok", "svartok", "ident")
+
+    def formula(self):
+        return self.chain({"<->": Iff}, self.implies_level)
+
     def implies_level(self):
-        left = self.or_level()
+        left = self.chain({"|": Or}, self.and_level)
         if self.peek()[1] == "->":
             self.next()
             return Implies(left, self.implies_level())
         return left
 
-    def or_level(self):
-        left = self.and_level()
-        while self.peek()[1] == "|":
-            self.next()
-            left = Or(left, self.and_level())
-        return left
-
     def and_level(self):
-        left = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            left = And(left, self.unary())
-        return left
+        return self.chain({"&": And}, self.unary)
 
     def unary(self):
         kind, value, line, col = self.peek()
-        if value == "~":
+        if value in _UNARY_CLASSES:
             self.next()
-            return Not(self.unary())
-        if value == "<>":
-            self.next()
-            return Diamond(self.unary())
-        if value == "[]":
-            self.next()
-            return Box(self.unary())
+            return _UNARY_CLASSES[value](self.unary())
         if value == "(":
             self.next()
             f = self.formula()
@@ -631,78 +646,39 @@ class _Parser:
         if value == "@":
             self.next()
             tkind, tval, tline, tcol = self.next()
-            if tkind == "nomtok":
-                term = Atom(NOM, tval[1:])
-            elif tkind == "svartok":
-                term = Atom(SVAR, tval[1:])
-            else:
-                raise ParseError(
-                    "at-term must be a nominal or state variable", tline, tcol
-                )
-            return At(term, self.unary())
-        if kind == "nomtok":
+            if tkind not in _SIGILS:
+                raise ParseError("at-term must be a nominal or state variable", tline, tcol)
+            return At(Atom(_SIGILS[tkind], tval[1:]), self.unary())
+        if kind in _SIGILS:
             self.next()
-            return Atom(NOM, value[1:])
-        if kind == "svartok":
-            self.next()
-            return Atom(SVAR, value[1:])
-        if kind == "ident":
-            if value == "true":
-                self.next()
-                return Top()
-            if value == "false":
-                self.next()
-                return Bot()
-            if value == "down":
-                self.next()
-                vkind, vval, vline, vcol = self.next()
-                if vkind != "svartok":
-                    raise ParseError("down binds a state variable", vline, vcol)
-                self.expect(".")
-                return Down(Atom(SVAR, vval[1:]), self.formula())
-            if value in ("U", "S"):
-                self.next()
-                plus = 0
-                while plus < 2 and self.peek()[1] == "+":
-                    self.next()
-                    plus += 1
-                cls = {
-                    ("U", 0): Until,
-                    ("U", 1): UntilPlus,
-                    ("U", 2): UntilPlusPlus,
-                    ("S", 0): Since,
-                    ("S", 1): SincePlus,
-                    ("S", 2): SincePlusPlus,
-                }[(value, plus)]
-                self.expect("(")
-                left = self.formula()
-                self.expect(",")
-                right = self.formula()
-                self.expect(")")
-                return cls(left, right)
-            if value in ("F", "G", "P", "H", "E", "A"):
-                self.next()
-                cls = {
-                    "F": Future,
-                    "G": Globally,
-                    "P": Past,
-                    "H": Historically,
-                    "E": Somewhere,
-                    "A": Everywhere,
-                }[value]
-                return cls(self.unary())
-            self.next()
-            return Atom(PROP, value)
-        self.error("expected a formula")
+            return Atom(_SIGILS[kind], value[1:])
+        if kind != "ident":
+            self.fail("expected a formula")
+        self.next()
+        if value in _CONSTANTS:
+            return _CONSTANTS[value]()
+        if value == "down":
+            vkind, vval, vline, vcol = self.next()
+            if vkind != "svartok":
+                raise ParseError("down binds a state variable", vline, vcol)
+            self.expect(".")
+            return Down(Atom(SVAR, vval[1:]), self.formula())
+        if value in _APP_CLASSES:
+            while value + "+" in _APP_CLASSES and self.peek()[1] == "+":
+                value += self.next()[1]
+            self.expect("(")
+            left = self.formula()
+            self.expect(",")
+            right = self.formula()
+            self.expect(")")
+            return _APP_CLASSES[value](left, right)
+        return Atom(PROP, value)
 
 
 def parse(text: str, allow_reserved: bool = False) -> Formula:
     """Parse concrete syntax into a Formula; raises ParseError with position."""
-    parser = _Parser(_tokenize(text, allow_reserved))
-    f = parser.formula()
-    if parser.peek()[0] != "eof":
-        parser.error("trailing input")
-    return f
+    parser = _Parser(text, allow_reserved)
+    return parser.done(parser.formula())
 
 
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
@@ -727,6 +703,13 @@ _APP_TOKENS = {
     UntilPlusPlus: "U++",
     SincePlusPlus: "S++",
 }
+
+
+# the parser reads the printer's tables backwards
+_UNARY_CLASSES = {token.strip(): cls for cls, token in _UNARY_TOKENS.items()}
+_APP_CLASSES = {token: cls for cls, token in _APP_TOKENS.items()}
+_CONSTANTS = {"true": Top, "false": Bot}
+_SIGILS = {"nomtok": NOM, "svartok": SVAR}
 
 
 def _atom_text(a: Atom) -> str:

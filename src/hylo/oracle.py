@@ -63,7 +63,7 @@ from .formula import (
     Past,
     Somewhere,
     Top,
-    free_vars,
+    _sentence_guard,
     noms_of,
     props_of,
     subformulas,
@@ -510,12 +510,6 @@ class Found:
     model: HybridModel
     state: str
     assignment: dict
-
-
-def _sentence_guard(phi):
-    fv = free_vars(phi)
-    if fv:
-        raise ValueError(f"not a sentence, free: {sorted(fv)}")
 
 
 def _first_lane(row):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .formula import _Node, _node
+from .formula import ParseError, _Node, _node, _Tokens
 from .model import _closure
 
 
@@ -329,80 +329,41 @@ def string_structure(word) -> FOStructure:
 # quantifiers "E x." / "A x."; atoms R(x,y), R+(x,y), P(x), x=y, x<y;
 # connectives ~ & | ->; free names parse as constants.
 
-_FO_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<implies>->)
-  | (?P<plus>R\+\s*\()
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*|[0-9]+)
-  | (?P<punct>[()~&|=<,.])
-    """,
-    re.VERBOSE,
-)
+class FOParseError(ParseError):
+    """A syntax error in FO concrete syntax, with its line and column."""
 
 
-class FOParseError(ValueError):
-    pass
-
-
-class _FOParser:
-    def __init__(self, text):
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _FO_TOKEN_RE.match(text, pos)
-            if not m:
-                raise FOParseError(f"unexpected character {text[pos]!r} at {pos}")
-            if m.lastgroup == "ident" and m.group().startswith("_"):
-                raise FOParseError(f"identifier {m.group()!r} at {pos} uses the reserved namespace")
-            if m.lastgroup != "ws":
-                self.toks.append((m.lastgroup, m.group().strip()))
-            pos = m.end()
-        self.toks.append(("eof", ""))
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, got = self.next()
-        if got != value:
-            raise FOParseError(f"expected {value!r}, found {got!r}")
+class _FOParser(_Tokens):
+    pattern = re.compile(
+        r"""
+        (?P<ws>\s+)
+      | (?P<implies>->)
+      | (?P<plus>R\+\s*\()
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*|[0-9]+)
+      | (?P<punct>[()~&|=<,.])
+        """,
+        re.VERBOSE,
+    )
+    reserved = ("ident",)
+    error = FOParseError
 
     def formula(self):
-        left = self.or_level()
+        left = self.chain({"|": FOOr}, self.and_level)
         if self.peek()[1] == "->":
             self.next()
             return FOImplies(left, self.formula())
         return left
 
-    def or_level(self):
-        left = self.and_level()
-        while self.peek()[1] == "|":
-            self.next()
-            left = FOOr(left, self.and_level())
-        return left
-
     def and_level(self):
-        left = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            left = FOAnd(left, self.unary())
-        return left
+        return self.chain({"&": FOAnd}, self.unary)
 
     def term_name(self):
-        kind, value = self.next()
-        if kind != "ident":
-            raise FOParseError(f"expected a term, found {value!r}")
-        return value
+        if self.peek()[0] != "ident":
+            self.fail("expected a term")
+        return self.next()[1]
 
     def unary(self):
-        kind, value = self.peek()
+        kind, value, line, col = self.peek()
         if value == "~":
             self.next()
             return FONot(self.unary())
@@ -418,50 +379,46 @@ class _FOParser:
             b = self.term_name()
             self.expect(")")
             return RelPlus(FOVar(a), FOVar(b))
-        if kind == "ident":
-            if value in ("E", "A") and self.toks[self.i + 1][0] == "ident":
+        if kind != "ident":
+            self.fail("expected an FO formula")
+        if value in ("E", "A") and self.toks[self.i + 1][0] == "ident":
+            self.next()
+            var = self.term_name()
+            self.expect(".")
+            cls = Exists if value == "E" else Forall
+            return cls(var, self.formula())
+        if value == "true":
+            self.next()
+            return FOTrue()
+        if value == "false":
+            self.next()
+            return FOFalse()
+        name = self.term_name()
+        value2 = self.peek()[1]
+        if value2 == "(":
+            self.next()
+            a = self.term_name()
+            if self.peek()[1] == ",":
                 self.next()
-                var = self.term_name()
-                self.expect(".")
-                cls = Exists if value == "E" else Forall
-                return cls(var, self.formula())
-            if value == "true":
-                self.next()
-                return FOTrue()
-            if value == "false":
-                self.next()
-                return FOFalse()
-            name = self.term_name()
-            kind2, value2 = self.peek()
-            if value2 == "(":
-                self.next()
-                a = self.term_name()
-                if self.peek()[1] == ",":
-                    self.next()
-                    b = self.term_name()
-                    self.expect(")")
-                    if name != "R":
-                        raise FOParseError(f"unknown binary relation {name!r}")
-                    return Rel(FOVar(a), FOVar(b))
+                b = self.term_name()
                 self.expect(")")
-                return Pred(name, FOVar(a))
-            if value2 == "=":
-                self.next()
-                other = self.term_name()
-                return Eq(FOVar(name), FOVar(other))
-            if value2 == "<":
-                self.next()
-                other = self.term_name()
-                return Rel(FOVar(name), FOVar(other))
-            raise FOParseError(f"dangling term {name!r}")
-        raise FOParseError(f"expected an FO formula, found {value!r}")
+                if name != "R":
+                    raise FOParseError(f"unknown binary relation {name!r}", line, col)
+                return Rel(FOVar(a), FOVar(b))
+            self.expect(")")
+            return Pred(name, FOVar(a))
+        if value2 == "=":
+            self.next()
+            return Eq(FOVar(name), FOVar(self.term_name()))
+        if value2 == "<":
+            self.next()
+            return Rel(FOVar(name), FOVar(self.term_name()))
+        self.fail(f"dangling term {name!r}")
 
 
 def parse_fo(text: str) -> FOFormula:
     parser = _FOParser(text)
-    f = parser.formula()
-    if parser.peek()[0] != "eof":
-        raise FOParseError(f"trailing input {parser.peek()[1]!r}")
+    f = parser.done(parser.formula())
     # free names are constants; bound ones stay variables
     return fo_rename(f, lambda v, scope: v, FOConst)
 
@@ -823,51 +780,19 @@ def _star_part(p):
     return f"({text})" if isinstance(p, (Seq, Choice)) else text
 
 
-class PdlParseError(ValueError):
-    pass
+class PdlParseError(ParseError):
+    """A syntax error in PDL concrete syntax, with its line and column."""
 
 
-_PDL_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>[()<>~&;|*+?])"
-)
-
-
-class _PdlParser:
-    def __init__(self, text):
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _PDL_TOKEN_RE.match(text, pos)
-            if not m:
-                raise PdlParseError(f"unexpected character {text[pos]!r} at {pos}")
-            if m.lastgroup != "ws":
-                self.toks.append((m.lastgroup, m.group()))
-            pos = m.end()
-        self.toks.append(("eof", ""))
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, value):
-        kind, got = self.next()
-        if got != value:
-            raise PdlParseError(f"expected {value!r}, found {got!r}")
+class _PdlParser(_Tokens):
+    pattern = re.compile(r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>[()<>~&;|*+?])")
+    error = PdlParseError
 
     def formula(self):
-        left = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            left = PdlAnd(left, self.unary())
-        return left
+        return self.chain({"&": PdlAnd}, self.unary)
 
     def unary(self):
-        kind, value = self.peek()
+        kind, value, line, col = self.peek()
         if value == "~":
             self.next()
             return PdlNot(self.unary())
@@ -884,21 +809,13 @@ class _PdlParser:
         if kind == "ident":
             self.next()
             return PdlAtom(value)
-        raise PdlParseError(f"expected a PDL formula, found {value!r}")
+        self.fail("expected a PDL formula")
 
     def program(self):
-        left = self.seq()
-        while self.peek()[1] == "|":
-            self.next()
-            left = Choice(left, self.seq())
-        return left
+        return self.chain({"|": Choice}, self.seq)
 
     def seq(self):
-        left = self.postfix()
-        while self.peek()[1] == ";":
-            self.next()
-            left = Seq(left, self.postfix())
-        return left
+        return self.chain({";": Seq}, self.postfix)
 
     def postfix(self):
         base = self.prog_base()
@@ -908,7 +825,7 @@ class _PdlParser:
         return base
 
     def prog_base(self):
-        kind, value = self.peek()
+        kind, value, line, col = self.peek()
         if value == "(":
             self.next()
             p = self.program()
@@ -923,15 +840,12 @@ class _PdlParser:
         if kind == "ident" and value in ("left", "right", "up", "down"):
             self.next()
             return {"left": Left(), "right": Right(), "up": Up(), "down": DownP()}[value]
-        raise PdlParseError(f"expected a program, found {value!r}")
+        self.fail("expected a program")
 
 
 def parse_pdl(text: str) -> PdlFormula:
     parser = _PdlParser(text)
-    f = parser.formula()
-    if parser.peek()[0] != "eof":
-        raise PdlParseError(f"trailing input {parser.peek()[1]!r}")
-    return f
+    return parser.done(parser.formula())
 
 
 # -- tree / structure file formats (mirror the model format) ----------------

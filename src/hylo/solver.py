@@ -39,9 +39,9 @@ from itertools import combinations, product
 from .blocktree import FiniteRep, compute_types, verify
 from .formula import (
     Formula,
+    _sentence_guard,
     check_hld,
     diamond_closure,
-    free_vars,
     noms_of,
     print_formula,
     props_of,
@@ -55,11 +55,8 @@ class Budget:
     max_clique: int = 4
     max_nodes: int = 8
     max_c: int = 4
-    depth_schedule: tuple | None = None
 
     def levels(self):
-        if self.depth_schedule is not None:
-            return list(self.depth_schedule)
         triples = [
             (nodes, cliq, c)
             for nodes in range(1, self.max_nodes + 1)
@@ -366,7 +363,7 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                             reason = result.reason.split(":")[0]
                             stats["rejected"][reason] = stats["rejected"].get(reason, 0) + 1
     limit = (budget.max_nodes, budget.max_clique, budget.max_c)
-    if budget.depth_schedule is None and all(a >= b for a, b in zip(limit, bounds)):
+    if all(a >= b for a, b in zip(limit, bounds)):
         return SatResult(
             "unsat",
             exhaustive=True,
@@ -407,7 +404,7 @@ def sat_complete(phi: Formula, budget: Budget = Budget()) -> SatResult:
     """Satisfiability over complete frames: single-clique representations."""
     _sentence_guard(phi)
     warning = bool(noms_of(phi))
-    budget_c = Budget(budget.max_clique, 1, 0, budget.depth_schedule)
+    budget_c = Budget(budget.max_clique, 1, 0)
     _, clique_bound, _ = bounds_for(phi)
     return _search(
         phi,
@@ -416,9 +413,3 @@ def sat_complete(phi: Formula, budget: Budget = Budget()) -> SatResult:
         nominal_warning=warning,
         bounds=(1, clique_bound, 0),
     )
-
-
-def _sentence_guard(phi):
-    fv = free_vars(phi)
-    if fv:
-        raise ValueError(f"not a sentence, free: {sorted(fv)}")

@@ -12,6 +12,7 @@ from functools import reduce
 from .formula import (
     NOM,
     PROP,
+    RESERVED_WORDS,
     SVAR,
     UNTIL_FORMS,
     _BINARY,
@@ -329,19 +330,39 @@ def st_complete(phi: Formula, anchor: str = "x") -> sat.FOFormula:
 # The monadic class with equality and complete frames
 
 
-def _pred_to_prop(name):
-    if name[0].isalpha():
-        return name.lower()
-    return "q" + name
+def _prop_names(alpha):
+    """An injective map from the predicates of alpha to proposition names.
+
+    A predicate takes its customary name, lowercased or with q before a
+    leading digit, unless that name is a keyword or another predicate
+    claimed it first (one that already bears the name claims first); the
+    rest take the customary name with the first free numeric suffix.
+    """
+    preds = sorted(sat.fo_preds(alpha))
+    want = {p: p.lower() if p[0].isalpha() else "q" + p for p in preds}
+    out = {}
+    taken = set(RESERVED_WORDS)
+    for p in sorted(preds, key=lambda p: want[p] != p):
+        if want[p] not in taken:
+            out[p] = want[p]
+            taken.add(want[p])
+    taken.update(want.values())
+    for p in (p for p in preds if p not in out):
+        k = 1
+        while f"{want[p]}_{k}" in taken:
+            k += 1
+        out[p] = f"{want[p]}_{k}"
+        taken.add(out[p])
+    return out
 
 
-def _fo_to_hl(alpha, reach, place, step, prop_name):
+def _fo_to_hl(alpha, reach, place, step, props):
     """The first-order-to-hybrid skeleton the reductions share.
 
     Booleans map to themselves.  E x. a becomes reach(down x. a'), where
     reach leads to some element, and A x. a is its dual.  An atom puts a
     hybrid formula at the element a term names, through place: P(t)
-    places P's proposition, t=u places u, and R(t,u) places step(u).
+    places the proposition props[P], t=u places u, and R(t,u) places step(u).
     Constants become nominals and variables state variables.
     """
 
@@ -357,7 +378,7 @@ def _fo_to_hl(alpha, reach, place, step, prop_name):
         if kind is sat.Forall:
             return Not(reach(Down(svar(g.var), Not(rec(g.body)))))
         if kind is sat.Pred:
-            return place(term(g.term), Atom(PROP, prop_name(g.name)))
+            return place(term(g.term), Atom(PROP, props[g.name]))
         if kind is sat.Eq:
             return place(term(g.left), term(g.right))
         if kind is sat.Rel:
@@ -377,7 +398,7 @@ def ht(alpha: sat.FOFormula) -> Formula:
     """Monadic-class sentences into the down-fragment over complete frames."""
     if not sat.is_mc_eq(alpha):
         raise FragmentError("ht expects a formula of the monadic class with equality")
-    return _fo_to_hl(alpha, Diamond, lambda t, h: Diamond(And(t, h)), Diamond, _pred_to_prop)
+    return _fo_to_hl(alpha, Diamond, lambda t, h: Diamond(And(t, h)), Diamond, _prop_names(alpha))
 
 
 def complete_reduction(alpha: sat.FOFormula) -> Formula:
@@ -392,8 +413,8 @@ def complete_reduction(alpha: sat.FOFormula) -> Formula:
 
 def _rename_apart(alpha):
     """Each quantifier that rebinds a variable bound above it binds a
-    fresh name instead."""
-    used = set(sat.fo_vars(alpha))
+    fresh name instead, one that names no variable or constant of alpha."""
+    used = set(sat.fo_vars(alpha) | sat.fo_constants(alpha))
     counter = [0]
 
     def fresh(base):
@@ -412,7 +433,7 @@ def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
     if not sat.is_all_u1(alpha) or sat.fo_preds(alpha):
         raise FragmentError("zigzag expects a sentence over one binary relation only")
     alpha = _rename_apart(alpha)
-    used = set(sat.fo_vars(alpha))
+    used = set(sat.fo_vars(alpha) | sat.fo_constants(alpha))
     counters = {}
 
     def fresh(base):
@@ -469,7 +490,7 @@ def _spy_sentence(alpha):
 def spy_at(alpha: sat.FOFormula) -> Formula:
     """f(alpha) = down i. (~dia i & dia alpha^t), @-based spy point."""
     alpha, spy = _spy_sentence(alpha)
-    body = _fo_to_hl(alpha, lambda h: At(spy, Diamond(h)), At, Diamond, _pred_to_prop)
+    body = _fo_to_hl(alpha, lambda h: At(spy, Diamond(h)), At, Diamond, _prop_names(alpha))
     return Down(spy, And(Not(Diamond(spy)), Diamond(body)))
 
 
@@ -480,7 +501,7 @@ def spy_fp(alpha: sat.FOFormula) -> Formula:
     def reach(h):
         return Past(And(spy, Future(h)))
 
-    body = _fo_to_hl(alpha, reach, lambda t, h: reach(And(t, h)), Future, _pred_to_prop)
+    body = _fo_to_hl(alpha, reach, lambda t, h: reach(And(t, h)), Future, _prop_names(alpha))
     return Down(spy, And(Not(Future(spy)), Future(body)))
 
 
@@ -603,6 +624,9 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
     bad = sat.fo_preds(alpha) - set(sigma)
     if bad:
         raise FragmentError(f"letter predicates outside the alphabet: {sorted(bad)}")
+    keywords = RESERVED_WORDS.intersection(sigma)
+    if keywords:
+        raise FragmentError(f"letters that are keywords: {sorted(keywords)}")
     if any(isinstance(g, sat.RelPlus) for g in sat.fo_subformulas(alpha)):
         raise FragmentError("closure atoms are not part of the string signature")
     if sat.fo_free_vars(alpha):
@@ -638,7 +662,8 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
     def reach(h):
         return At(s, Diamond(h))
 
-    return Down(s, And(_fo_to_hl(alpha, reach, lambda t, h: reach(And(t, h)), Diamond, str), psi))
+    letters = {a: a for a in sigma}
+    return Down(s, And(_fo_to_hl(alpha, reach, lambda t, h: reach(And(t, h)), Diamond, letters), psi))
 
 
 # ---------------------------------------------------------------------------

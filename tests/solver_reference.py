@@ -142,6 +142,6 @@ def reference_sat_transitive(phi, budget):
                                     candidates=candidates,
                                 )
     limit = (budget.max_nodes, budget.max_clique, budget.max_c)
-    if budget.depth_schedule is None and all(a >= b for a, b in zip(limit, bounds)):
+    if all(a >= b for a, b in zip(limit, bounds)):
         return SatResult("unsat", exhaustive=True, bounds=bounds, candidates=candidates)
     return SatResult("unknown", bounds=bounds, candidates=candidates)

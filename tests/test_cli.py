@@ -1,17 +1,24 @@
+import argparse
 import json
 
 import pytest
 
-from hylo.cli import main
+from hylo.cli import _TRANSLATIONS, main
 from hylo.formula import parse
 from hylo.model import model_from_dict
-from hylo.satellites import parse_fo, parse_pdl
+from hylo.satellites import FOConst, fo_rename, parse_fo, parse_pdl
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def translated(rule, source, sigma=None):
+    """What the rule's translation gives for a parsed source, as an AST."""
+    _, translation, _ = _TRANSLATIONS[rule]
+    return translation(source, argparse.Namespace(rule=rule, sigma=sigma))
 
 
 def test_parse_command(capsys):
@@ -167,7 +174,7 @@ def test_oracle_jobs_identical(capsys):
 def test_translate_hybrid_outputs_reparse(capsys, rule, kind, text):
     code, out, _ = run(capsys, "translate", "--rule", rule, kind, text)
     assert code == 0
-    parse(out.strip(), allow_reserved=True)
+    assert parse(out.strip(), allow_reserved=True) == translated(rule, parse(text))
 
 
 @pytest.mark.parametrize(
@@ -177,25 +184,32 @@ def test_translate_hybrid_outputs_reparse(capsys, rule, kind, text):
         ("complete", "E x. p(x)"),
         ("spy-at", "E x. R(x,x)"),
         ("spy-fp", "E x. R(x,x)"),
+        ("ht", "E x. ~True(x)"),
+        ("complete", "E x. Down(x)"),
+        ("spy-at", "E x. E y. (R(x,y) & P(x) & ~p(x))"),
+        ("spy-fp", "E x. E x. R(x, x0)"),
     ],
 )
 def test_translate_fo_rules_reparse(capsys, rule, text):
     code, out, _ = run(capsys, "translate", "--rule", rule, "--fo", text)
     assert code == 0
-    parse(out.strip(), allow_reserved=True)
+    assert parse(out.strip(), allow_reserved=True) == translated(rule, parse_fo(text))
 
 
 def test_translate_st_and_zigzag_reparse(capsys):
     code, out, _ = run(capsys, "translate", "--rule", "st", "--formula", "<>p & U++(p,q)")
     assert code == 0
-    parse_fo(out.strip())
+    # the free world variable x reads back as a constant
+    st = fo_rename(translated("st", parse("<>p & U++(p,q)")), lambda v, scope: v, FOConst)
+    assert parse_fo(out.strip()) == st
     code, out, _ = run(capsys, "translate", "--rule", "st", "--formula", "<>p", "--lfp")
     assert code == 0 and "LFP" not in out  # no closure atom in plain diamonds
     code, out, _ = run(capsys, "translate", "--rule", "st", "--formula", "U++(p,q)", "--lfp")
     assert code == 0 and "LFP" in out
-    code, out, _ = run(capsys, "translate", "--rule", "zigzag", "--fo", "E x. E y. R(x,y)")
-    assert code == 0
-    parse_fo(out.strip())
+    for text in ("E x. E y. R(x,y)", "E x. E x. R(x, x0)"):
+        code, out, _ = run(capsys, "translate", "--rule", "zigzag", "--fo", text)
+        assert code == 0
+        assert parse_fo(out.strip()) == translated("zigzag", parse_fo(text))
 
 
 def test_translate_string_and_pdl(capsys):
@@ -203,7 +217,13 @@ def test_translate_string_and_pdl(capsys):
         capsys, "translate", "--rule", "string", "--fo", "E x. a(x)", "--sigma", "a,b"
     )
     assert code == 0
-    parse(out.strip(), allow_reserved=True)
+    assert parse(out.strip(), allow_reserved=True) == translated(
+        "string", parse_fo("E x. a(x)"), sigma="a,b"
+    )
+    code, out, err = run(
+        capsys, "translate", "--rule", "string", "--fo", "E x. a(x)", "--sigma", "a,F"
+    )
+    assert code == 65 and out == "" and "keywords: ['F']" in err
     code, out, _ = run(capsys, "translate", "--rule", "pdl", "--formula", "U(p, q)")
     assert code == 0
     parse_pdl(out.strip())
@@ -216,7 +236,7 @@ def test_fo_reserved_identifiers_exit_65(capsys):
     text = "E i. E _spy. ((A z. ~R(_spy,z)) & (E w. R(w,w)))"
     code, out, err = run(capsys, "translate", "--rule", "spy-at", "--fo", text)
     assert code == 65 and out == ""
-    assert "'_spy'" in err and "reserved" in err
+    assert err == "hylo: 1:8: identifier '_spy' uses the reserved namespace\n"
 
 
 def test_translate_until_down_requires_until_root(capsys):

@@ -15,6 +15,7 @@ from hylo.formula import (
     Implies,
     Not,
     Or,
+    RESERVED_WORDS,
     ParseError,
     Since,
     Somewhere,
@@ -78,6 +79,40 @@ def test_print_protects_trailing_down():
 def test_down_extends_maximally_right():
     f = parse("p & down $x . q & p")
     assert f == And(p, Down(x, And(q, p)))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("(p", "1:3: expected ')', found ''"),
+        ("p & ", "1:5: expected a formula (found 'end of input')"),
+        ("p q", "1:3: trailing input (found 'q')"),
+        ("@p q", "1:2: at-term must be a nominal or state variable"),
+        ("down p . q", "1:6: down binds a state variable"),
+        ("U+++(p, q)", "1:4: expected '(', found '+'"),
+        ("U(p q)", "1:5: expected ',', found 'q'"),
+        ("$_x", "1:1: identifier '$_x' uses the reserved namespace"),
+        ("p\n  & #", "2:5: unexpected character '#'"),
+        ("p -> \n(q", "2:3: expected ')', found ''"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert type(err.value) is ParseError
+    assert str(err.value) == message
+    assert (err.value.line, err.value.col) == tuple(map(int, message.split(":")[:2]))
+
+
+def test_keywords_are_the_parser_tokens_and_name_no_proposition():
+    from hylo.formula import _APP_CLASSES, _CONSTANTS, _UNARY_CLASSES
+
+    idents = {t for t in [*_UNARY_CLASSES, *_APP_CLASSES, *_CONSTANTS, "down"] if t.isidentifier()}
+    assert RESERVED_WORDS == idents
+    for word in RESERVED_WORDS:
+        with pytest.raises(ValueError, match="keyword"):
+            prop(word)
+        assert parse(print_formula(nom(word))) == nom(word)
 
 
 def test_until_variants_parse():

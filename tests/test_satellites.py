@@ -1,5 +1,6 @@
 import pytest
 
+from hylo.formula import ParseError
 from hylo.satellites import (
     Choice,
     DownP,
@@ -16,6 +17,7 @@ from hylo.satellites import (
     PdlAtom,
     PdlDiamond,
     PdlNot,
+    PdlParseError,
     Pred,
     Rel,
     RelPlus,
@@ -85,6 +87,48 @@ def test_fo_parser_binds_free_names_as_constants():
 def test_fo_parser_rejects_reserved_identifiers(text):
     with pytest.raises(FOParseError, match="reserved namespace"):
         parse_fo(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("E x. (P(x)", "1:11: expected ')', found ''"),
+        ("E x. x", "1:7: dangling term 'x' (found 'end of input')"),
+        ("S(x,y)", "1:1: unknown binary relation 'S'"),
+        ("R+(x,", "1:6: expected a term (found 'end of input')"),
+        ("P(x) Q(x)", "1:6: trailing input (found 'Q')"),
+        ("E _y. P(_y)", "1:3: identifier '_y' uses the reserved namespace"),
+        ("E x.\n  x # y", "2:5: unexpected character '#'"),
+        ("E x. P(x) &", "1:12: expected an FO formula (found 'end of input')"),
+    ],
+)
+def test_fo_parse_error_messages(text, message):
+    with pytest.raises(FOParseError) as err:
+        parse_fo(text)
+    assert isinstance(err.value, ParseError)
+    assert str(err.value) == message
+    assert (err.value.line, err.value.col) == tuple(map(int, message.split(":")[:2]))
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("<down", "1:6: expected '>', found ''"),
+        ("<?(p)q", "1:6: expected '>', found 'q'"),
+        ("<down;>p", "1:7: expected a program (found '>')"),
+        ("~", "1:2: expected a PDL formula (found 'end of input')"),
+        ("p & q r", "1:7: trailing input (found 'r')"),
+        ("(p", "1:3: expected ')', found ''"),
+        ("p #", "1:3: unexpected character '#'"),
+        ("<left |\n  >p", "2:3: expected a program (found '>')"),
+    ],
+)
+def test_pdl_parse_error_messages(text, message):
+    with pytest.raises(PdlParseError) as err:
+        parse_pdl(text)
+    assert isinstance(err.value, ParseError)
+    assert str(err.value) == message
+    assert (err.value.line, err.value.col) == tuple(map(int, message.split(":")[:2]))
 
 
 def test_fo_equal_structure_is_the_same_node():

@@ -28,6 +28,7 @@ from hylo.satellites import (
     Pred,
     Rel,
     SiblingTree,
+    fo_to_text,
     parse_fo,
     parse_pdl,
     pdl_eval,
@@ -401,3 +402,40 @@ def test_standard_translation_binder_named_like_anchor():
             s = FOStructure(m.states, m.rel, dict(m.val), dict(m.nomval))
             for state in m.states:
                 assert eval_formula(m, {}, state, phi) == fo_eval(s, {"x": state}, alpha), (text, m)
+
+
+def test_reductions_keep_distinct_predicates_apart():
+    # P and p once both became the proposition p, so a satisfiable
+    # sentence mapped to an unsatisfiable image
+    alpha = parse_fo("E x. (P(x) & ~p(x))")
+    assert brute_fo_sat(alpha, "complete", 1) is not None
+    assert brute_sat(ht(alpha), "complete", 1) is not None
+    assert ht(alpha) == parse("<>down $x . <>($x & p_1) & ~<>($x & p)")
+    beta = parse_fo("E x. E y. (R(x,y) & P(x) & ~p(x))")
+    assert brute_fo_sat(beta, "any", 2) is not None
+    assert brute_sat(spy_at(beta), "any", 3) is not None
+    assert brute_sat(spy_fp(beta), "any", 3) is not None
+    digits = ht(parse_fo("E x. (1(x) & q1(x) & Q1(x))"))
+    assert digits == parse("<>down $x . <>($x & q1_1) & <>($x & q1) & <>($x & q1_2)")
+
+
+@pytest.mark.parametrize("text", ["E x. ~True(x)", "E x. Down(x)", "E x. (P(x) & ~p(x) & p_1(x))"])
+def test_reduction_images_print_and_read_back(text):
+    alpha = parse_fo(text)
+    for image in (ht(alpha), spy_at(alpha), spy_fp(alpha)):
+        assert parse(print_formula(image)) == image
+    assert brute_sat(ht(alpha), "complete", 1) is not None
+
+
+def test_string_reduction_rejects_keyword_letters():
+    with pytest.raises(FragmentError, match="keywords"):
+        string_reduction(parse_fo("E x. a(x)"), ["a", "F"])
+
+
+def test_renamed_binders_avoid_constants():
+    alpha = parse_fo("E x. E x. R(x, x0)")
+    out = zigzag(alpha)
+    assert parse_fo(fo_to_text(out)) == out
+    image = spy_at(alpha)
+    assert parse(print_formula(image)) == image
+    assert "'x0" in print_formula(image) and "$x0" not in print_formula(image)
