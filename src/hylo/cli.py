@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import sys
 
-from . import blocktree, checker, model, oracle, solver, translate
+# Each command imports the modules it runs, so a command never pays for the
+# ones it does not (numpy comes only with the oracle).
 from .formula import Until, fragment_of, parse, print_formula
-from .satellites import fo_to_text, parse_fo, pdl_to_text
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -23,6 +22,23 @@ EX_INTERNAL = 70
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low, kind):
+    def convert(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return convert
+
+
+_POSITIVE = _int_at_least(1, "positive")
+_NON_NEGATIVE = _int_at_least(0, "non-negative")
 
 
 def _build_parser():
@@ -41,9 +57,9 @@ def _build_parser():
     p = sub.add_parser("sat", help="satisfiability over transitive or complete frames")
     p.add_argument("--frame", choices=["trans", "complete"], required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--max-clique", type=int, default=4)
-    p.add_argument("--max-nodes", type=int, default=8)
-    p.add_argument("--max-c", type=int, default=4)
+    p.add_argument("--max-clique", type=_POSITIVE, default=4)
+    p.add_argument("--max-nodes", type=_POSITIVE, default=8)
+    p.add_argument("--max-c", type=_NON_NEGATIVE, default=4)
     p.add_argument(
         "--exhaustive",
         action="store_true",
@@ -58,11 +74,11 @@ def _build_parser():
         choices=["any", "trans", "transitive", "complete", "transitive-tree", "linear"],
         required=True,
     )
-    p.add_argument("--max-states", type=int, required=True)
+    p.add_argument("--max-states", type=_POSITIVE, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--fo")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_POSITIVE, default=1, help="worker processes (--formula only)")
 
     p = sub.add_parser("translate", help="apply a translation rule")
     p.add_argument("--rule", required=True, choices=sorted(_TRANSLATIONS))
@@ -73,7 +89,7 @@ def _build_parser():
 
     p = sub.add_parser("realize", help="expand a representation file")
     p.add_argument("--rep", required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_NON_NEGATIVE, required=True)
     p.add_argument("--out")
 
     return top
@@ -97,6 +113,8 @@ def _cmd_parse(args):
 
 
 def _cmd_check(args):
+    from . import checker, model
+
     m = model.load_model(args.model)
     f = parse(args.formula)
     g = _parse_assignments(args.assign)
@@ -106,6 +124,8 @@ def _cmd_check(args):
 
 
 def _cmd_sat(args):
+    from . import blocktree, solver
+
     phi = parse(args.formula)
     if args.exhaustive:
         nodes, clique, c = solver.bounds_for(phi)
@@ -140,6 +160,8 @@ def _oracle_frame(name):
 
 
 def _oracle_worker(payload):
+    from . import model, oracle
+
     text, frame, k = payload
     phi = parse(text, allow_reserved=True)
     hit = oracle._lane_search([phi], frame, k, "sat", sizes=(k,))
@@ -147,6 +169,9 @@ def _oracle_worker(payload):
 
 
 def _cmd_oracle(args):
+    from . import model, oracle
+    from .satellites import parse_fo
+
     frame = _oracle_frame(args.frame)
     if args.fo is not None:
         alpha = parse_fo(args.fo)
@@ -179,6 +204,8 @@ def _cmd_oracle(args):
 def _parallel_oracle(phi, frame, max_states, jobs):
     """Size slices fan out to workers; the smallest-size hit wins, so the
     answer matches the serial canonical order regardless of job count."""
+    import multiprocessing
+
     text = print_formula(phi)
     payloads = [(text, frame, k) for k in range(1, max_states + 1)]
     with multiprocessing.Pool(processes=jobs) as pool:
@@ -206,43 +233,59 @@ def _show_hl(f, args):
 
 
 def _show_fo(alpha, args):
+    from .satellites import fo_to_text
+
     return fo_to_text(alpha, rplus_as_lfp=args.lfp)
 
 
 def _show_pdl(p, args):
+    from .satellites import pdl_to_text
+
     return pdl_to_text(p)
 
 
+def _rule(name, operands=lambda f, a: (f,)):
+    """The translation that applies hylo.translate.<name> to the operands
+    drawn from the parsed input and the command's arguments.  It looks the
+    function up when it runs, so a wrapped (traced) function is the one
+    called."""
+
+    def run(source, args):
+        from . import translate
+
+        return getattr(translate, name)(*operands(source, args))
+
+    return run
+
+
 # rule -> (input option, translation, printer).  Translations and printers
-# take the parsed input or the result, and the command's arguments; each
-# translation looks its hylo.translate function up when it runs, so a
-# wrapped (traced) function is the one called.
+# take the parsed input or the result, and the command's arguments.
 _TRANSLATIONS = {
-    "until-down": ("formula", lambda f, a: translate.until_via_down(*_until_parts(f, a)), _show_hl),
-    "until-down-tense": (
-        "formula", lambda f, a: translate.until_via_down_tense(*_until_parts(f, a)), _show_hl
-    ),
-    "ml-until": ("formula", lambda f, a: translate.ml_to_until(f), _show_hl),
-    "globsat": ("formula", lambda f, a: translate.globsat_reduction(f), _show_hl),
-    "u-upp": ("formula", lambda f, a: translate.u_to_upp(f), _show_hl),
-    "upp-u": ("formula", lambda f, a: translate.upp_to_u(f), _show_hl),
-    "st": ("formula", lambda f, a: translate.standard_translation(f), _show_fo),
-    "ht": ("fo", lambda f, a: translate.ht(f), _show_hl),
-    "complete": ("fo", lambda f, a: translate.complete_reduction(f), _show_hl),
-    "zigzag": ("fo", lambda f, a: translate.zigzag(f), _show_fo),
-    "spy-at": ("fo", lambda f, a: translate.spy_at(f), _show_hl),
-    "spy-fp": ("fo", lambda f, a: translate.spy_fp(f), _show_hl),
-    "tt-nat-tense": ("formula", lambda f, a: translate.tt_to_nat_tense(f), _show_hl),
-    "tt-nat-at": ("formula", lambda f, a: translate.tt_to_nat_at(f), _show_hl),
-    "at-elim-linear": ("formula", lambda f, a: translate.at_elim_linear(f), _show_hl),
-    "string": ("fo", lambda f, a: translate.string_reduction(f, _sigma(a)), _show_hl),
-    "e-at": ("formula", lambda f, a: translate.exists_to_at(f), _show_hl),
-    "pdl": ("formula", lambda f, a: translate.pdl_reduction(f), _show_pdl),
-    "pdl-flat": ("formula", lambda f, a: translate.pdl_reduction_flat(f), _show_pdl),
+    "until-down": ("formula", _rule("until_via_down", _until_parts), _show_hl),
+    "until-down-tense": ("formula", _rule("until_via_down_tense", _until_parts), _show_hl),
+    "ml-until": ("formula", _rule("ml_to_until"), _show_hl),
+    "globsat": ("formula", _rule("globsat_reduction"), _show_hl),
+    "u-upp": ("formula", _rule("u_to_upp"), _show_hl),
+    "upp-u": ("formula", _rule("upp_to_u"), _show_hl),
+    "st": ("formula", _rule("standard_translation"), _show_fo),
+    "ht": ("fo", _rule("ht"), _show_hl),
+    "complete": ("fo", _rule("complete_reduction"), _show_hl),
+    "zigzag": ("fo", _rule("zigzag"), _show_fo),
+    "spy-at": ("fo", _rule("spy_at"), _show_hl),
+    "spy-fp": ("fo", _rule("spy_fp"), _show_hl),
+    "tt-nat-tense": ("formula", _rule("tt_to_nat_tense"), _show_hl),
+    "tt-nat-at": ("formula", _rule("tt_to_nat_at"), _show_hl),
+    "at-elim-linear": ("formula", _rule("at_elim_linear"), _show_hl),
+    "string": ("fo", _rule("string_reduction", lambda f, a: (f, _sigma(a))), _show_hl),
+    "e-at": ("formula", _rule("exists_to_at"), _show_hl),
+    "pdl": ("formula", _rule("pdl_reduction"), _show_pdl),
+    "pdl-flat": ("formula", _rule("pdl_reduction_flat"), _show_pdl),
 }
 
 
 def _cmd_translate(args):
+    from .satellites import parse_fo
+
     kind, run, show = _TRANSLATIONS[args.rule]
     text = getattr(args, kind)
     if text is None:
@@ -253,6 +296,8 @@ def _cmd_translate(args):
 
 
 def _cmd_realize(args):
+    from . import blocktree, model
+
     rep = blocktree.load_rep(args.rep)
     m = blocktree.realize(rep, args.depth)
     doc = model.model_to_dict(m)
@@ -277,7 +322,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "oracle" and args.fo is not None and args.jobs > 1:
+        parser.error("argument --jobs: not allowed with argument --fo")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # parse, fragment and input errors

@@ -77,7 +77,6 @@ class _Names:
                 self.used.update(sat.fo_vars(f))
             else:
                 self.used.update(a.name for a in atoms_of(f))
-        self.counter = 0
 
     def svar(self, pretty):
         return Atom(SVAR, self._pick(pretty))
@@ -86,15 +85,14 @@ class _Names:
         return Atom(NOM, self._pick(pretty))
 
     def _pick(self, pretty):
-        if pretty not in self.used:
-            self.used.add(pretty)
-            return pretty
-        while True:
-            name = f"_g{self.counter}"
-            self.counter += 1
-            if name not in self.used:
-                self.used.add(name)
-                return name
+        """The pretty name, or else it with the first free numeric suffix:
+        never a reserved name, so every output reads back."""
+        name, k = pretty, 0
+        while name in self.used:
+            k += 1
+            name = f"{pretty}{k}"
+        self.used.add(name)
+        return name
 
 
 def _conj(parts):

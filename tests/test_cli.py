@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -157,6 +160,35 @@ def test_oracle_jobs_identical(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--frame", "any", "--max-states", "-1", "--formula", "p"],
+        ["oracle", "--frame", "any", "--max-states", "0", "--formula", "p"],
+        ["oracle", "--frame", "any", "--max-states", "2", "--formula", "p", "--jobs", "0"],
+        ["oracle", "--frame", "any", "--max-states", "2", "--fo", "E x. p(x)", "--jobs", "2"],
+        ["sat", "--frame", "trans", "--formula", "p", "--max-clique", "0"],
+        ["sat", "--frame", "trans", "--formula", "p", "--max-nodes", "-1"],
+        ["sat", "--frame", "trans", "--formula", "p", "--max-c", "-1"],
+        ["sat", "--frame", "trans", "--formula", "p", "--max-clique", "two"],
+        ["realize", "--rep", "w.json", "--depth", "-1"],
+    ],
+)
+def test_meaningless_bounds_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == "" and "error: argument --" in out.err
+
+
+def test_fo_oracle_accepts_one_job(capsys):
+    code, _, _ = run(
+        capsys, "oracle", "--frame", "any", "--max-states", "1", "--fo", "E x. p(x)", "--jobs", "1"
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
     "rule,kind,text",
     [
         ("until-down", "--formula", "U(p, q)"),
@@ -169,12 +201,15 @@ def test_oracle_jobs_identical(capsys):
         ("tt-nat-at", "--formula", "P p"),
         ("at-elim-linear", "--formula", "@'i p"),
         ("e-at", "--formula", "E p"),
+        # the pretty fresh name is taken: the next one is x1, i1, ...
+        ("until-down", "--formula", "U(down $x . <>$x, q)"),
+        ("e-at", "--formula", "E 'i"),
     ],
 )
 def test_translate_hybrid_outputs_reparse(capsys, rule, kind, text):
     code, out, _ = run(capsys, "translate", "--rule", rule, kind, text)
     assert code == 0
-    assert parse(out.strip(), allow_reserved=True) == translated(rule, parse(text))
+    assert parse(out.strip()) == translated(rule, parse(text))
 
 
 @pytest.mark.parametrize(
@@ -188,12 +223,16 @@ def test_translate_hybrid_outputs_reparse(capsys, rule, kind, text):
         ("complete", "E x. Down(x)"),
         ("spy-at", "E x. E y. (R(x,y) & P(x) & ~p(x))"),
         ("spy-fp", "E x. E x. R(x, x0)"),
+        ("spy-at", "E i. R(i,i)"),
+        ("string", "E x. a(x)"),
     ],
 )
 def test_translate_fo_rules_reparse(capsys, rule, text):
-    code, out, _ = run(capsys, "translate", "--rule", rule, "--fo", text)
+    sigma = "a,b" if rule == "string" else None  # the string rule's alphabet
+    extra = ["--sigma", sigma] if sigma else []
+    code, out, _ = run(capsys, "translate", "--rule", rule, "--fo", text, *extra)
     assert code == 0
-    assert parse(out.strip(), allow_reserved=True) == translated(rule, parse_fo(text))
+    assert parse(out.strip()) == translated(rule, parse_fo(text), sigma=sigma)
 
 
 def test_translate_st_and_zigzag_reparse(capsys):
@@ -217,7 +256,7 @@ def test_translate_string_and_pdl(capsys):
         capsys, "translate", "--rule", "string", "--fo", "E x. a(x)", "--sigma", "a,b"
     )
     assert code == 0
-    assert parse(out.strip(), allow_reserved=True) == translated(
+    assert parse(out.strip()) == translated(
         "string", parse_fo("E x. a(x)"), sigma="a,b"
     )
     code, out, err = run(
@@ -313,3 +352,61 @@ def test_internal_error_exit_70(capsys, monkeypatch):
     code, _, err = run(capsys, "parse", "--formula", "p")
     assert code == 70
     assert err == "hylo: internal error: RuntimeError: boom\n"
+
+
+# what a process running one command has imported, by command family
+_STARTUP = """
+import sys
+from hylo.cli import main
+print(main(sys.argv[1:]))
+print(" ".join(sorted(sys.modules)))
+"""
+_ORACLE = {"numpy", "multiprocessing", "hylo.oracle"}
+_REDUCTIONS = {"hylo.translate", "hylo.satellites"}
+
+
+def _command_process(tmp_path, argv):
+    import hylo
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hylo.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stderr == "", proc.stderr
+    *out, code, modules = proc.stdout.splitlines()
+    return int(code), out, set(modules.split())
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["parse", "--formula", "p & <>p"], _ORACLE | _REDUCTIONS),
+        (["check", "--model", "m.json", "--formula", "<>p", "--state", "a"], _ORACLE | _REDUCTIONS),
+        (["sat", "--frame", "trans", "--formula", "<>p", "--max-clique", "1", "--max-nodes", "2",
+          "--max-c", "0", "--witness", "w.json"], _ORACLE | _REDUCTIONS),
+        (["realize", "--rep", "rep.json", "--depth", "2"], _ORACLE | _REDUCTIONS),
+        (["translate", "--rule", "st", "--formula", "<>p"], _ORACLE),
+        (["translate", "--rule", "spy-at", "--fo", "E x. R(x,x)"], _ORACLE),
+    ],
+)
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
+    from hylo.blocktree import save_rep
+    from hylo.solver import Budget, sat_transitive
+
+    doc = {"states": ["a", "b"], "rel": [["a", "b"]], "val": {"p": ["b"]}, "nom": {}}
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    rep = sat_transitive(parse("<>p"), Budget(max_clique=1, max_nodes=2, max_c=0)).witness_rep
+    save_rep(rep, tmp_path / "rep.json")
+    code, out, modules = _command_process(tmp_path, argv)
+    assert code == 0 and out
+    assert "hylo.formula" in modules
+    assert modules & absent == set()
+
+
+def test_oracle_command_loads_the_oracle(tmp_path):
+    argv = ["oracle", "--frame", "any", "--max-states", "2", "--formula", "<>p & ~p"]
+    code, out, modules = _command_process(tmp_path, argv)
+    assert code == 0 and json.loads(out[0])["state"] == "s0"
+    assert {"hylo.oracle", "numpy"} <= modules

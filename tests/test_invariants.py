@@ -124,3 +124,41 @@ def test_no_cache_is_keyed_on_object_identity():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id":
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def _load_time_imports(tree):
+    """The modules a module imports when it loads: its import statements
+    outside function bodies, relative ones resolved inside the package."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield f"hylo.{node.module}"
+            else:
+                yield from (f"hylo.{alias.name}" for alias in node.names)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_oracle_loads_numpy():
+    # numpy costs every process that loads it; only the oracle's lane engine
+    # uses it, so no other module may load it, directly or through an import
+    imports = {}
+    for path in Path(hylo.__file__).parent.glob("*.py"):
+        name = "hylo" if path.stem == "__init__" else f"hylo.{path.stem}"
+        imports[name] = set(_load_time_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    loaders = {m for m, deps in imports.items() if any(d.split(".")[0] == "numpy" for d in deps)}
+    while True:
+        # a submodule loads its package first
+        more = {m for m, deps in imports.items() if deps & loaders or "hylo" in loaders}
+        if more <= loaders:
+            break
+        loaders |= more
+    assert loaders == {"hylo.oracle"}
