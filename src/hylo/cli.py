@@ -162,8 +162,7 @@ def _oracle_frame(name):
 def _oracle_worker(payload):
     from . import model, oracle
 
-    text, frame, k = payload
-    phi = parse(text, allow_reserved=True)
+    phi, frame, k = payload
     hit = oracle._lane_search([phi], frame, k, "sat", sizes=(k,))
     return None if hit is None else (model.model_to_dict(hit[0]), hit[1])
 
@@ -206,8 +205,8 @@ def _parallel_oracle(phi, frame, max_states, jobs):
     answer matches the serial canonical order regardless of job count."""
     import multiprocessing
 
-    text = print_formula(phi)
-    payloads = [(text, frame, k) for k in range(1, max_states + 1)]
+    # a node pickles as its constructor call, so it re-interns in the worker
+    payloads = [(phi, frame, k) for k in range(1, max_states + 1)]
     with multiprocessing.Pool(processes=jobs) as pool:
         results = pool.map(_oracle_worker, payloads)
     for res in results:
@@ -300,14 +299,11 @@ def _cmd_realize(args):
 
     rep = blocktree.load_rep(args.rep)
     m = blocktree.realize(rep, args.depth)
-    doc = model.model_to_dict(m)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        model.save_model(m, args.out)
         print(f"model written to {args.out}")
     else:
-        print(json.dumps(doc))
+        print(json.dumps(model.model_to_dict(m)))
     return 0
 
 

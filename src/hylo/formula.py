@@ -15,6 +15,7 @@ its operator keywords from the printer's token tables.
 
 from __future__ import annotations
 
+import inspect
 import re
 import weakref
 from dataclasses import dataclass
@@ -72,7 +73,22 @@ _node = dataclass(frozen=True, eq=False)
 
 @_node
 class _Node(metaclass=_Interned):
-    """The base of every interned node class, hybrid and first-order."""
+    """The base of every interned node class, hybrid and first-order.
+
+    Each class records its child fields when it is created: the fields
+    annotated with its family base (``Formula``, ``FOFormula``), in
+    declaration order.  A field holding an atom, a term or a name is part
+    of the node itself.  ``children``, ``rebuild``, ``map_nodes`` and
+    ``subformulas`` read only this record, so they serve every family.
+    """
+
+    _kids = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        family = next(c for c in cls.__mro__ if _Node in c.__bases__).__name__
+        own = inspect.get_annotations(cls)
+        cls._kids += tuple(name for name, kind in own.items() if kind == family)
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which re-interns
@@ -315,25 +331,27 @@ UNTIL_FORMS = {
     SincePlusPlus: UntilForm(True, True, True),
 }
 
-_UNARY = (Not, Diamond, Box, Future, Globally, Past, Historically, Somewhere, Everywhere)
-_BINARY = (And, Or, Implies, Iff, *UNTIL_FORMS)
+
+def children(f: _Node) -> tuple:
+    """The subformulas one level below f, in field order."""
+    return tuple([getattr(f, name) for name in f._kids])
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Atom, Top, Bot)):
-        return ()
-    if isinstance(f, _UNARY):
-        return (f.body,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    if isinstance(f, At):
-        return (f.body,)
-    if isinstance(f, Down):
-        return (f.body,)
-    raise TypeError(f"not a formula node: {f!r}")
+def rebuild(f: _Node, kids) -> _Node:
+    """f with its children replaced by kids, in order; an unchanged node
+    comes back as itself, since nodes are interned."""
+    if not f._kids:
+        return f
+    new = dict(zip(f._kids, kids))
+    return type(f)(*[new[name] if name in new else getattr(f, name) for name in f.__match_args__])
 
 
-def subformulas(f: Formula):
+def map_nodes(f: _Node, rewrite) -> _Node:
+    """Bottom-up rewrite: children first, then the node itself."""
+    return rewrite(rebuild(f, [map_nodes(c, rewrite) for c in children(f)]))
+
+
+def subformulas(f: _Node):
     """Yield f and every subformula, preorder."""
     stack = [f]
     while stack:
@@ -392,17 +410,11 @@ def _false_for(f, names):
     """f with every free occurrence of the state variables in names replaced by false."""
     if not f.fv & names:
         return f
-    if isinstance(f, Atom):
+    if isinstance(f, Atom) or isinstance(f, At) and f.term.kind == SVAR and f.term.name in names:
         return Bot()
-    if isinstance(f, At):
-        if f.term.kind == SVAR and f.term.name in names:
-            return Bot()
-        return At(f.term, _false_for(f.body, names))
     if isinstance(f, Down):
-        return Down(f.var, _false_for(f.body, names - {f.var.name}))
-    if isinstance(f, _UNARY):
-        return type(f)(_false_for(f.body, names))
-    return type(f)(_false_for(f.left, names), _false_for(f.right, names))
+        names = names - {f.var.name}
+    return rebuild(f, [_false_for(c, names) for c in children(f)])
 
 
 _HLD_NODES = (Atom, Top, Bot, Not, And, Or, Implies, Iff, Diamond, Box, Down)
@@ -495,37 +507,10 @@ def fragment_of(f: Formula) -> str:
 def recode_nominals(f: Formula) -> Formula:
     """Rewrite every nominal atom into a reserved-namespace proposition."""
 
-    def rec(g):
-        if isinstance(g, Atom):
-            if g.kind == NOM:
-                return Atom(PROP, "_n_" + g.name)
-            return g
-        if isinstance(g, (Top, Bot)):
-            return g
-        if isinstance(g, At):
-            return At(g.term, rec(g.body))
-        if isinstance(g, Down):
-            return Down(g.var, rec(g.body))
-        if isinstance(g, _UNARY):
-            return type(g)(rec(g.body))
-        return type(g)(rec(g.left), rec(g.right))
+    def rewrite(g):
+        return Atom(PROP, "_n_" + g.name) if isinstance(g, Atom) and g.kind == NOM else g
 
-    return rec(f)
-
-
-def fresh_svars(count: int, *formulas: Formula) -> list[Atom]:
-    """Reserved-namespace state variables not occurring in the given formulas."""
-    used = set()
-    for f in formulas:
-        used.update(a.name for a in atoms_of(f))
-    out = []
-    i = 0
-    while len(out) < count:
-        name = f"_g{i}"
-        if name not in used:
-            out.append(Atom(SVAR, name))
-        i += 1
-    return out
+    return map_nodes(f, rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +620,9 @@ class _Parser(_Tokens):
 
     def unary(self):
         kind, value, line, col = self.peek()
-        if value in _UNARY_CLASSES:
+        if value in _PREFIX_CLASSES:
             self.next()
-            return _UNARY_CLASSES[value](self.unary())
+            return _PREFIX_CLASSES[value](self.unary())
         if value == "(":
             self.next()
             f = self.formula()
@@ -683,7 +668,7 @@ def parse(text: str, allow_reserved: bool = False) -> Formula:
 
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
 
-_UNARY_TOKENS = {
+_PREFIX_TOKENS = {
     Not: "~",
     Diamond: "<>",
     Box: "[]",
@@ -706,7 +691,7 @@ _APP_TOKENS = {
 
 
 # the parser reads the printer's tables backwards
-_UNARY_CLASSES = {token.strip(): cls for cls, token in _UNARY_TOKENS.items()}
+_PREFIX_CLASSES = {token.strip(): cls for cls, token in _PREFIX_TOKENS.items()}
 _APP_CLASSES = {token: cls for cls, token in _APP_TOKENS.items()}
 _CONSTANTS = {"true": Top, "false": Bot}
 _SIGILS = {"nomtok": NOM, "svartok": SVAR}
@@ -732,8 +717,8 @@ def _render(f, floor, trailing):
         return "true"
     if isinstance(f, Bot):
         return "false"
-    if type(f) in _UNARY_TOKENS:
-        return _UNARY_TOKENS[type(f)] + _render(f.body, 5, trailing)
+    if type(f) in _PREFIX_TOKENS:
+        return _PREFIX_TOKENS[type(f)] + _render(f.body, 5, trailing)
     if type(f) in _APP_TOKENS:
         return f"{_APP_TOKENS[type(f)]}({_render(f.left, 0, False)}, {_render(f.right, 0, False)})"
     if isinstance(f, At):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .formula import ParseError, _Node, _node, _Tokens
+from .formula import ParseError, _Node, _node, _Tokens, subformulas
 from .model import _closure
 
 
@@ -21,8 +21,10 @@ from .model import _closure
 # First-order formulas over one binary relation, unary predicates, equality
 #
 # Nodes are interned like the hybrid ones (``hylo.formula._Node``): equal
-# structure is the same object.  Generic walks read a node's fields in
-# declaration order; a field is a subformula, a term, or a name.
+# structure is the same object, and ``hylo.formula``'s children, rebuild,
+# map_nodes and subformulas walk them.  A field is a subformula, a term,
+# or a name; the walks below that reach terms read every field in
+# declaration order.
 
 
 @_node
@@ -164,48 +166,28 @@ def _fields(f) -> list:
     return [getattr(f, name) for name in f.__match_args__]
 
 
-def fo_children(f: FOFormula) -> tuple[FOFormula, ...]:
-    if not isinstance(f, FOFormula):
-        raise TypeError(f"not an FO node: {f!r}")
-    return tuple(p for p in _fields(f) if isinstance(p, FOFormula))
-
-
-def fo_subformulas(f: FOFormula):
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        stack.extend(reversed(fo_children(g)))
-
-
 def fo_free_vars(f: FOFormula) -> frozenset[str]:
     return f.fv
 
 
 def fo_constants(f: FOFormula) -> frozenset[str]:
     return frozenset(
-        p.name for g in fo_subformulas(f) for p in _fields(g) if isinstance(p, FOConst)
+        p.name for g in subformulas(f) for p in _fields(g) if isinstance(p, FOConst)
     )
 
 
 def fo_preds(f: FOFormula) -> frozenset[str]:
-    return frozenset(g.name for g in fo_subformulas(f) if isinstance(g, Pred))
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Pred))
 
 
 def fo_vars(f: FOFormula) -> frozenset[str]:
     """Every variable name in f, bound or free."""
     out = set()
-    for g in fo_subformulas(f):
+    for g in subformulas(f):
         if isinstance(g, (Exists, Forall)):
             out.add(g.var)
         out.update(p.name for p in _fields(g) if isinstance(p, FOVar))
     return frozenset(out)
-
-
-def fo_map(f: FOFormula, rewrite) -> FOFormula:
-    """Bottom-up rewrite: children first, then the node itself."""
-    parts = (fo_map(p, rewrite) if isinstance(p, FOFormula) else p for p in _fields(f))
-    return rewrite(type(f)(*parts))
 
 
 def fo_rename(f: FOFormula, bind, free, scope=None) -> FOFormula:
@@ -231,12 +213,12 @@ def fo_rename(f: FOFormula, bind, free, scope=None) -> FOFormula:
 
 def is_all_u1(f: FOFormula) -> bool:
     """Membership in [all,(u,1)]: one binary relation, unary preds, no equality."""
-    return not any(isinstance(g, (Eq, RelPlus)) for g in fo_subformulas(f))
+    return not any(isinstance(g, (Eq, RelPlus)) for g in subformulas(f))
 
 
 def is_mc_eq(f: FOFormula) -> bool:
     """Membership in the monadic class with equality: no binary relation."""
-    return not any(isinstance(g, (Rel, RelPlus)) for g in fo_subformulas(f))
+    return not any(isinstance(g, (Rel, RelPlus)) for g in subformulas(f))
 
 
 @dataclass(frozen=True)
@@ -630,16 +612,7 @@ class _PdlEvaluator:
         elif isinstance(prog, Choice):
             out = self.rel(prog.left) | self.rel(prog.right)
         elif isinstance(prog, Star):
-            r = self.rel(prog.body)
-            out = {(n, n) for n in self.t.nodes}
-            changed = True
-            while changed:
-                changed = False
-                new = {(a, d) for a, b in out for c, d in r if b == c and (a, d) not in out}
-                if new:
-                    out |= new
-                    changed = True
-            out = frozenset(out)
+            out = frozenset((n, n) for n in self.t.nodes) | _closure(self.t.nodes, self.rel(prog.body))
         elif isinstance(prog, Test):
             out = frozenset((n, n) for n in self.t.nodes if self.holds(n, prog.formula))
         else:

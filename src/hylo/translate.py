@@ -1,8 +1,11 @@
 """Logic-to-logic translations and reductions, as total functions on ASTs.
 
-Fresh binders prefer the customary short names (x, y, i, v, s) and fall
-back to the reserved underscore namespace whenever a name already occurs
-in the input, so no translation captures a variable free in its input.
+Every fresh name comes from one source, ``_Names``, seeded with the names
+of the input.  A binder takes its customary short name (x, y, i, v, s), or
+that name with the first free numeric suffix when the name already occurs;
+first-order variables are numbered per base (y0, y1, ...).  No fresh name
+is reserved, so every output reads back, and no translation captures a
+variable free in its input.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from .formula import (
     RESERVED_WORDS,
     SVAR,
     UNTIL_FORMS,
-    _BINARY,
-    _UNARY,
     And,
     At,
     Atom,
@@ -43,35 +44,24 @@ from .formula import (
     UntilPlusPlus,
     atoms_of,
     check_hld,
+    children,
+    map_nodes,
+    rebuild,
     subformulas,
     svar,
 )
 from . import satellites as sat
 
 
-def map_formula(f: Formula, rewrite) -> Formula:
-    """Bottom-up rewrite: children first, then the node itself."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return rewrite(f)
-    if isinstance(f, _UNARY):
-        return rewrite(type(f)(map_formula(f.body, rewrite)))
-    if isinstance(f, _BINARY):
-        return rewrite(type(f)(map_formula(f.left, rewrite), map_formula(f.right, rewrite)))
-    if isinstance(f, At):
-        return rewrite(At(f.term, map_formula(f.body, rewrite)))
-    if isinstance(f, Down):
-        return rewrite(Down(f.var, map_formula(f.body, rewrite)))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 class _Names:
-    """Fresh-name source seeded with every name of the inputs: the atom
-    names of a hybrid formula, or the variable names of a first-order one
-    (its constants and predicates become nominals and propositions, which
-    no state variable can capture)."""
+    """The fresh-name source of every translation, seeded with every name
+    of the inputs: the atom names of a hybrid formula, or the variable
+    names of a first-order one (its constants and predicates become
+    nominals and propositions, which no state variable can capture)."""
 
     def __init__(self, *formulas):
         self.used = set()
+        self.counts = {}
         for f in formulas:
             if isinstance(f, sat.FOFormula):
                 self.used.update(sat.fo_vars(f))
@@ -94,19 +84,24 @@ class _Names:
         self.used.add(name)
         return name
 
+    def numbered(self, base):
+        """The next of base0, base1, ... (one count per base) that is not
+        yet used."""
+        while True:
+            n = self.counts.get(base, 0)
+            self.counts[base] = n + 1
+            name = f"{base}{n}"
+            if name not in self.used:
+                self.used.add(name)
+                return name
 
-def _conj(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
-
-def _disj(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+def _fo_names(alpha):
+    """A source of variables to add to alpha: constants print as bare
+    names too, so they are used as well as alpha's variables."""
+    names = _Names(alpha)
+    names.used.update(sat.fo_constants(alpha))
+    return names
 
 
 def _restrict(phi, allowed, label):
@@ -165,7 +160,7 @@ def ml_to_until(phi: Formula) -> Formula:
             return Not(Until(Not(g.body), Bot()))
         return g
 
-    return map_formula(phi, rewrite)
+    return map_nodes(phi, rewrite)
 
 
 def globsat_reduction(phi: Formula) -> Formula:
@@ -186,7 +181,7 @@ def u_to_upp(phi: Formula) -> Formula:
             return SincePlusPlus(g.left, g.right)
         return g
 
-    return map_formula(phi, rewrite)
+    return map_nodes(phi, rewrite)
 
 
 def upp_to_u(phi: Formula) -> Formula:
@@ -197,26 +192,21 @@ def upp_to_u(phi: Formula) -> Formula:
             return Since(g.left, g.right)
         return g
 
-    return map_formula(phi, rewrite)
+    return map_nodes(phi, rewrite)
 
 
 # ---------------------------------------------------------------------------
 # Standard Translation into first-order logic
 
 
-class _STContext:
-    def __init__(self, phi, anchor):
-        self.used = {a.name for a in atoms_of(phi)} | {anchor}
-        self.counter = 0
-        self.bound = {}  # state variable -> the first-order variable binding it
+class _STContext(_Names):
+    """Names for the standard translation: the first-order variables
+    y0, y1, ... avoid the anchor and every atom name of phi."""
 
-    def fresh(self):
-        while True:
-            name = f"y{self.counter}"
-            self.counter += 1
-            if name not in self.used:
-                self.used.add(name)
-                return name
+    def __init__(self, phi, anchor):
+        super().__init__(phi)
+        self.used.add(anchor)
+        self.bound = {}  # state variable -> the first-order variable binding it
 
 
 def _st_term(term, ctx):
@@ -268,25 +258,25 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
             return sat.FOAnd(sat.FOImplies(a, b), sat.FOImplies(b, a))
         if type(f) in _ST_MODAL:
             quantifier, connective, backward = _ST_MODAL[type(f)]
-            y = ctx.fresh()
+            y = ctx.numbered("y")
             body = rec(f.body, y)
             if complete_frames:  # check_hld let only <> and [] through
                 return quantifier(y, body)
             a, b = (y, x) if backward else (x, y)
             return quantifier(y, connective(sat.Rel(sat.FOVar(a), sat.FOVar(b)), body))
         if isinstance(f, Somewhere):
-            y = ctx.fresh()
+            y = ctx.numbered("y")
             return sat.Exists(y, rec(f.body, y))
         if isinstance(f, Everywhere):
-            y = ctx.fresh()
+            y = ctx.numbered("y")
             return sat.Forall(y, rec(f.body, y))
         if isinstance(f, At):
-            y = ctx.fresh()
+            y = ctx.numbered("y")
             return sat.Exists(y, sat.FOAnd(sat.Eq(sat.FOVar(y), _st_term(f.term, ctx)), rec(f.body, y)))
         if isinstance(f, Down):
             v = f.var.name
             # a binder named like the current world variable would capture it
-            fo_v = ctx.fresh() if v == x else v
+            fo_v = ctx.numbered("y") if v == x else v
             outer = ctx.bound.get(v, v)
             ctx.bound[v] = fo_v
             body = rec(f.body, x)
@@ -294,7 +284,7 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
             return sat.Exists(fo_v, sat.FOAnd(sat.Eq(sat.FOVar(x), sat.FOVar(fo_v)), body))
         form = UNTIL_FORMS.get(type(f))
         if form is not None:
-            y, z = ctx.fresh(), ctx.fresh()
+            y, z = ctx.numbered("y"), ctx.numbered("y")
             step = sat.RelPlus if form.step_plus else sat.Rel
             guard = sat.RelPlus if form.guard_plus else sat.Rel
             # the path runs from the anchor to the witness y, or for a past
@@ -370,7 +360,7 @@ def _fo_to_hl(alpha, reach, place, step, props):
     def rec(g):
         kind = type(g)
         if kind in _FO_BOOLEANS:
-            return _FO_BOOLEANS[kind](*map(rec, sat.fo_children(g)))
+            return _FO_BOOLEANS[kind](*map(rec, children(g)))
         if kind is sat.Exists:
             return reach(Down(svar(g.var), rec(g.body)))
         if kind is sat.Forall:
@@ -412,18 +402,8 @@ def complete_reduction(alpha: sat.FOFormula) -> Formula:
 def _rename_apart(alpha):
     """Each quantifier that rebinds a variable bound above it binds a
     fresh name instead, one that names no variable or constant of alpha."""
-    used = set(sat.fo_vars(alpha) | sat.fo_constants(alpha))
-    counter = [0]
-
-    def fresh(base):
-        while True:
-            name = f"{base}{counter[0]}"
-            counter[0] += 1
-            if name not in used:
-                used.add(name)
-                return name
-
-    return sat.fo_rename(alpha, lambda v, scope: fresh(v) if v in scope else v, sat.FOVar)
+    names = _fo_names(alpha)
+    return sat.fo_rename(alpha, lambda v, scope: names.numbered(v) if v in scope else v, sat.FOVar)
 
 
 def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
@@ -431,22 +411,12 @@ def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
     if not sat.is_all_u1(alpha) or sat.fo_preds(alpha):
         raise FragmentError("zigzag expects a sentence over one binary relation only")
     alpha = _rename_apart(alpha)
-    used = set(sat.fo_vars(alpha) | sat.fo_constants(alpha))
-    counters = {}
-
-    def fresh(base):
-        while True:
-            n = counters.get(base, 0)
-            counters[base] = n + 1
-            name = f"{base}{n}"
-            if name not in used:
-                used.add(name)
-                return name
+    names = _fo_names(alpha)
 
     def rewrite(g):
         if isinstance(g, sat.Rel):
             x, y = g.left, g.right
-            a, b, c = (sat.FOVar(fresh(n)) for n in ("a", "b", "c"))
+            a, b, c = (sat.FOVar(names.numbered(n)) for n in ("a", "b", "c"))
             body = reduce(
                 sat.FOAnd,
                 [
@@ -468,7 +438,7 @@ def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
             return sat.Forall(g.var, sat.FOImplies(sat.Pred("0", sat.FOVar(g.var)), g.body))
         return g
 
-    return sat.fo_map(alpha, rewrite)
+    return map_nodes(alpha, rewrite)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +522,6 @@ def tt_to_nat_at(phi: Formula) -> Formula:
     spy = names.svar("i")
 
     def rec(g):
-        if isinstance(g, (Atom, Top, Bot)):
-            return g
         if isinstance(g, (Diamond, Future)):
             return Diamond(rec(g.body))
         if isinstance(g, (Box, Globally)):
@@ -564,23 +532,12 @@ def tt_to_nat_at(phi: Formula) -> Formula:
         if isinstance(g, Historically):
             v = names.svar("v")
             return Not(Down(v, At(spy, Diamond(And(Not(rec(g.body)), Diamond(v))))))
-        if isinstance(g, Not):
-            return Not(rec(g.body))
-        if isinstance(g, And):
-            return And(rec(g.left), rec(g.right))
-        if isinstance(g, Or):
-            return Or(rec(g.left), rec(g.right))
-        if isinstance(g, Implies):
-            return Implies(rec(g.left), rec(g.right))
-        if isinstance(g, Iff):
-            return Iff(rec(g.left), rec(g.right))
-        if isinstance(g, Down):
-            return Down(g.var, rec(g.body))
-        raise TypeError(f"not a formula node: {g!r}")
+        # every other node keeps its operator over the rewritten children
+        return rebuild(g, [rec(c) for c in children(g)])
 
     image = rec(phi)
     noms = sorted({a.name for a in atoms_of(phi) if a.kind == NOM})
-    mu = _conj([At(spy, Diamond(Atom(NOM, j))) for j in noms]) if noms else Top()
+    mu = reduce(And, [At(spy, Diamond(Atom(NOM, j))) for j in noms]) if noms else Top()
     x, y = names.svar("x"), names.svar("y")
     lam = Implies(
         Diamond(Top()),
@@ -606,7 +563,7 @@ def at_elim_linear(phi: Formula) -> Formula:
             return Or(Or(Past(core), core), Future(core))
         return g
 
-    return map_formula(phi, rewrite)
+    return map_nodes(phi, rewrite)
 
 
 def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
@@ -625,7 +582,10 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
     keywords = RESERVED_WORDS.intersection(sigma)
     if keywords:
         raise FragmentError(f"letters that are keywords: {sorted(keywords)}")
-    if any(isinstance(g, sat.RelPlus) for g in sat.fo_subformulas(alpha)):
+    reserved = sorted(a for a in sigma if a.startswith("_"))
+    if reserved:
+        raise FragmentError(f"letters in the reserved namespace: {reserved}")
+    if any(isinstance(g, sat.RelPlus) for g in subformulas(alpha)):
         raise FragmentError("closure atoms are not part of the string signature")
     if sat.fo_free_vars(alpha):
         raise FragmentError("string reduction expects a sentence")
@@ -645,9 +605,11 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
         )
     )
     unique = Box(
-        _disj(
+        reduce(
+            Or,
             [
-                _conj(
+                reduce(
+                    And,
                     [Atom(PROP, a)]
                     + [Not(Atom(PROP, b)) for b in sigma if b != a]
                 )
@@ -695,26 +657,12 @@ def exists_to_at(phi: Formula) -> Formula:
             return Not(At(spy, Diamond(Not(g.body))))
         return g
 
-    image = map_formula(phi, rewrite)
+    image = map_nodes(phi, rewrite)
     return And(And(spy, Not(Diamond(spy))), Diamond(image))
 
 
 # ---------------------------------------------------------------------------
 # PDL over sibling-ordered trees
-
-
-def _seq(*progs):
-    out = progs[0]
-    for p in progs[1:]:
-        out = sat.Seq(out, p)
-    return out
-
-
-def _pdl_conj(parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = sat.PdlAnd(out, p)
-    return out
 
 
 def _normalize_for_pdl(phi):
@@ -739,7 +687,7 @@ def _normalize_for_pdl(phi):
             return Not(Until(Not(g.body), Not(And(Atom(PROP, "_t"), Not(Atom(PROP, "_t"))))))
         return g
 
-    return map_formula(phi, rewrite)
+    return map_nodes(phi, rewrite)
 
 
 def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
@@ -753,7 +701,7 @@ def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
         )
         up = sat.Choice(
             sat.Seq(sat.Test(sat.PdlNot(flatp)), sat.Up()),
-            _seq(sat.Test(flatp), sat.DownP(), sat.Test(flatp)),
+            reduce(sat.Seq, [sat.Test(flatp), sat.DownP(), sat.Test(flatp)]),
         )
     else:
         dn, up = sat.DownP(), sat.Up()
@@ -766,18 +714,18 @@ def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
         if isinstance(g, And):
             return sat.PdlAnd(rec(g.left), rec(g.right))
         if isinstance(g, Somewhere):
-            return sat.PdlDiamond(_seq(sat.Star(sat.Up()), sat.Star(sat.DownP())), rec(g.body))
+            return sat.PdlDiamond(sat.Seq(sat.Star(sat.Up()), sat.Star(sat.DownP())), rec(g.body))
         if isinstance(g, Everywhere):
             return sat.PdlNot(
-                sat.PdlDiamond(_seq(sat.Star(sat.Up()), sat.Star(sat.DownP())), sat.PdlNot(rec(g.body)))
+                sat.PdlDiamond(sat.Seq(sat.Star(sat.Up()), sat.Star(sat.DownP())), sat.PdlNot(rec(g.body)))
             )
         if isinstance(g, Until):
             return sat.PdlDiamond(
-                _seq(sat.Star(sat.Seq(dn, sat.Test(rec(g.right)))), dn), rec(g.left)
+                sat.Seq(sat.Star(sat.Seq(dn, sat.Test(rec(g.right)))), dn), rec(g.left)
             )
         if isinstance(g, Since):
             return sat.PdlDiamond(
-                _seq(sat.Star(sat.Seq(up, sat.Test(rec(g.right)))), up), rec(g.left)
+                sat.Seq(sat.Star(sat.Seq(up, sat.Test(rec(g.right)))), up), rec(g.left)
             )
         raise TypeError(f"unexpected node after normalization: {g!r}")
 
@@ -788,12 +736,13 @@ def nominal_uniqueness(i: str) -> sat.PdlFormula:
     """nu(i): the atom for nominal i is true at exactly one tree node."""
     atom = sat.PdlAtom(i)
     down, upp = sat.DownP(), sat.Up()
-    body = _pdl_conj(
+    body = reduce(
+        sat.PdlAnd,
         [
             sat.pdl_box(sat.plus_prog(down), sat.PdlNot(atom)),
             sat.pdl_box(sat.plus_prog(upp), sat.PdlNot(atom)),
-            sat.pdl_box(_seq(sat.Star(upp), sat.plus_prog(sat.Left()), sat.Star(down)), sat.PdlNot(atom)),
-            sat.pdl_box(_seq(sat.Star(upp), sat.plus_prog(sat.Right()), sat.Star(down)), sat.PdlNot(atom)),
+            sat.pdl_box(reduce(sat.Seq, [sat.Star(upp), sat.plus_prog(sat.Left()), sat.Star(down)]), sat.PdlNot(atom)),
+            sat.pdl_box(reduce(sat.Seq, [sat.Star(upp), sat.plus_prog(sat.Right()), sat.Star(down)]), sat.PdlNot(atom)),
         ]
     )
     return sat.PdlAnd(
@@ -815,14 +764,16 @@ def flat_path_marker() -> sat.PdlFormula:
     """beta: the flat marker labels the root and exactly one downward path."""
     flatp = sat.PdlAtom("_flat")
     down = sat.DownP()
-    follows = _pdl_conj(
+    follows = reduce(
+        sat.PdlAnd,
         [
             sat.pdl_box(sat.plus_prog(sat.Left()), sat.PdlNot(flatp)),
             sat.pdl_box(sat.plus_prog(sat.Right()), sat.PdlNot(flatp)),
             sat.PdlDiamond(down, flatp),
         ]
     )
-    return _pdl_conj(
+    return reduce(
+        sat.PdlAnd,
         [
             flatp,
             sat.pdl_box(sat.Star(down), sat.PdlNot(sat.PdlAnd(flatp, sat.PdlNot(follows)))),

@@ -8,7 +8,7 @@ import time
 
 from hylo.blocktree import realize, verify
 from hylo.checker import eval_formula, global_eval
-from hylo.formula import parse, print_formula, prop, nom, recode_nominals
+from hylo.formula import map_nodes, parse, print_formula, prop, nom, recode_nominals, subformulas
 from hylo.model import (
     HybridModel,
     generated_submodel,
@@ -27,7 +27,6 @@ from hylo.satellites import (
     FOStructure,
     fo_eval,
     fo_preds,
-    fo_subformulas,
     Exists,
     Forall,
     enumerate_trees,
@@ -388,7 +387,7 @@ def test_ac11_ht_complete_frame_equivalence():
             preds = sorted(fo_preds(alpha))
             consts = sorted(
                 t.name
-                for g in fo_subformulas(alpha)
+                for g in subformulas(alpha)
                 for t in _fo_terms(g)
                 if _is_const(t)
             )
@@ -467,3 +466,16 @@ def test_ac13_complexity_claims_not_reproduced():
     # the executable reduction functions and the property suites above;
     # nothing here measures asymptotic behavior.
     _report(13, time.time() - t0, "covered by construction, not by experiment")
+
+
+def test_identity_rewrite_returns_each_corpus_node():
+    hybrid = [
+        *ML_CORPUS_20, *AT_LINEAR_CORPUS_10, *PDL_CORPUS_10, *ST_CORPUS_25, *HLD_CORPUS_12,
+        *(text for kind, text in HT_CORPUS_10 if kind == "hl"),
+    ]
+    first_order = [
+        *FO_01_CORPUS_15, *FO_41_CORPUS_10,
+        *(text for kind, text in HT_CORPUS_10 if kind == "mc"),
+    ]
+    for f in [*map(parse, hybrid), *map(parse_fo, first_order)]:
+        assert map_nodes(f, lambda g: g) is f, f

@@ -8,7 +8,7 @@ import pytest
 
 from hylo.cli import _TRANSLATIONS, main
 from hylo.formula import parse
-from hylo.model import model_from_dict
+from hylo.model import load_model, model_from_dict, model_to_dict
 from hylo.satellites import FOConst, fo_rename, parse_fo, parse_pdl
 
 
@@ -91,6 +91,13 @@ def test_sat_command_chain_formula(tmp_path, capsys, monkeypatch):
     doc = json.loads(out)
     m = model_from_dict(doc)
     assert len(m.val["p"]) >= 5
+    # --out writes the same model as a model file
+    path = tmp_path / "m.json"
+    code, out, _ = run(
+        capsys, "realize", "--rep", str(tmp_path / "w.json"), "--depth", "4", "--out", str(path)
+    )
+    assert code == 0 and out == f"model written to {path}\n"
+    assert model_to_dict(load_model(path)) == doc
 
 
 def test_sat_unsat_and_unknown(capsys, tmp_path):
@@ -213,24 +220,28 @@ def test_translate_hybrid_outputs_reparse(capsys, rule, kind, text):
 
 
 @pytest.mark.parametrize(
-    "rule,text",
+    "rule,text,sigma",
     [
-        ("ht", "E x. p(x)"),
-        ("complete", "E x. p(x)"),
-        ("spy-at", "E x. R(x,x)"),
-        ("spy-fp", "E x. R(x,x)"),
-        ("ht", "E x. ~True(x)"),
-        ("complete", "E x. Down(x)"),
-        ("spy-at", "E x. E y. (R(x,y) & P(x) & ~p(x))"),
-        ("spy-fp", "E x. E x. R(x, x0)"),
-        ("spy-at", "E i. R(i,i)"),
-        ("string", "E x. a(x)"),
+        ("ht", "E x. p(x)", None),
+        ("complete", "E x. p(x)", None),
+        ("spy-at", "E x. R(x,x)", None),
+        ("spy-fp", "E x. R(x,x)", None),
+        ("ht", "E x. ~True(x)", None),
+        ("complete", "E x. Down(x)", None),
+        ("spy-at", "E x. E y. (R(x,y) & P(x) & ~p(x))", None),
+        ("spy-fp", "E x. E x. R(x, x0)", None),
+        ("spy-at", "E i. R(i,i)", None),
+        ("string", "E x. a(x)", "a,b"),
+        # a reserved letter would print a proposition that does not read back
+        ("string", "E x. a(x)", "a,_b"),
     ],
 )
-def test_translate_fo_rules_reparse(capsys, rule, text):
-    sigma = "a,b" if rule == "string" else None  # the string rule's alphabet
+def test_translate_fo_rules_reparse(capsys, rule, text, sigma):
     extra = ["--sigma", sigma] if sigma else []
-    code, out, _ = run(capsys, "translate", "--rule", rule, "--fo", text, *extra)
+    code, out, err = run(capsys, "translate", "--rule", rule, "--fo", text, *extra)
+    if sigma and "_" in sigma:
+        assert code == 65 and out == "" and "reserved namespace: ['_b']" in err
+        return
     assert code == 0
     assert parse(out.strip()) == translated(rule, parse_fo(text), sigma=sigma)
 

@@ -9,6 +9,7 @@ from hylo.formula import (
     Box,
     Diamond,
     Down,
+    Formula,
     FragmentError,
     Future,
     Iff,
@@ -23,15 +24,16 @@ from hylo.formula import (
     Until,
     UntilPlusPlus,
     At,
+    children,
     diamond_closure,
     fragment_of,
     free_vars,
-    fresh_svars,
     modal_depth_count,
     nom,
     parse,
     print_formula,
     prop,
+    rebuild,
     recode_nominals,
     strip_free,
     subformulas,
@@ -105,9 +107,9 @@ def test_parse_error_messages(text, message):
 
 
 def test_keywords_are_the_parser_tokens_and_name_no_proposition():
-    from hylo.formula import _APP_CLASSES, _CONSTANTS, _UNARY_CLASSES
+    from hylo.formula import _APP_CLASSES, _CONSTANTS, _PREFIX_CLASSES
 
-    idents = {t for t in [*_UNARY_CLASSES, *_APP_CLASSES, *_CONSTANTS, "down"] if t.isidentifier()}
+    idents = {t for t in [*_PREFIX_CLASSES, *_APP_CLASSES, *_CONSTANTS, "down"] if t.isidentifier()}
     assert RESERVED_WORDS == idents
     for word in RESERVED_WORDS:
         with pytest.raises(ValueError, match="keyword"):
@@ -206,10 +208,57 @@ def test_recode_nominals():
     assert g == parse("_n_i & <>(p & _n_j)", allow_reserved=True)
 
 
-def test_fresh_svars_avoid_collisions():
-    f = parse("$_g0 & down $_g1 . p", allow_reserved=True)
-    fresh = fresh_svars(2, f)
-    assert [a.name for a in fresh] == ["_g2", "_g3"]
+# -- node shape ---------------------------------------------------------------
+
+
+def _shapes():
+    """One node of every interned class, with the children it must report."""
+    from hylo import formula, satellites as fo
+
+    unary = [Not, Diamond, Box, Future, formula.Globally, formula.Past,
+             formula.Historically, Somewhere, formula.Everywhere]
+    binary = [And, Or, Implies, Iff, *formula.UNTIL_FORMS]
+    a, b = fo.FOTrue(), fo.Pred("P", fo.FOVar("x"))
+    u, v = fo.FOVar("x"), fo.FOConst("c")
+    return [
+        (p, ()), (nom("i"), ()), (x, ()), (Top(), ()), (Bot(), ()),
+        *[(cls(p), (p,)) for cls in unary],
+        *[(cls(p, q), (p, q)) for cls in binary],
+        (At(nom("i"), p), (p,)), (At(x, p), (p,)), (Down(x, p), (p,)),
+        (a, ()), (fo.FOFalse(), ()), (b, ()),
+        (fo.Rel(u, v), ()), (fo.RelPlus(u, u), ()), (fo.Eq(u, v), ()),
+        (fo.FONot(b), (b,)), (fo.FOAnd(a, b), (a, b)), (fo.FOOr(a, b), (a, b)),
+        (fo.FOImplies(a, b), (a, b)), (fo.Exists("x", b), (b,)), (fo.Forall("x", b), (b,)),
+        (u, ()), (v, ()),
+    ]
+
+
+_SHAPES = _shapes()
+
+
+def test_every_node_class_has_a_pinned_shape():
+    from hylo.formula import _Node
+
+    def concrete(cls):
+        subs = cls.__subclasses__()
+        return set().union(*map(concrete, subs)) if subs else {cls}
+
+    assert {type(f) for f, _ in _SHAPES} == concrete(_Node)
+
+
+@pytest.mark.parametrize("f,kids", _SHAPES, ids=[type(f).__name__ for f, _ in _SHAPES])
+def test_children_and_rebuild(f, kids):
+    from hylo.satellites import FOFalse
+
+    assert children(f) == kids
+    assert rebuild(f, children(f)) is f
+    # new children land in the child fields; every other field is kept
+    new = Bot() if isinstance(f, Formula) else FOFalse()
+    g = rebuild(f, [new] * len(kids))
+    assert type(g) is type(f) and children(g) == (new,) * len(kids)
+    for name in f.__match_args__:
+        if getattr(f, name) not in kids:
+            assert getattr(g, name) == getattr(f, name)
 
 
 # -- property tests ---------------------------------------------------------

@@ -325,9 +325,10 @@ def test_brute_fo_sat_agrees_with_naive(frame):
 
 
 def _fo_preds(alpha):
-    from hylo.satellites import Pred, fo_subformulas
+    from hylo.formula import subformulas
+    from hylo.satellites import Pred
 
-    return [g for g in fo_subformulas(alpha) if isinstance(g, Pred)]
+    return [g for g in subformulas(alpha) if isinstance(g, Pred)]
 
 
 def test_brute_fo_sat_respects_frames():

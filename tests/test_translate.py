@@ -427,9 +427,10 @@ def test_reduction_images_print_and_read_back(text):
     assert brute_sat(ht(alpha), "complete", 1) is not None
 
 
-def test_string_reduction_rejects_keyword_letters():
-    with pytest.raises(FragmentError, match="keywords"):
-        string_reduction(parse_fo("E x. a(x)"), ["a", "F"])
+@pytest.mark.parametrize("letter,reason", [("F", "keywords"), ("_b", "reserved namespace")])
+def test_string_reduction_rejects_letters_that_do_not_read_back(letter, reason):
+    with pytest.raises(FragmentError, match=reason):
+        string_reduction(parse_fo("E x. a(x)"), ["a", letter])
 
 
 def test_renamed_binders_avoid_constants():
@@ -439,3 +440,19 @@ def test_renamed_binders_avoid_constants():
     image = spy_at(alpha)
     assert parse(print_formula(image)) == image
     assert "'x0" in print_formula(image) and "$x0" not in print_formula(image)
+
+
+def test_shadowing_binders_are_numbered_per_name():
+    # each rebound name counts its own renamings: x0 for x, y0 for y
+    alpha = parse_fo("E x. (E x. E y. (E y. R(x,y)))")
+    assert fo_to_text(zigzag(alpha)) == (
+        "E x. 0(x) & (E x0. 0(x0) & (E y. 0(y) & (E y0. 0(y0) & (E a0. E b0. E c0. "
+        "R(x0,a0) & R(b0,a0) & R(b0,c0) & R(y0,c0) & 0(x0) & 1(a0) & 2(b0) & 3(c0) & 0(y0)))))"
+    )
+    assert print_formula(spy_at(alpha)) == (
+        "down $i . ~<>$i & <>@$i <>down $x . @$i <>down $x0 . @$i <>down $y . @$i <>down $y0 . "
+        "@$x0 <>$y0"
+    )
+    image = string_reduction(alpha, ["a"])
+    assert "down $y0 . @$s <>($x0 & <>$y0)" in print_formula(image)
+    assert parse(print_formula(image)) == image
