@@ -73,12 +73,14 @@ _node = dataclass(frozen=True, eq=False)
 
 @_node
 class _Node(metaclass=_Interned):
-    """The base of every interned node class, hybrid and first-order.
+    """The base of every interned node class: hybrid, first-order and PDL.
 
     Each class records its child fields when it is created: the fields
-    annotated with its family base (``Formula``, ``FOFormula``), in
-    declaration order.  A field holding an atom, a term or a name is part
-    of the node itself.  ``children``, ``rebuild``, ``map_nodes`` and
+    annotated with a kind its family base (``Formula``, ``FOFormula``,
+    ``PdlProgram``, ...) lists in ``_kinds``, in declaration order.  A base
+    that lists no kinds holds only its own family; PDL's two families hold
+    each other.  A field holding an atom, a term or a name is part of the
+    node itself.  ``children``, ``rebuild``, ``map_nodes`` and
     ``subformulas`` read only this record, so they serve every family.
     """
 
@@ -86,9 +88,10 @@ class _Node(metaclass=_Interned):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        family = next(c for c in cls.__mro__ if _Node in c.__bases__).__name__
+        family = next(c for c in cls.__mro__ if _Node in c.__bases__)
+        kinds = family.__dict__.get("_kinds", (family.__name__,))
         own = inspect.get_annotations(cls)
-        cls._kids += tuple(name for name, kind in own.items() if kind == family)
+        cls._kids += tuple(name for name, kind in own.items() if kind in kinds)
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which re-interns

@@ -2,19 +2,20 @@
 
 These are the targets and sources of the logic-to-logic translations: a
 small interned FO AST with a Tarskian evaluator over finite structures,
-and a PDL AST with the relational program semantics over finite ordered
-trees.
+and an interned PDL AST with the relational program semantics over finite
+ordered trees.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
 from .formula import ParseError, _Node, _node, _Tokens, subformulas
-from .model import _closure
+from .model import _closure, _name_lists, _name_map, _names
 
 
 # ---------------------------------------------------------------------------
@@ -450,81 +451,90 @@ def fo_to_text(f: FOFormula, rplus_as_lfp: bool = False) -> str:
 
 # ---------------------------------------------------------------------------
 # PDL over finite sibling-ordered trees
+#
+# Programs and formulas are interned nodes too, so the node walk of
+# ``hylo.formula`` reaches through tests and diamonds, and the evaluator
+# memoizes on the node itself.
 
 
-@dataclass(frozen=True)
-class PdlProgram:
+@_node
+class PdlProgram(_Node):
+    # the two PDL families nest: a test holds a formula, a diamond a program
+    _kinds = ("PdlProgram", "PdlFormula")
+
     def __str__(self):
         return pdl_prog_to_text(self)
 
 
-@dataclass(frozen=True)
+@_node
 class Left(PdlProgram):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Right(PdlProgram):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Up(PdlProgram):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class DownP(PdlProgram):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(PdlProgram):
     first: PdlProgram
     second: PdlProgram
 
 
-@dataclass(frozen=True)
+@_node
 class Choice(PdlProgram):
     left: PdlProgram
     right: PdlProgram
 
 
-@dataclass(frozen=True)
+@_node
 class Star(PdlProgram):
     body: PdlProgram
 
 
-@dataclass(frozen=True)
+@_node
 class Test(PdlProgram):
     __test__ = False  # not a pytest case
 
-    formula: "PdlFormula"
+    formula: PdlFormula
 
 
-@dataclass(frozen=True)
-class PdlFormula:
+@_node
+class PdlFormula(_Node):
+    _kinds = PdlProgram._kinds
+
     def __str__(self):
         return pdl_to_text(self)
 
 
-@dataclass(frozen=True)
+@_node
 class PdlAtom(PdlFormula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class PdlNot(PdlFormula):
     body: PdlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class PdlAnd(PdlFormula):
     left: PdlFormula
     right: PdlFormula
 
 
-@dataclass(frozen=True)
+@_node
 class PdlDiamond(PdlFormula):
     program: PdlProgram
     body: PdlFormula
@@ -550,7 +560,10 @@ def pdl_true() -> PdlFormula:
 
 @dataclass(frozen=True)
 class SiblingTree:
-    """Finite tree with ordered children and atom labels."""
+    """Finite tree with ordered children and atom labels: distinct nodes,
+    one root without a parent, each child link given both ways (the
+    child's parent, and once among the parent's children), and every node
+    below the root."""
 
     nodes: tuple
     parent: dict
@@ -562,16 +575,26 @@ class SiblingTree:
         object.__setattr__(self, "parent", dict(self.parent))
         object.__setattr__(self, "children", {n: tuple(cs) for n, cs in self.children.items()})
         object.__setattr__(self, "labels", {a: frozenset(ns) for a, ns in self.labels.items()})
+        known = set(self.nodes)
+        if len(known) != len(self.nodes):
+            raise ValueError("repeated node")
+        named = {*self.parent, *self.parent.values(), *self.children} - {None}
+        if named - known:
+            raise ValueError(f"parent or children name nodes outside the tree: {sorted(named - known)}")
         roots = [n for n in self.nodes if self.parent.get(n) is None]
         if len(roots) != 1:
             raise ValueError("tree must have exactly one root")
-        known = set(self.nodes)
-        for n, cs in self.children.items():
-            for c in cs:
-                if self.parent.get(c) != n:
-                    raise ValueError("children/parent mismatch")
-                if c not in known:
-                    raise ValueError(f"unknown child {c!r}")
+        links = Counter((p, n) for n, p in self.parent.items() if p is not None)
+        if links != Counter((n, c) for n, cs in self.children.items() for c in cs):
+            raise ValueError("children/parent mismatch: each child link must be given once each way")
+        # no node is listed twice, so the walk from the root ends
+        below, stack = set(), roots
+        while stack:
+            n = stack.pop()
+            below.add(n)
+            stack.extend(self.children.get(n, ()))
+        if below != known:
+            raise ValueError(f"nodes not below the root: {sorted(known - below)}")
         for a, ns in self.labels.items():
             if ns - known:
                 raise ValueError(f"label {a!r} outside tree")
@@ -582,67 +605,67 @@ class SiblingTree:
 
 
 class _PdlEvaluator:
+    """The relation of each program (pairs of tree nodes) and the extension
+    of each formula (tree nodes) over one tree, computed once per node."""
+
     def __init__(self, tree: SiblingTree):
         self.t = tree
-        down = set()
-        right = set()
-        for n in tree.nodes:
-            cs = tree.children.get(n, ())
-            for c in cs:
-                down.add((n, c))
-            for a, b in zip(cs, cs[1:]):
-                right.add((a, b))
-        self.base = {
-            DownP(): frozenset(down),
-            Up(): frozenset((b, a) for a, b in down),
-            Right(): frozenset(right),
-            Left(): frozenset((b, a) for a, b in right),
-        }
-        self.prog_cache = {}
-        self.sat_cache = {}
+        self.nodes = frozenset(tree.nodes)
+        self.down = frozenset((n, c) for n, cs in tree.children.items() for c in cs)
+        self.right = frozenset(pair for cs in tree.children.values() for pair in zip(cs, cs[1:]))
+        self.memo = {}
 
     def rel(self, prog):
-        if prog in self.prog_cache:
-            return self.prog_cache[prog]
-        if isinstance(prog, (DownP, Up, Right, Left)):
-            out = self.base[prog]
-        elif isinstance(prog, Seq):
-            r1, r2 = self.rel(prog.first), self.rel(prog.second)
-            out = frozenset((a, d) for a, b in r1 for c, d in r2 if b == c)
-        elif isinstance(prog, Choice):
-            out = self.rel(prog.left) | self.rel(prog.right)
-        elif isinstance(prog, Star):
-            out = frozenset((n, n) for n in self.t.nodes) | _closure(self.t.nodes, self.rel(prog.body))
-        elif isinstance(prog, Test):
-            out = frozenset((n, n) for n in self.t.nodes if self.holds(n, prog.formula))
-        else:
-            raise TypeError(f"not a PDL program: {prog!r}")
-        self.prog_cache[prog] = out
+        return self._get(prog, _PDL_PROGRAMS)
+
+    def ext(self, f):
+        return self._get(f, _PDL_FORMULAS)
+
+    def _get(self, g, cases):
+        out = self.memo.get(g)
+        if out is None:
+            case = cases.get(type(g))
+            if case is None:
+                raise TypeError(f"no PDL case for {g!r}")
+            out = self.memo[g] = case(self, g)
         return out
 
-    def holds(self, node, f):
-        key = (node, f)
-        hit = self.sat_cache.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(f, PdlAtom):
-            out = node in self.t.labels.get(f.name, frozenset())
-        elif isinstance(f, PdlNot):
-            out = not self.holds(node, f.body)
-        elif isinstance(f, PdlAnd):
-            out = self.holds(node, f.left) and self.holds(node, f.right)
-        elif isinstance(f, PdlDiamond):
-            out = any(self.holds(b, f.body) for a, b in self.rel(f.program) if a == node)
-        else:
-            raise TypeError(f"not a PDL formula: {f!r}")
-        self.sat_cache[key] = out
-        return out
+
+def _compose(first, second):
+    succ = {}
+    for b, c in second:
+        succ.setdefault(b, []).append(c)
+    return frozenset((a, c) for a, b in first for c in succ.get(b, ()))
+
+
+def _preimage(rel, targets):
+    return frozenset(a for a, b in rel if b in targets)
+
+
+# One case per node class of each family, called as case(evaluator, node).
+_PDL_PROGRAMS = {
+    DownP: lambda ev, p: ev.down,
+    Up: lambda ev, p: frozenset((b, a) for a, b in ev.down),
+    Right: lambda ev, p: ev.right,
+    Left: lambda ev, p: frozenset((b, a) for a, b in ev.right),
+    Seq: lambda ev, p: _compose(ev.rel(p.first), ev.rel(p.second)),
+    Choice: lambda ev, p: ev.rel(p.left) | ev.rel(p.right),
+    Star: lambda ev, p: frozenset((n, n) for n in ev.nodes) | _closure(ev.t.nodes, ev.rel(p.body)),
+    Test: lambda ev, p: frozenset((n, n) for n in ev.ext(p.formula)),
+}
+
+_PDL_FORMULAS = {
+    PdlAtom: lambda ev, f: ev.t.labels.get(f.name, frozenset()),
+    PdlNot: lambda ev, f: ev.nodes - ev.ext(f.body),
+    PdlAnd: lambda ev, f: ev.ext(f.left) & ev.ext(f.right),
+    PdlDiamond: lambda ev, f: _preimage(ev.rel(f.program), ev.ext(f.body)),
+}
 
 
 def pdl_eval(tree: SiblingTree, node, f: PdlFormula) -> bool:
     if node not in set(tree.nodes):
         raise ValueError(f"unknown node {node!r}")
-    return _PdlEvaluator(tree).holds(node, f)
+    return node in _PdlEvaluator(tree).ext(f)
 
 
 def pdl_program_relation(tree: SiblingTree, prog: PdlProgram) -> frozenset:
@@ -723,34 +746,32 @@ def _pdl_unary_text(f):
     return f"({text})" if isinstance(f, PdlAnd) else text
 
 
+_PROG_NAMES = {Left: "left", Right: "right", Up: "up", DownP: "down"}
+
+# binding strength of the infix programs; every other program binds tightest
+_PROG_PREC = {Choice: 1, Seq: 2}
+
+
 def pdl_prog_to_text(p: PdlProgram) -> str:
-    if isinstance(p, Left):
-        return "left"
-    if isinstance(p, Right):
-        return "right"
-    if isinstance(p, Up):
-        return "up"
-    if isinstance(p, DownP):
-        return "down"
+    if type(p) in _PROG_NAMES:
+        return _PROG_NAMES[type(p)]
+    # ; and | read left-nested, so a right operand with the same operator
+    # keeps its brackets
     if isinstance(p, Seq):
-        return f"{_seq_part(p.first)};{_seq_part(p.second)}"
+        return f"{_prog_part(p.first, 2)};{_prog_part(p.second, 3)}"
     if isinstance(p, Choice):
-        return f"{pdl_prog_to_text(p.left)} | {pdl_prog_to_text(p.right)}"
+        return f"{_prog_part(p.left, 1)} | {_prog_part(p.right, 2)}"
     if isinstance(p, Star):
-        return _star_part(p.body) + "*"
+        return _prog_part(p.body, 3) + "*"
     if isinstance(p, Test):
         return f"?({pdl_to_text(p.formula)})"
     raise TypeError(f"not a PDL program: {p!r}")
 
 
-def _seq_part(p):
+def _prog_part(p, floor):
+    """The text of p, bracketed when p binds looser than floor."""
     text = pdl_prog_to_text(p)
-    return f"({text})" if isinstance(p, Choice) else text
-
-
-def _star_part(p):
-    text = pdl_prog_to_text(p)
-    return f"({text})" if isinstance(p, (Seq, Choice)) else text
+    return f"({text})" if _PROG_PREC.get(type(p), 3) < floor else text
 
 
 class PdlParseError(ParseError):
@@ -810,10 +831,14 @@ class _PdlParser(_Tokens):
             f = self.formula()
             self.expect(")")
             return Test(f)
-        if kind == "ident" and value in ("left", "right", "up", "down"):
+        if kind == "ident" and value in _PROG_CLASSES:
             self.next()
-            return {"left": Left(), "right": Right(), "up": Up(), "down": DownP()}[value]
+            return _PROG_CLASSES[value]()
         self.fail("expected a program")
+
+
+# the parser reads the printer's table backwards
+_PROG_CLASSES = {name: cls for cls, name in _PROG_NAMES.items()}
 
 
 def parse_pdl(text: str) -> PdlFormula:
@@ -827,14 +852,19 @@ _TREE_KEYS = {"nodes", "parent", "children", "labels"}
 
 
 def tree_from_dict(doc: dict) -> SiblingTree:
+    if not isinstance(doc, dict):
+        raise ValueError("tree document must be a mapping")
     unknown = set(doc) - _TREE_KEYS
     if unknown:
         raise ValueError(f"unknown keys in tree document: {sorted(unknown)}")
+    if "nodes" not in doc:
+        raise ValueError("tree document lacks 'nodes'")
+    nodes = _names(doc, "nodes")
     return SiblingTree(
-        tuple(doc["nodes"]),
-        {n: doc.get("parent", {}).get(n) for n in doc["nodes"]},
-        {n: tuple(cs) for n, cs in doc.get("children", {}).items()},
-        {a: frozenset(ns) for a, ns in doc.get("labels", {}).items()},
+        tuple(nodes),
+        dict.fromkeys(nodes) | _name_map(doc, "parent"),
+        _name_lists(doc, "children"),
+        _name_lists(doc, "labels"),
     )
 
 

@@ -10,7 +10,7 @@ variable free in its input.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial, reduce
 
 from .formula import (
     NOM,
@@ -46,6 +46,8 @@ from .formula import (
     check_hld,
     children,
     map_nodes,
+    noms_of,
+    props_of,
     rebuild,
     subformulas,
     svar,
@@ -74,13 +76,13 @@ class _Names:
     def nom(self, pretty):
         return Atom(NOM, self._pick(pretty))
 
-    def _pick(self, pretty):
-        """The pretty name, or else it with the first free numeric suffix:
-        never a reserved name, so every output reads back."""
+    def _pick(self, pretty, sep=""):
+        """The pretty name, or else it with the first free numeric suffix
+        (after sep): never a reserved name, so every output reads back."""
         name, k = pretty, 0
         while name in self.used:
             k += 1
-            name = f"{pretty}{k}"
+            name = f"{pretty}{sep}{k}"
         self.used.add(name)
         return name
 
@@ -329,18 +331,15 @@ def _prop_names(alpha):
     preds = sorted(sat.fo_preds(alpha))
     want = {p: p.lower() if p[0].isalpha() else "q" + p for p in preds}
     out = {}
-    taken = set(RESERVED_WORDS)
+    names = _Names()
+    names.used.update(RESERVED_WORDS)
     for p in sorted(preds, key=lambda p: want[p] != p):
-        if want[p] not in taken:
+        if want[p] not in names.used:
             out[p] = want[p]
-            taken.add(want[p])
-    taken.update(want.values())
+            names.used.add(want[p])
+    names.used.update(want.values())
     for p in (p for p in preds if p not in out):
-        k = 1
-        while f"{want[p]}_{k}" in taken:
-            k += 1
-        out[p] = f"{want[p]}_{k}"
-        taken.add(out[p])
+        out[p] = names._pick(want[p], "_")
     return out
 
 
@@ -665,34 +664,21 @@ def exists_to_at(phi: Formula) -> Formula:
 # PDL over sibling-ordered trees
 
 
-def _normalize_for_pdl(phi):
-    """Rewrite the E-U,S language so only atoms, not, and, E, U, S remain."""
-    _check_e_us(phi)
-
-    def rewrite(g):
-        if isinstance(g, Top):
-            return Not(And(Atom(PROP, "_t"), Not(Atom(PROP, "_t"))))
-        if isinstance(g, Bot):
-            return And(Atom(PROP, "_t"), Not(Atom(PROP, "_t")))
-        if isinstance(g, Or):
-            return Not(And(Not(g.left), Not(g.right)))
-        if isinstance(g, Implies):
-            return Not(And(g.left, Not(g.right)))
-        if isinstance(g, Iff):
-            l, r = g.left, g.right
-            return And(Not(And(l, Not(r))), Not(And(r, Not(l))))
-        if isinstance(g, (Diamond, Future)):
-            return Until(g.body, Not(And(Atom(PROP, "_t"), Not(Atom(PROP, "_t")))))
-        if isinstance(g, (Box, Globally)):
-            return Not(Until(Not(g.body), Not(And(Atom(PROP, "_t"), Not(Atom(PROP, "_t"))))))
-        return g
-
-    return map_nodes(phi, rewrite)
+def _pdl_atoms(phi):
+    """The PDL atom of each nominal of phi: its own name, or, when a
+    proposition of phi has that name too, the name with the first free
+    _k suffix.  Propositions keep their names."""
+    names = _Names(phi)
+    props = set(props_of(phi))
+    return {i: names._pick(i, "_") if i in props else i for i in noms_of(phi)}
 
 
 def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
-    """The composition map into tree PDL; nominals become atoms."""
-    norm = _normalize_for_pdl(phi)
+    """The composition map into tree PDL, one node at a time; a nominal
+    becomes the atom _pdl_atoms gives it.  A diamond or box (F, G) is the
+    Until with guard true, and E, A look along up*;down*."""
+    _check_e_us(phi)
+    noms = _pdl_atoms(phi)
     if flat:
         flatp = sat.PdlAtom("_flat")
         dn = sat.Choice(
@@ -706,89 +692,66 @@ def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
     else:
         dn, up = sat.DownP(), sat.Up()
 
+    def steps(step, guard):
+        return sat.Seq(sat.Star(sat.Seq(step, sat.Test(guard))), step)
+
+    def nand(a, b):
+        return sat.PdlNot(sat.PdlAnd(a, b))
+
+    later = steps(dn, sat.pdl_true())
+    everywhere = sat.Seq(sat.Star(sat.Up()), sat.Star(sat.DownP()))
+    # each node's image, from the images of its children
+    image = {
+        Top: sat.pdl_true,
+        Bot: sat.pdl_false,
+        Not: sat.PdlNot,
+        And: sat.PdlAnd,
+        Or: lambda a, b: nand(sat.PdlNot(a), sat.PdlNot(b)),
+        Implies: lambda a, b: nand(a, sat.PdlNot(b)),
+        Iff: lambda a, b: sat.PdlAnd(nand(a, sat.PdlNot(b)), nand(b, sat.PdlNot(a))),
+        Diamond: partial(sat.PdlDiamond, later),
+        Future: partial(sat.PdlDiamond, later),
+        Box: partial(sat.pdl_box, later),
+        Globally: partial(sat.pdl_box, later),
+        Somewhere: partial(sat.PdlDiamond, everywhere),
+        Everywhere: partial(sat.pdl_box, everywhere),
+        Until: lambda a, b: sat.PdlDiamond(steps(dn, b), a),
+        Since: lambda a, b: sat.PdlDiamond(steps(up, b), a),
+    }
+
     def rec(g):
         if isinstance(g, Atom):
-            return sat.PdlAtom(g.name)
-        if isinstance(g, Not):
-            return sat.PdlNot(rec(g.body))
-        if isinstance(g, And):
-            return sat.PdlAnd(rec(g.left), rec(g.right))
-        if isinstance(g, Somewhere):
-            return sat.PdlDiamond(sat.Seq(sat.Star(sat.Up()), sat.Star(sat.DownP())), rec(g.body))
-        if isinstance(g, Everywhere):
-            return sat.PdlNot(
-                sat.PdlDiamond(sat.Seq(sat.Star(sat.Up()), sat.Star(sat.DownP())), sat.PdlNot(rec(g.body)))
-            )
-        if isinstance(g, Until):
-            return sat.PdlDiamond(
-                sat.Seq(sat.Star(sat.Seq(dn, sat.Test(rec(g.right)))), dn), rec(g.left)
-            )
-        if isinstance(g, Since):
-            return sat.PdlDiamond(
-                sat.Seq(sat.Star(sat.Seq(up, sat.Test(rec(g.right)))), up), rec(g.left)
-            )
-        raise TypeError(f"unexpected node after normalization: {g!r}")
+            return sat.PdlAtom(noms[g.name] if g.kind == NOM else g.name)
+        return image[type(g)](*map(rec, children(g)))
 
-    return rec(norm)
+    return rec(phi)
 
 
 def nominal_uniqueness(i: str) -> sat.PdlFormula:
-    """nu(i): the atom for nominal i is true at exactly one tree node."""
-    atom = sat.PdlAtom(i)
-    down, upp = sat.DownP(), sat.Up()
-    body = reduce(
-        sat.PdlAnd,
-        [
-            sat.pdl_box(sat.plus_prog(down), sat.PdlNot(atom)),
-            sat.pdl_box(sat.plus_prog(upp), sat.PdlNot(atom)),
-            sat.pdl_box(reduce(sat.Seq, [sat.Star(upp), sat.plus_prog(sat.Left()), sat.Star(down)]), sat.PdlNot(atom)),
-            sat.pdl_box(reduce(sat.Seq, [sat.Star(upp), sat.plus_prog(sat.Right()), sat.Star(down)]), sat.PdlNot(atom)),
-        ]
-    )
-    return sat.PdlAnd(
-        sat.PdlDiamond(sat.Star(down), atom),
-        sat.pdl_box(sat.Star(down), sat.PdlNot(sat.PdlAnd(atom, sat.PdlNot(body)))),
-    )
+    """nu(i): the atom for nominal i is true at exactly one tree node, so
+    at no node below, above, or beside one where it holds."""
+    elsewhere = " & ".join(f"~<{way}>~~{i}" for way in ("down+", "up+", "up*;left+;down*", "up*;right+;down*"))
+    return sat.parse_pdl(f"<down*>{i} & ~<down*>~~({i} & ~({elsewhere}))")
+
+
+def _with_uniqueness(phi, image):
+    """image conjoined with nu of each nominal of phi, in name order."""
+    return reduce(sat.PdlAnd, map(nominal_uniqueness, _pdl_atoms(phi).values()), image)
 
 
 def pdl_reduction(phi: Formula) -> sat.PdlFormula:
     """f(phi) = <down*> phi^t & the uniqueness constraints for nominals."""
-    image = pdl_translate(phi)
-    out = sat.PdlDiamond(sat.Star(sat.DownP()), image)
-    for i in sorted({a.name for a in atoms_of(phi) if a.kind == NOM}):
-        out = sat.PdlAnd(out, nominal_uniqueness(i))
-    return out
+    return _with_uniqueness(phi, sat.PdlDiamond(sat.Star(sat.DownP()), pdl_translate(phi)))
 
 
 def flat_path_marker() -> sat.PdlFormula:
-    """beta: the flat marker labels the root and exactly one downward path."""
-    flatp = sat.PdlAtom("_flat")
-    down = sat.DownP()
-    follows = reduce(
-        sat.PdlAnd,
-        [
-            sat.pdl_box(sat.plus_prog(sat.Left()), sat.PdlNot(flatp)),
-            sat.pdl_box(sat.plus_prog(sat.Right()), sat.PdlNot(flatp)),
-            sat.PdlDiamond(down, flatp),
-        ]
-    )
-    return reduce(
-        sat.PdlAnd,
-        [
-            flatp,
-            sat.pdl_box(sat.Star(down), sat.PdlNot(sat.PdlAnd(flatp, sat.PdlNot(follows)))),
-            sat.pdl_box(
-                sat.Star(down),
-                sat.PdlNot(sat.PdlAnd(sat.PdlNot(flatp), sat.PdlNot(sat.pdl_box(down, sat.PdlNot(flatp))))),
-            ),
-        ]
-    )
+    """beta: the flat marker labels the root and exactly one downward path:
+    a marked node has a marked child and no marked sibling, and an unmarked
+    node has no marked child."""
+    follows = "~<left+>~~_flat & ~<right+>~~_flat & <down>_flat"
+    return sat.parse_pdl(f"_flat & ~<down*>~~(_flat & ~({follows})) & ~<down*>~~(~_flat & ~~<down>~~_flat)")
 
 
 def pdl_reduction_flat(phi: Formula) -> sat.PdlFormula:
     """f-flat: the rootless variant, predecessors turned into marked successors."""
-    image = pdl_translate(phi, flat=True)
-    out = sat.PdlAnd(image, flat_path_marker())
-    for i in sorted({a.name for a in atoms_of(phi) if a.kind == NOM}):
-        out = sat.PdlAnd(out, nominal_uniqueness(i))
-    return out
+    return _with_uniqueness(phi, sat.PdlAnd(pdl_translate(phi, flat=True), flat_path_marker()))

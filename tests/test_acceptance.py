@@ -477,5 +477,7 @@ def test_identity_rewrite_returns_each_corpus_node():
         *FO_01_CORPUS_15, *FO_41_CORPUS_10,
         *(text for kind, text in HT_CORPUS_10 if kind == "mc"),
     ]
-    for f in [*map(parse, hybrid), *map(parse_fo, first_order)]:
+    # the tree-PDL images of AC9 are nodes too, walked through tests and diamonds
+    pdl = [pdl_reduction(parse(text)) for text in PDL_CORPUS_10]
+    for f in [*map(parse, hybrid), *map(parse_fo, first_order), *pdl]:
         assert map_nodes(f, lambda g: g) is f, f

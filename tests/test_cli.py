@@ -274,12 +274,12 @@ def test_translate_string_and_pdl(capsys):
         capsys, "translate", "--rule", "string", "--fo", "E x. a(x)", "--sigma", "a,F"
     )
     assert code == 65 and out == "" and "keywords: ['F']" in err
-    code, out, _ = run(capsys, "translate", "--rule", "pdl", "--formula", "U(p, q)")
-    assert code == 0
-    parse_pdl(out.strip())
-    code, out, _ = run(capsys, "translate", "--rule", "pdl-flat", "--formula", "U(p, q)")
-    assert code == 0
-    parse_pdl(out.strip())
+    # a nominal brings the right-nested uniqueness programs into the output
+    for rule in ("pdl", "pdl-flat"):
+        for text in ("U(p, q)", "'i & S(p, ~'i)"):
+            code, out, _ = run(capsys, "translate", "--rule", rule, "--formula", text)
+            assert code == 0
+            assert parse_pdl(out.strip()) is translated(rule, parse(text))
 
 
 def test_fo_reserved_identifiers_exit_65(capsys):

@@ -220,6 +220,9 @@ def _shapes():
     binary = [And, Or, Implies, Iff, *formula.UNTIL_FORMS]
     a, b = fo.FOTrue(), fo.Pred("P", fo.FOVar("x"))
     u, v = fo.FOVar("x"), fo.FOConst("c")
+    # PDL's two families hold each other: a test a formula, a diamond a program
+    pa, step = fo.PdlAtom("p"), fo.DownP()
+    pb = fo.PdlNot(pa)
     return [
         (p, ()), (nom("i"), ()), (x, ()), (Top(), ()), (Bot(), ()),
         *[(cls(p), (p,)) for cls in unary],
@@ -230,6 +233,10 @@ def _shapes():
         (fo.FONot(b), (b,)), (fo.FOAnd(a, b), (a, b)), (fo.FOOr(a, b), (a, b)),
         (fo.FOImplies(a, b), (a, b)), (fo.Exists("x", b), (b,)), (fo.Forall("x", b), (b,)),
         (u, ()), (v, ()),
+        (fo.Left(), ()), (fo.Right(), ()), (fo.Up(), ()), (step, ()),
+        (fo.Seq(step, fo.Up()), (step, fo.Up())), (fo.Choice(step, fo.Up()), (step, fo.Up())),
+        (fo.Star(step), (step,)), (fo.Test(pb), (pb,)),
+        (pa, ()), (pb, (pa,)), (fo.PdlAnd(pa, pb), (pa, pb)), (fo.PdlDiamond(step, pa), (step, pa)),
     ]
 
 
@@ -246,16 +253,23 @@ def test_every_node_class_has_a_pinned_shape():
     assert {type(f) for f, _ in _SHAPES} == concrete(_Node)
 
 
+def _replacement(kid):
+    """A node of kid's family, unlike every child in the pinned table."""
+    from hylo import satellites as fo
+
+    families = {Formula: Bot(), fo.FOFormula: fo.FOFalse(),
+                fo.PdlFormula: fo.PdlAtom("z"), fo.PdlProgram: fo.Left()}
+    return next(new for family, new in families.items() if isinstance(kid, family))
+
+
 @pytest.mark.parametrize("f,kids", _SHAPES, ids=[type(f).__name__ for f, _ in _SHAPES])
 def test_children_and_rebuild(f, kids):
-    from hylo.satellites import FOFalse
-
     assert children(f) == kids
     assert rebuild(f, children(f)) is f
     # new children land in the child fields; every other field is kept
-    new = Bot() if isinstance(f, Formula) else FOFalse()
-    g = rebuild(f, [new] * len(kids))
-    assert type(g) is type(f) and children(g) == (new,) * len(kids)
+    new = tuple(map(_replacement, kids))
+    g = rebuild(f, new)
+    assert type(g) is type(f) and children(g) == new
     for name in f.__match_args__:
         if getattr(f, name) not in kids:
             assert getattr(g, name) == getattr(f, name)

@@ -162,3 +162,28 @@ def test_only_the_oracle_loads_numpy():
             break
         loaders |= more
     assert loaders == {"hylo.oracle"}
+
+
+def test_every_syntax_tree_class_is_an_interned_node():
+    # a class with a field typed by a node family is syntax; as a plain
+    # dataclass it would hash its whole subtree on every memo lookup, and
+    # children, rebuild and map_nodes could not walk it
+    import importlib
+    import inspect
+    import pkgutil
+
+    from hylo.formula import _Node
+
+    classes = set()
+    for info in pkgutil.iter_modules(hylo.__path__):
+        module = importlib.import_module(f"hylo.{info.name}")
+        classes |= {c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__}
+    def name(kind):  # a string, a forward reference or a class
+        return getattr(kind, "__forward_arg__", getattr(kind, "__name__", kind))
+
+    kinds = {c: set(map(name, inspect.get_annotations(c).values())) for c in classes}
+    # a node family: a class that some field of one of its own subclasses is typed by
+    families = {base.__name__ for c in classes for base in c.__mro__ if base in classes and base.__name__ in kinds[c]}
+    assert {"Formula", "FOFormula", "PdlProgram", "PdlFormula"} <= families
+    loose = sorted(c.__name__ for c in classes if kinds[c] & families and not issubclass(c, _Node))
+    assert loose == []

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hylo.formula import ParseError
@@ -144,6 +146,21 @@ def test_fo_equal_structure_is_the_same_node():
     assert pickle.loads(pickle.dumps(f)) is f
 
 
+def test_pdl_equal_structure_is_the_same_node():
+    import copy
+    import pickle
+
+    text = "<(down;?(~q))*;(left;left*)>p & ~<up+ | right>(p & q)"
+    f = parse_pdl(text)
+    assert parse_pdl(text) is f
+    assert PdlNot(PdlAtom("p")) is PdlNot(PdlAtom("p"))
+    assert Test(PdlAtom("q")) is Test(PdlAtom("q"))
+    for g in (f, f.left.program):
+        assert copy.deepcopy(g) is g
+        assert copy.copy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+
+
 def test_fo_intern_table_is_weak():
     import gc
     import weakref
@@ -268,9 +285,15 @@ def test_pdl_text_roundtrip():
         pdl_box(plus_prog(Up()), PdlNot(PdlAtom("i"))),
         PdlDiamond(Choice(Left(), Seq(Right(), Star(Up()))), PdlAtom("p")),
         PdlNot(PdlAtom("p")),
+        # a right operand with the same operator keeps its brackets
+        PdlDiamond(Seq(Seq(Star(Up()), plus_prog(Left())), Star(DownP())), PdlAtom("i")),
+        PdlDiamond(Choice(Left(), Choice(Right(), Up())), PdlAtom("p")),
+        PdlDiamond(Choice(Choice(Left(), Right()), Seq(Up(), Seq(DownP(), Up()))), PdlAtom("p")),
     ]
     for f in formulas:
-        assert parse_pdl(pdl_to_text(f)) == f
+        assert parse_pdl(pdl_to_text(f)) is f
+    assert pdl_to_text(formulas[4]) == "<up*;(left;left*);down*>i"
+    assert pdl_to_text(formulas[5]) == "<left | (right | up)>p"
 
 
 def test_tree_dict_roundtrip():
@@ -283,3 +306,26 @@ def test_tree_dict_roundtrip():
     assert tree_from_dict(tree_to_dict(t)) == t
     with pytest.raises(ValueError):
         tree_from_dict({"nodes": ["r"], "bogus": {}})
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({}, "lacks 'nodes'"),
+        ([], "must be a mapping"),
+        ({"nodes": "ra"}, "'nodes' must be a list"),
+        ({"nodes": ["r", "a"], "parent": {"a": ["r"]}}, "'parent' must map"),
+        ({"nodes": ["r", "a"], "parent": {"a": "r"}}, "children/parent mismatch"),
+        ({"nodes": ["r", "a"], "parent": {"a": "r"}, "children": {"r": ["a", "a"]}}, "children/parent mismatch"),
+        ({"nodes": ["r", "a"], "parent": {"a": "x"}}, "nodes outside the tree: ['x']"),
+        ({"nodes": ["r"], "parent": {"a": "r"}, "children": {"r": ["a"]}}, "nodes outside the tree: ['a']"),
+        ({"nodes": ["r", "r"]}, "repeated node"),
+        (
+            {"nodes": ["r", "a", "b"], "parent": {"a": "b", "b": "a"}, "children": {"a": ["b"], "b": ["a"]}},
+            "nodes not below the root: ['a', 'b']",
+        ),
+    ],
+)
+def test_tree_from_dict_rejects_documents_that_are_not_trees(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tree_from_dict(doc)

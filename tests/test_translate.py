@@ -25,9 +25,12 @@ from hylo.satellites import (
     FONot,
     FOVar,
     Forall,
+    PdlAnd,
+    PdlAtom,
     Pred,
     Rel,
     SiblingTree,
+    enumerate_trees,
     fo_to_text,
     parse_fo,
     parse_pdl,
@@ -343,6 +346,38 @@ def test_pdl_reduction_one_node_tree():
     assert pdl_eval(t, "r", f)
     bare = SiblingTree(("r",), {"r": None}, {"r": ()}, {})
     assert not pdl_eval(bare, "r", f)
+
+
+# a nominal and a proposition sharing a name are two atoms over the tree
+PDL_COLLISIONS = [
+    ("'i & ~i", True),
+    ("i & ~'i & E('i & i)", True),
+    ("'i & ~i & i_1 & E ~i_1", True),
+    ("'i & ~i & E(i & 'i)", False),
+    ("'i & U(i, ~'i)", True),
+]
+
+
+@pytest.mark.parametrize("text,expected", PDL_COLLISIONS)
+def test_pdl_reduction_keeps_a_nominal_apart_from_its_namesake(text, expected):
+    phi = parse(text)
+    hybrid = brute_sat(phi, "transitive-tree", 4) is not None
+    reduction = pdl_reduction(phi)
+    atoms = sorted(
+        {g.name for g in subformulas(reduction) if isinstance(g, PdlAtom) and not g.name.startswith("_")}
+    )
+    pdl = any(pdl_eval(t, t.root, reduction) for t in enumerate_trees(4, atoms=atoms))
+    assert hybrid == pdl == expected
+
+
+def test_pdl_nominal_takes_the_first_free_suffix():
+    assert pdl_translate(parse("'i & ~i")) is parse_pdl("i_1 & ~i")
+    assert pdl_translate(parse("'i & ~i & i_1")) is parse_pdl("(i_2 & ~i) & i_1")
+    assert pdl_translate(parse("'i & 'j & j")) is parse_pdl("(i & j_1) & j")
+    # the uniqueness constraint is on the nominal's own atom
+    assert pdl_reduction(parse("'i & ~i")) is PdlAnd(
+        parse_pdl("<down*>(i_1 & ~i)"), nominal_uniqueness("i_1")
+    )
 
 
 def test_pdl_nominal_uniqueness():
