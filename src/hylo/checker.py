@@ -3,28 +3,20 @@
 from __future__ import annotations
 
 from .formula import (
+    MODAL_FORMS,
     NOM,
     PROP,
-    SVAR,
     UNTIL_FORMS,
     And,
     At,
     Atom,
     Bot,
-    Box,
-    Diamond,
     Down,
-    Everywhere,
     Formula,
-    Future,
-    Globally,
-    Historically,
     Iff,
     Implies,
     Not,
     Or,
-    Past,
-    Somewhere,
     Top,
     check_hld,
     closure_sentence,
@@ -62,7 +54,8 @@ class _Evaluator:
     (block-tree representations, see ``blocktree.verify``).  A diamond also
     holds, and a box also fails, when its closure sentence belongs to one
     of them; that is sound because the free variables of its body are
-    bound at or above the crossing.
+    bound at or above the crossing.  Guesses come only with down-fragment
+    formulas, whose modal nodes are all diamonds and boxes.
     """
 
     def __init__(self, model: HybridModel, refs: dict | None = None):
@@ -83,8 +76,8 @@ class _Evaluator:
 
     def _guessed(self, f, s):
         """Whether f's closure sentence is in the guessed type of a
-        reference successor of s."""
-        return any(closure_sentence(f) in t for t in self.refs.get(s, ()))
+        reference successor of s, a state that has some."""
+        return any(closure_sentence(f) in t for t in self.refs[s])
 
     def _eval(self, f, g, s):
         case = _CASES.get(type(f))
@@ -125,23 +118,20 @@ class _Evaluator:
     def _iff(self, f, g, s):
         return self.run(f.left, g, s) == self.run(f.right, g, s)
 
-    def _diamond(self, f, g, s):
-        return any(self.run(f.body, g, t) for t in self.succ[s]) or self._guessed(f, s)
-
-    def _box(self, f, g, s):
-        return all(self.run(f.body, g, t) for t in self.succ[s]) and not self._guessed(f, s)
-
-    def _past(self, f, g, s):
-        return any(self.run(f.body, g, t) for t in self.m._relation(converse=True)[0][s])
-
-    def _historically(self, f, g, s):
-        return all(self.run(f.body, g, t) for t in self.m._relation(converse=True)[0][s])
-
-    def _somewhere(self, f, g, s):
-        return any(self.run(f.body, g, t) for t in self.m.states)
-
-    def _everywhere(self, f, g, s):
-        return all(self.run(f.body, g, t) for t in self.m.states)
+    def _modal(self, f, g, s):
+        # one clause for the eight forms: a step along R, along R read
+        # backwards, or to every state
+        exists, backward, universal = MODAL_FORMS[type(f)]
+        if universal:
+            scope = self.m.states
+        elif backward:
+            scope = self.m._relation(converse=True)[0][s]
+        else:
+            scope = self.succ[s]
+        crossing = s in self.refs  # a state with reference successors
+        if exists:
+            return any(self.run(f.body, g, t) for t in scope) or crossing and self._guessed(f, s)
+        return all(self.run(f.body, g, t) for t in scope) and not (crossing and self._guessed(f, s))
 
     def _at(self, f, g, s):
         return self.run(f.body, g, self._denote(f.term, g))
@@ -170,8 +160,7 @@ class _Evaluator:
         return g[term.name]
 
 
-# One case per node class; Future and Globally are the tense spellings of
-# Diamond and Box.
+# One case per node class.
 _CASES = {
     Atom: _Evaluator._atom,
     Top: _Evaluator._top,
@@ -181,16 +170,9 @@ _CASES = {
     Or: _Evaluator._or,
     Implies: _Evaluator._implies,
     Iff: _Evaluator._iff,
-    Diamond: _Evaluator._diamond,
-    Future: _Evaluator._diamond,
-    Box: _Evaluator._box,
-    Globally: _Evaluator._box,
-    Past: _Evaluator._past,
-    Historically: _Evaluator._historically,
-    Somewhere: _Evaluator._somewhere,
-    Everywhere: _Evaluator._everywhere,
     At: _Evaluator._at,
     Down: _Evaluator._down,
+    **dict.fromkeys(MODAL_FORMS, _Evaluator._modal),
     **dict.fromkeys(UNTIL_FORMS, _Evaluator._until),
 }
 

@@ -78,7 +78,9 @@ def _build_parser():
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--formula")
     group.add_argument("--fo")
-    p.add_argument("--jobs", type=_POSITIVE, default=1, help="worker processes (--formula only)")
+    p.add_argument(
+        "--jobs", type=_POSITIVE, default=1, help="worker processes, at most one per size (--formula only)"
+    )
 
     p = sub.add_parser("translate", help="apply a translation rule")
     p.add_argument("--rule", required=True, choices=sorted(_TRANSLATIONS))
@@ -201,17 +203,18 @@ def _cmd_oracle(args):
 
 
 def _parallel_oracle(phi, frame, max_states, jobs):
-    """Size slices fan out to workers; the smallest-size hit wins, so the
-    answer matches the serial canonical order regardless of job count."""
+    """Size slices fan out to at most one worker each.  Results are read in
+    size order and the smallest-size hit wins, so the answer matches the
+    serial canonical order regardless of job count; leaving the pool
+    terminates the slices still running."""
     import multiprocessing
 
     # a node pickles as its constructor call, so it re-interns in the worker
     payloads = [(phi, frame, k) for k in range(1, max_states + 1)]
-    with multiprocessing.Pool(processes=jobs) as pool:
-        results = pool.map(_oracle_worker, payloads)
-    for res in results:
-        if res is not None:
-            return res
+    with multiprocessing.Pool(processes=min(jobs, len(payloads))) as pool:
+        for res in pool.imap(_oracle_worker, payloads):
+            if res is not None:
+                return res
     return None
 
 

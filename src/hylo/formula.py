@@ -310,6 +310,33 @@ class SincePlusPlus(Formula):
     right: Formula
 
 
+class ModalForm(NamedTuple):
+    """How one of the eight one-place modalities reads the relation.
+
+    ``<>phi`` holds at s when phi holds at some state one step from s, and
+    ``[]phi`` when it holds at every one (``exists``).  The step is R, or
+    R read backwards for the past pair P/H (``backward``), or every state
+    for the global pair E/A (``universal``).  F and G are the tense
+    spellings of <> and [], so the engines each write one modal clause.
+    """
+
+    exists: bool
+    backward: bool
+    universal: bool
+
+
+MODAL_FORMS = {
+    Diamond: ModalForm(True, False, False),
+    Future: ModalForm(True, False, False),
+    Box: ModalForm(False, False, False),
+    Globally: ModalForm(False, False, False),
+    Past: ModalForm(True, True, False),
+    Historically: ModalForm(False, True, False),
+    Somewhere: ModalForm(True, False, True),
+    Everywhere: ModalForm(False, False, True),
+}
+
+
 class UntilForm(NamedTuple):
     """How one of the six Until/Since forms reads the relation.
 

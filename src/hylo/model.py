@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -117,55 +118,29 @@ def _closure(states, rel):
 
 
 def transitive_closure(m: HybridModel) -> HybridModel:
-    return HybridModel(m.states, _closure(m.states, m.rel), m.val, m.nomval)
+    return HybridModel(m.states, m._relation(plus=True)[1], m.val, m.nomval)
 
 
 def is_transitive_tree(m: HybridModel) -> bool:
-    """True iff rel is the transitive closure of a tree relation.
-
-    A tree is acyclic and connected with at most one predecessor per point;
-    for a finite strict order the candidate tree is the unique transitive
-    reduction.
-    """
+    """True iff rel is the transitive closure of a tree relation: a strict
+    order with exactly one root, in which the predecessors of every state
+    form a chain (so each state below the root has one direct predecessor,
+    the greatest of its chain)."""
     rel = m.rel
-    if any((s, s) in rel for s in m.states):
+    if any((s, s) in rel for s in m.states) or not is_transitive(m):
         return False
-    if not is_transitive(m):
+    preds = m._relation(converse=True)[0]
+    if sum(1 for s in m.states if not preds[s]) != 1:
         return False
-    reduction = {
-        (a, b)
-        for a, b in rel
-        if not any((a, c) in rel and (c, b) in rel for c in m.states)
-    }
-    if _closure(m.states, reduction) != rel:
-        return False
-    preds = {s: [a for a, b in reduction if b == s] for s in m.states}
-    if any(len(ps) > 1 for ps in preds.values()):
-        return False
-    # connected: undirected reachability from the first state covers all
-    if not m.states:
-        return False
-    adj = {s: set() for s in m.states}
-    for a, b in reduction:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {m.states[0]}
-    frontier = [m.states[0]]
-    while frontier:
-        s = frontier.pop()
-        for t in adj[s]:
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return len(seen) == len(m.states)
+    chains = (combinations(ps, 2) for ps in preds.values())
+    return all((a, b) in rel or (b, a) in rel for pairs in chains for a, b in pairs)
 
 
 def generated_submodel(m: HybridModel, s: str) -> HybridModel:
     """Restriction to s and everything reachable from s through R-plus."""
     if s not in m.states:
         raise ValueError(f"unknown state {s!r}")
-    plus = _closure(m.states, m.rel)
-    keep = {s} | {t for (a, t) in plus if a == s}
+    keep = {s, *m._relation(plus=True)[0][s]}
     states = tuple(t for t in m.states if t in keep)
     rel = frozenset((a, b) for a, b in m.rel if a in keep and b in keep)
     val = {p: ss & keep for p, ss in m.val.items()}

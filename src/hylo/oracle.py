@@ -40,28 +40,20 @@ from itertools import permutations, product
 import numpy as np
 
 from .formula import (
+    MODAL_FORMS,
     NOM,
     PROP,
-    SVAR,
     UNTIL_FORMS,
     And,
     At,
     Atom,
     Bot,
-    Box,
-    Diamond,
     Down,
-    Everywhere,
     Formula,
-    Future,
-    Globally,
-    Historically,
     Iff,
     Implies,
     Not,
     Or,
-    Past,
-    Somewhere,
     Top,
     _sentence_guard,
     noms_of,
@@ -404,20 +396,6 @@ class _LaneEngine:
             self.views[plus, converse] = view
         return view
 
-    def _until_like(self, f, env, outer, guard):
-        # out[:, s] = OR_t outer[:, s, t] & left[t] & AND_u (~(guard[:, s, u]
-        # & guard[:, u, t]) | right[u]); a Since form passes the converse views
-        wl = self.ev(f.left, env)
-        wr = self.ev(f.right, env)
-        out = np.zeros((self.B, self.k, self.m), dtype=np.uint64)
-        for t in range(self.k):
-            betw = wl[:, t, None, :] & outer[:, :, t, None]
-            for u in range(self.k):
-                cond = guard[:, :, u] & guard[:, u, t][:, None]
-                betw &= ~cond[:, :, None] | wr[:, u, None, :]
-            out |= betw
-        return out
-
     def ev(self, f, env=None):
         if env is None:
             env = {}
@@ -425,76 +403,86 @@ class _LaneEngine:
         hit = self.memo.get(key)
         if hit is not None:
             return hit
-        out = self._ev(f, env)
+        case = _LANE_CASES.get(type(f))
+        if case is None:
+            raise TypeError(f"not a formula node: {f!r}")
+        out = case(self, f, env)
         self.memo[key] = out
         return out
 
-    def _ev(self, f, env):
-        if isinstance(f, Atom):
-            if f.kind == PROP:
-                return self.patterns.get(f.name, self.bot)
-            if f.kind == NOM:
-                return self.state_mask[self.placement[f.name]]
-            return self.state_mask[env[f.name]]
-        if isinstance(f, Top):
-            return self.top
-        if isinstance(f, Bot):
-            return self.bot
-        if isinstance(f, Not):
-            return self.ev(f.body, env) ^ self.full
-        if isinstance(f, And):
-            return self.ev(f.left, env) & self.ev(f.right, env)
-        if isinstance(f, Or):
-            return self.ev(f.left, env) | self.ev(f.right, env)
-        if isinstance(f, Implies):
-            return (self.ev(f.left, env) ^ self.full) | self.ev(f.right, env)
-        if isinstance(f, Iff):
-            return (self.ev(f.left, env) ^ self.ev(f.right, env)) ^ self.full
-        if isinstance(f, (Diamond, Future)):
-            return self._exists_step(self._relation(), self.ev(f.body, env))
-        if isinstance(f, (Box, Globally)):
-            return self._forall_step(self._relation(), self.ev(f.body, env))
-        if isinstance(f, Past):
-            return self._exists_step(self._relation(converse=True), self.ev(f.body, env))
-        if isinstance(f, Historically):
-            return self._forall_step(self._relation(converse=True), self.ev(f.body, env))
-        if isinstance(f, Somewhere):
-            w = self.ev(f.body, env)
-            red = w[:, 0, :]
-            for s in range(1, self.k):
-                red = red | w[:, s, :]
-            return np.broadcast_to(red[:, None, :], (red.shape[0], self.k, self.m))
-        if isinstance(f, Everywhere):
-            w = self.ev(f.body, env)
-            red = w[:, 0, :]
-            for s in range(1, self.k):
-                red = red & w[:, s, :]
-            return np.broadcast_to(red[:, None, :], (red.shape[0], self.k, self.m))
-        if isinstance(f, At):
-            t = f.term
-            den = self.placement[t.name] if t.kind == NOM else env[t.name]
-            w = self.ev(f.body, env)
-            col = w[:, den, None, :]
-            return np.broadcast_to(col, (w.shape[0], self.k, self.m))
-        if isinstance(f, Down):
-            rows = []
-            for s in range(self.k):
-                w = self.ev(f.body, {**env, f.var.name: s})
-                rows.append(np.broadcast_to(w[:, s, :], (self.B, self.m)))
-            # an entry that binds the variable beside another one is one of
-            # up to k^depth and is seldom asked for again: drop it, so the
-            # memo holds O(k) arrays per subformula whatever the batch size
-            var = f.var.name
-            self.memo = {
-                key: w for key, w in self.memo.items() if len(key[1]) < 2 or var not in dict(key[1])
-            }
-            return np.stack(rows, axis=1)
-        form = UNTIL_FORMS.get(type(f))
-        if form is not None:
-            step = self._relation(form.step_plus, form.backward)
-            guard = self._relation(form.guard_plus, form.backward)
-            return self._until_like(f, env, step, guard)
-        raise TypeError(f"not a formula node: {f!r}")
+    def _atom(self, f, env):
+        if f.kind == PROP:
+            return self.patterns.get(f.name, self.bot)
+        if f.kind == NOM:
+            return self.state_mask[self.placement[f.name]]
+        return self.state_mask[env[f.name]]
+
+    def _modal(self, f, env):
+        exists, backward, universal = MODAL_FORMS[type(f)]
+        w = self.ev(f.body, env)
+        if not universal:
+            step = self._exists_step if exists else self._forall_step
+            return step(self._relation(converse=backward), w)
+        join = np.bitwise_or if exists else np.bitwise_and
+        red = w[:, 0, :]
+        for s in range(1, self.k):
+            red = join(red, w[:, s, :])
+        return np.broadcast_to(red[:, None, :], (red.shape[0], self.k, self.m))
+
+    def _at(self, f, env):
+        t = f.term
+        den = self.placement[t.name] if t.kind == NOM else env[t.name]
+        w = self.ev(f.body, env)
+        col = w[:, den, None, :]
+        return np.broadcast_to(col, (w.shape[0], self.k, self.m))
+
+    def _down(self, f, env):
+        rows = []
+        for s in range(self.k):
+            w = self.ev(f.body, {**env, f.var.name: s})
+            rows.append(np.broadcast_to(w[:, s, :], (self.B, self.m)))
+        # an entry that binds the variable beside another one is one of
+        # up to k^depth and is seldom asked for again: drop it, so the
+        # memo holds O(k) arrays per subformula whatever the batch size
+        var = f.var.name
+        self.memo = {
+            key: w for key, w in self.memo.items() if len(key[1]) < 2 or var not in dict(key[1])
+        }
+        return np.stack(rows, axis=1)
+
+    def _until(self, f, env):
+        # out[:, s] = OR_t step[:, s, t] & left[t] & AND_u (~(guard[:, s, u]
+        # & guard[:, u, t]) | right[u]); a Since form reads the converse views
+        form = UNTIL_FORMS[type(f)]
+        step = self._relation(form.step_plus, form.backward)
+        guard = self._relation(form.guard_plus, form.backward)
+        wl = self.ev(f.left, env)
+        wr = self.ev(f.right, env)
+        out = np.zeros((self.B, self.k, self.m), dtype=np.uint64)
+        for t in range(self.k):
+            betw = wl[:, t, None, :] & step[:, :, t, None]
+            for u in range(self.k):
+                cond = guard[:, :, u] & guard[:, u, t][:, None]
+                betw &= ~cond[:, :, None] | wr[:, u, None, :]
+            out |= betw
+        return out
+
+
+# One case per node class, each called as case(engine, node, env).
+_LANE_CASES = {
+    Atom: _LaneEngine._atom,
+    Top: lambda e, f, env: e.top,
+    Bot: lambda e, f, env: e.bot,
+    Not: lambda e, f, env: e.ev(f.body, env) ^ e.full,
+    And: lambda e, f, env: e.ev(f.left, env) & e.ev(f.right, env),
+    Or: lambda e, f, env: e.ev(f.left, env) | e.ev(f.right, env),
+    Implies: lambda e, f, env: (e.ev(f.left, env) ^ e.full) | e.ev(f.right, env),
+    Iff: lambda e, f, env: (e.ev(f.left, env) ^ e.ev(f.right, env)) ^ e.full,
+    At: _LaneEngine._at,
+    Down: _LaneEngine._down,
+    **dict.fromkeys(MODAL_FORMS, _LaneEngine._modal),
+    **dict.fromkeys(UNTIL_FORMS, _LaneEngine._until),
+}
 
 
 def _closure_batch(rel):
@@ -738,12 +726,11 @@ class _FOSearch:
             return self.store[key] == value
         self.store[key] = value
         self.trail.append(("store", key))
-        if isinstance(g, sat.FOAnd) and value:
-            return self._require(g.left, env, True) and self._require(g.right, env, True)
-        if isinstance(g, sat.FOOr) and not value:
-            return self._require(g.left, env, False) and self._require(g.right, env, False)
-        if isinstance(g, sat.FOImplies) and not value:
-            return self._require(g.left, env, True) and self._require(g.right, env, False)
+        junction = sat.FO_JUNCTIONS.get(type(g))
+        if junction is not None and value == junction[0]:
+            # a true conjunction or a false disjunction fixes both operands
+            left = value == junction[1]
+            return self._require(g.left, env, left) and self._require(g.right, env, value)
         if (isinstance(g, sat.Forall) and value) or (isinstance(g, sat.Exists) and not value):
             # conjunctive quantifier requirement: watch it instead of
             # instantiating; instances are forced only when nothing else
@@ -775,12 +762,10 @@ class _FOSearch:
             return [(g.body, {**env, g.var: d}, True) for d in self._witnesses()]
         if isinstance(g, sat.Forall) and not value:
             return [(g.body, {**env, g.var: d}, False) for d in self._witnesses()]
-        if isinstance(g, sat.FOAnd):
-            return [(g.left, env, False), (g.right, env, False)]
-        if isinstance(g, sat.FOOr):
-            return [(g.left, env, True), (g.right, env, True)]
-        if isinstance(g, sat.FOImplies):
-            return [(g.left, env, False), (g.right, env, True)]
+        junction = sat.FO_JUNCTIONS.get(type(g))
+        if junction is not None:
+            # a false conjunction or a true disjunction: one operand settles it
+            return [(g.left, env, value == junction[1]), (g.right, env, value)]
         raise TypeError(f"unexpected pending requirement on {g!r}")
 
     # -- Kleene status, early-unknown on quantifiers -------------------------
@@ -801,27 +786,17 @@ class _FOSearch:
         if isinstance(g, sat.FONot):
             v = self._status(g.body, env)
             return _U if v == _U else 1 - v
-        # binary connectives stop at the first unknown child: a definite
-        # answer may be delayed, which only postpones a conflict the option
-        # probes catch anyway
-        if isinstance(g, sat.FOAnd):
-            v1 = self._status(g.left, env)
-            if v1 != _T:
-                return v1
-            return self._status(g.right, env)
-        if isinstance(g, sat.FOOr):
-            v1 = self._status(g.left, env)
-            if v1 == _T:
-                return _T
-            if v1 == _U:
-                return _U
-            return self._status(g.right, env)
-        if isinstance(g, sat.FOImplies):
-            v1 = self._status(g.left, env)
-            if v1 == _F:
-                return _T
-            if v1 == _U:
-                return _U
+        # a junction stops at an unknown left operand: a definite answer
+        # may be delayed, which only postpones a conflict the option probes
+        # catch anyway.  The right operand decides when the left is neutral.
+        junction = sat.FO_JUNCTIONS.get(type(g))
+        if junction is not None:
+            conjunctive, sign = junction
+            v = self._status(g.left, env)
+            if v != _U and not sign:
+                v = 1 - v
+            if v != (_T if conjunctive else _F):
+                return v
             return self._status(g.right, env)
         if isinstance(g, (sat.Exists, sat.Forall)):
             want = _T if isinstance(g, sat.Exists) else _F

@@ -151,6 +151,16 @@ class FOImplies(FOFormula):
     right: FOFormula
 
 
+# Each binary connective as a junction of its operands: (conjunctive, left
+# sign).  The left operand is taken as it is, or negated when its sign is
+# False, and the two are conjoined or disjoined: p -> q is ~p | q.
+FO_JUNCTIONS = {
+    FOAnd: (True, True),
+    FOOr: (False, True),
+    FOImplies: (False, False),
+}
+
+
 @_node
 class Exists(FOFormula):
     var: str

@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import partial, reduce
 
 from .formula import (
+    MODAL_FORMS,
     NOM,
     PROP,
     RESERVED_WORDS,
@@ -217,17 +218,6 @@ def _st_term(term, ctx):
     return sat.FOVar(ctx.bound.get(term.name, term.name))
 
 
-# modal node -> (quantifier, connective, reads the relation backwards)
-_ST_MODAL = {
-    Diamond: (sat.Exists, sat.FOAnd, False),
-    Future: (sat.Exists, sat.FOAnd, False),
-    Box: (sat.Forall, sat.FOImplies, False),
-    Globally: (sat.Forall, sat.FOImplies, False),
-    Past: (sat.Exists, sat.FOAnd, True),
-    Historically: (sat.Forall, sat.FOImplies, True),
-}
-
-
 def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool = False) -> sat.FOFormula:
     """ST over one binary relation; closure operators emit R-plus atoms.
 
@@ -258,20 +248,17 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
         if isinstance(f, Iff):
             a, b = rec(f.left, x), rec(f.right, x)
             return sat.FOAnd(sat.FOImplies(a, b), sat.FOImplies(b, a))
-        if type(f) in _ST_MODAL:
-            quantifier, connective, backward = _ST_MODAL[type(f)]
+        form = MODAL_FORMS.get(type(f))
+        if form is not None:
             y = ctx.numbered("y")
             body = rec(f.body, y)
-            if complete_frames:  # check_hld let only <> and [] through
+            quantifier = sat.Exists if form.exists else sat.Forall
+            # over complete frames check_hld let only <> and [] through
+            if form.universal or complete_frames:
                 return quantifier(y, body)
-            a, b = (y, x) if backward else (x, y)
+            a, b = (y, x) if form.backward else (x, y)
+            connective = sat.FOAnd if form.exists else sat.FOImplies
             return quantifier(y, connective(sat.Rel(sat.FOVar(a), sat.FOVar(b)), body))
-        if isinstance(f, Somewhere):
-            y = ctx.numbered("y")
-            return sat.Exists(y, rec(f.body, y))
-        if isinstance(f, Everywhere):
-            y = ctx.numbered("y")
-            return sat.Forall(y, rec(f.body, y))
         if isinstance(f, At):
             y = ctx.numbered("y")
             return sat.Exists(y, sat.FOAnd(sat.Eq(sat.FOVar(y), _st_term(f.term, ctx)), rec(f.body, y)))
@@ -521,16 +508,18 @@ def tt_to_nat_at(phi: Formula) -> Formula:
     spy = names.svar("i")
 
     def rec(g):
-        if isinstance(g, (Diamond, Future)):
-            return Diamond(rec(g.body))
-        if isinstance(g, (Box, Globally)):
-            return Not(Diamond(Not(rec(g.body))))
-        if isinstance(g, Past):
-            v = names.svar("v")
-            return Down(v, At(spy, Diamond(And(rec(g.body), Diamond(v)))))
-        if isinstance(g, Historically):
-            v = names.svar("v")
-            return Not(Down(v, At(spy, Diamond(And(Not(rec(g.body)), Diamond(v))))))
+        form = MODAL_FORMS.get(type(g))
+        if form is not None:  # E and A are outside the fragment
+            # a box is not-diamond-not; a past diamond looks down from the
+            # spy point for a state that sees this one, v, which is named
+            # before the body is rewritten
+            v = names.svar("v") if form.backward else None
+            body = rec(g.body) if form.exists else Not(rec(g.body))
+            if form.backward:
+                out = Down(v, At(spy, Diamond(And(body, Diamond(v)))))
+            else:
+                out = Diamond(body)
+            return out if form.exists else Not(out)
         # every other node keeps its operator over the rewritten children
         return rebuild(g, [rec(c) for c in children(g)])
 
@@ -709,12 +698,13 @@ def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
         Or: lambda a, b: nand(sat.PdlNot(a), sat.PdlNot(b)),
         Implies: lambda a, b: nand(a, sat.PdlNot(b)),
         Iff: lambda a, b: sat.PdlAnd(nand(a, sat.PdlNot(b)), nand(b, sat.PdlNot(a))),
-        Diamond: partial(sat.PdlDiamond, later),
-        Future: partial(sat.PdlDiamond, later),
-        Box: partial(sat.pdl_box, later),
-        Globally: partial(sat.pdl_box, later),
-        Somewhere: partial(sat.PdlDiamond, everywhere),
-        Everywhere: partial(sat.pdl_box, everywhere),
+        **{
+            cls: partial(
+                sat.PdlDiamond if form.exists else sat.pdl_box, everywhere if form.universal else later
+            )
+            for cls, form in MODAL_FORMS.items()
+            if not form.backward
+        },
         Until: lambda a, b: sat.PdlDiamond(steps(dn, b), a),
         Since: lambda a, b: sat.PdlDiamond(steps(up, b), a),
     }

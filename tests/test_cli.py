@@ -166,6 +166,53 @@ def test_oracle_jobs_identical(capsys):
     assert out1 == out2
 
 
+class _InlinePool:
+    """Stands in for multiprocessing.Pool: records the worker count asked
+    for, and runs each size slice in this process only when its result is
+    read, so the slices run show where the command stopped reading."""
+
+    made = []
+
+    def __init__(self, processes):
+        self.processes = processes
+        self.ran = []
+        self.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, payloads):
+        for payload in payloads:
+            self.ran.append(payload[2])
+            yield func(payload)
+
+
+@pytest.mark.parametrize(
+    "formula,max_states,jobs,code,processes,ran",
+    [
+        ("<>p & ~p", 2, 64, 0, 2, [1, 2]),  # the first hit is on size 2
+        ("p", 3, 2, 0, 2, [1]),  # a hit on size 1 stops the sweep
+        ("p & ~p", 2, 3, 1, 2, [1, 2]),  # a miss reads every size
+    ],
+)
+def test_oracle_jobs_cap_workers_at_the_sizes_and_stop_at_the_first_hit(
+    capsys, monkeypatch, formula, max_states, jobs, code, processes, ran
+):
+    import multiprocessing
+
+    _InlinePool.made.clear()
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    argv = ["oracle", "--frame", "any", "--max-states", str(max_states), "--formula", formula]
+    serial = run(capsys, *argv)
+    assert run(capsys, *argv, "--jobs", str(jobs)) == serial
+    assert serial[0] == code
+    [pool] = _InlinePool.made
+    assert (pool.processes, pool.ran) == (processes, ran)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

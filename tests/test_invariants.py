@@ -187,3 +187,47 @@ def test_every_syntax_tree_class_is_an_interned_node():
     assert {"Formula", "FOFormula", "PdlProgram", "PdlFormula"} <= families
     loose = sorted(c.__name__ for c in classes if kinds[c] & families and not issubclass(c, _Node))
     assert loose == []
+
+
+def _descendants(base):
+    out, stack = set(), [base]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            out.add(sub)
+            stack.append(sub)
+    return out
+
+
+def test_every_formula_class_has_one_case_in_each_engine():
+    # a dict holds one case per key, so equal key sets mean exactly one
+    from hylo.checker import _CASES
+    from hylo.formula import MODAL_FORMS, UNTIL_FORMS, Formula
+    from hylo.oracle import _LANE_CASES
+
+    classes = _descendants(Formula)
+    assert set(_CASES) == classes
+    assert set(_LANE_CASES) == classes
+    assert not MODAL_FORMS.keys() & UNTIL_FORMS.keys()
+
+
+def test_fo_junctions_are_the_binary_connectives():
+    from hylo.satellites import FO_JUNCTIONS, FOFormula
+
+    assert set(FO_JUNCTIONS) == {c for c in _descendants(FOFormula) if len(c._kids) == 2}
+
+
+def test_no_module_level_import_is_unused():
+    # an import nothing reads costs start-up and misstates what a module
+    # depends on; annotations are parsed too, so a name used only in one
+    # counts as used
+    unused = []
+    for path in sorted(Path(hylo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -1,4 +1,5 @@
 import json
+from itertools import compress, product
 
 import pytest
 
@@ -74,6 +75,16 @@ def test_transitive_tree_examples():
     assert not is_transitive_tree(forest)  # not connected
     dag = M(["a", "b", "c"], [("a", "c"), ("b", "c")])
     assert not is_transitive_tree(dag)  # two predecessors
+    assert not is_transitive_tree(M([], []))  # no root
+
+
+def test_transitive_trees_number_k_to_the_k_minus_1():
+    # the closures of the k^(k-1) rooted labelled trees on k states
+    for k in (1, 2, 3):
+        names = [f"s{i}" for i in range(k)]
+        pairs = list(product(names, repeat=2))
+        relations = (compress(pairs, bits) for bits in product((0, 1), repeat=len(pairs)))
+        assert sum(is_transitive_tree(M(names, rel)) for rel in relations) == k ** (k - 1)
 
 
 def test_generated_submodel():
