@@ -81,6 +81,15 @@ class HybridModel:
         out.__dict__.update(self.__dict__, val=val)
         return out
 
+    @classmethod
+    def _trusted(cls, states, rel, val, nomval) -> HybridModel:
+        """A model from parts that are already normalized and valid, built
+        without ``__post_init__``: states a tuple, rel a frozenset of pairs
+        of them, val a fresh dict of frozensets, nomval a fresh dict."""
+        out = object.__new__(cls)
+        out.__dict__.update(states=states, rel=rel, val=val, nomval=nomval, _views={})
+        return out
+
 
 def is_transitive(m: HybridModel) -> bool:
     """Every successor of a successor is a successor."""
@@ -118,7 +127,7 @@ def _closure(states, rel):
 
 
 def transitive_closure(m: HybridModel) -> HybridModel:
-    return HybridModel(m.states, m._relation(plus=True)[1], m.val, m.nomval)
+    return HybridModel._trusted(m.states, m._relation(plus=True)[1], dict(m.val), dict(m.nomval))
 
 
 def is_transitive_tree(m: HybridModel) -> bool:
@@ -145,7 +154,7 @@ def generated_submodel(m: HybridModel, s: str) -> HybridModel:
     rel = frozenset((a, b) for a, b in m.rel if a in keep and b in keep)
     val = {p: ss & keep for p, ss in m.val.items()}
     nomval = {i: t for i, t in m.nomval.items() if t in keep}
-    return HybridModel(states, rel, val, nomval)
+    return HybridModel._trusted(states, rel, val, nomval)
 
 
 def cliques(m: HybridModel) -> tuple[list[list[str]], frozenset[tuple[int, int]]]:

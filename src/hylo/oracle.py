@@ -1,25 +1,30 @@
 """Brute-force finite-model enumeration per frame class.
 
-This is the ground truth the rest of the toolkit is checked against.  Two
-layers share the same frame generators and the same enumeration order:
+This is the ground truth the rest of the toolkit is checked against.  It
+has two layers:
 
 * ``enumerate_models`` and ``frames`` materialize every labeled model or
   frame explicitly (no isomorphism reduction, deterministic order);
 * ``brute_sat`` / ``brute_global_sat`` / ``find_eval_difference`` evaluate
   formulas over all valuations of a frame at once, one bit lane per
-  valuation.  Within-frame lane order equals the explicit enumeration
-  order, so both layers report the same first hit.  The lane evaluator is
-  cross-checked against the plain checker exhaustively at small sizes in
-  the test suite.
+  valuation, on one frame per isomorphism class (``_classes``).  Every
+  valuation and every nominal placement of a frame is a lane or a
+  placement, so the classes give the labeled sweep's verdicts and hit
+  sizes.  The lane evaluator is cross-checked against the plain checker
+  exhaustively at small sizes in the test suite.
 
-Sweeps run in batches cut to a word budget: consecutive generator pieces
-are joined, in generator order, into arrays of about ``_WORD_BUDGET``
-words per (frame, state, lane plane) array, so small frames share one
-numpy call and memory stays flat however many lanes a frame has.  The
-first hit is the least (size, frame, lane, placement), whatever the batch
-size.  A linear sweep visits one order per size, since all are isomorphic
-and every valuation and placement of it is covered.  ``any`` frames are
-the only class whose R+ differs from R, so only their batches build it.
+The class tables are built per process and size by one-point extension of
+the classes one size down, keeping one extension per canonical code
+(colour refinement, then the relabelings within each colour).  The first
+hit of a sweep is the least (size, class, lane, placement): classes in
+table order, lanes in valuation-code order, placements lexicographically,
+and within them the first state.  Sweeps run in batches cut to a word
+budget: consecutive classes are joined into arrays of about
+``_WORD_BUDGET`` words per (frame, state, lane plane) array, so small
+frames share one numpy call and memory stays flat however many lanes a
+frame has; the first hit does not depend on the batch size.  ``any``
+frames are the only class whose R+ differs from R, so only their batches
+build it.
 
 ``brute_fo_sat`` searches relational structures for a first-order sentence
 by backtracking over atom truth values with frame-constraint propagation;
@@ -29,7 +34,9 @@ Over the classes closed under permutations (``any``, ``transitive``,
 restricted-growth assignments, and an existential branch tries the named
 elements and the least unnamed one (``_FOSearch``).  Each pruned branch is
 isomorphic to one tried before it, so the first structure found is the
-one the full search finds.
+one the full search finds.  Over ``linear`` and ``transitive-tree`` it
+fixes the relation to each class representative in turn.  Outside ``any``
+every class is transitive, so an R+ atom reads as R there.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ FRAME_CLASSES = ("any", "transitive", "complete", "transitive-tree", "linear")
 # A sweep batch holds about this many uint64 words per (frame, state, lane
 # plane) array: batches of small frames share one numpy call, and memory per
 # array stays fixed however many lanes a frame has.  Explicit enumeration
-# (``frames``, the first-order presets) takes _FRAMES_PER_BATCH at a time.
+# of ``any`` frames (``frames``) decodes _FRAMES_PER_BATCH codes at a time.
 _WORD_BUDGET = 1 << 13
 _FRAMES_PER_BATCH = 4096
 
@@ -187,14 +194,15 @@ def _transitive_tree_frames(k):
     return arr
 
 
-def _frame_pieces(frame, k, size):
+def _frame_pieces(frame, k):
     """Yield (B, k, k) boolean relation arrays in canonical order, in the
-    units the generator makes them (``any`` in runs of ``size`` codes)."""
+    units the generator makes them (``any`` in runs of _FRAMES_PER_BATCH
+    codes)."""
     if frame == "any":
         total = 1 << (k * k)
         positions = np.arange(k * k, dtype=np.uint64)
-        for start in range(0, total, size):
-            stop = min(start + size, total)
+        for start in range(0, total, _FRAMES_PER_BATCH):
+            stop = min(start + _FRAMES_PER_BATCH, total)
             codes = np.arange(start, stop, dtype=np.uint64)
             bits = (codes[:, None] >> positions[None, :]) & np.uint64(1)
             yield bits.astype(bool).reshape(stop - start, k, k)
@@ -229,39 +237,211 @@ def _frame_pieces(frame, k, size):
         raise ValueError(f"unknown frame class {frame!r}")
 
 
-def _frame_batches(frame, k, size=_FRAMES_PER_BATCH, labeled=True):
-    """Yield (B, k, k) boolean relation batches in canonical order.
-
-    Consecutive generator pieces are joined and split so that every batch
-    but the last holds exactly ``size`` frames.  With ``labeled=False`` a
-    linear class yields only its first order: all k! linear orders on k
-    points are isomorphic, so a search that covers every valuation and
-    placement of one covers them all, and its first hit is on that order.
-    """
-    pieces = _frame_pieces(frame, k, size)
-    if frame == "linear" and not labeled:
-        pieces = iter([next(pieces)])
-    held, count = [], 0
-    for piece in pieces:
-        held.append(piece)
-        count += len(piece)
-        while count >= size:
-            whole = held[0] if len(held) == 1 else np.concatenate(held)
-            yield whole[:size]
-            rest = whole[size:]
-            held, count = ([rest] if len(rest) else []), len(rest)
-    if held:
-        yield held[0] if len(held) == 1 else np.concatenate(held)
-
-
 def frames(frame, k):
     """Relations of the given frame class on k states, as frozensets of pairs."""
     names = [f"s{i}" for i in range(k)]
-    for batch in _frame_batches(frame, k):
-        for row in batch:
+    for piece in _frame_pieces(frame, k):
+        for row in piece:
             yield frozenset(
                 (names[s], names[t]) for s in range(k) for t in range(k) if row[s, t]
             )
+
+
+# ---------------------------------------------------------------------------
+# Isomorphism classes: one frame per class for the sweeps
+
+_CLASS_CACHE: dict[tuple[str, int], np.ndarray] = {}
+
+# canonical codes are computed this many relations at a time, which bounds
+# the temporaries of a table build (a cold ``hylo oracle`` pays its peak)
+_CODE_CHUNK = 1 << 11
+
+
+def _classes(frame, k):
+    """One relation per isomorphism class of the frame class on k states,
+    as a (C, k, k) boolean array, built once per process and size.
+
+    Deleting a state keeps a relation in its class (for a transitive tree,
+    deleting a leaf does), so every class on k states has a member that
+    extends a class representative on k - 1 states by one last state.  The
+    extensions that stay in the class are kept, one per canonical code, and
+    the first extension of each class represents it.  The order is fixed:
+    parent class, then the new state's successor set, its predecessor set
+    (each as a bit mask) and its loop.  So the first class is the empty
+    relation, and for linear frames the one class is ``s < t``.
+    """
+    table = _CLASS_CACHE.get((frame, k))
+    if table is None:
+        if frame not in FRAME_CLASSES:
+            raise ValueError(f"unknown frame class {frame!r}")
+        parents = np.zeros((1, 0, 0), dtype=bool) if k == 1 else _classes(frame, k - 1)
+        ext = _extensions(frame, parents)
+        ext = ext[_in_class(frame, ext)]
+        codes = np.concatenate(
+            [_canonical_codes(ext[i : i + _CODE_CHUNK]) for i in range(0, len(ext), _CODE_CHUNK)]
+        )
+        # a stable sort puts the first extension of each class first
+        order = np.lexsort(codes.T[::-1])
+        ranked = codes[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        table = _CLASS_CACHE[frame, k] = ext[np.sort(order[first])]
+    return table
+
+
+def _mask_bits(masks, m):
+    """(..., m) booleans: bit i of each integer mask."""
+    return ((masks[..., None] >> np.arange(m)) & 1).astype(bool)
+
+
+def _extensions(frame, parents):
+    """Every one-point extension of the (n, m, m) parent relations that can
+    stay in the frame class, in the order ``_classes`` documents.
+
+    The new state gets a predecessor set A, a successor set B and a loop or
+    not.  Outside ``any`` only the extensions that stay transitive are made:
+    A is closed under predecessors, B under successors, every state of A
+    relates to every state of B, and the new state has a loop when A and B
+    meet.
+    """
+    n, m, _ = parents.shape
+    subsets = np.arange(1 << m)
+    members = _mask_bits(subsets, m)
+    weights = 1 << np.arange(m)
+    succ = (parents * weights).sum(axis=2)
+    pred = (parents * weights[:, None]).sum(axis=1)
+    # over each subset S: the union of its predecessors and of its
+    # successors, and the states every member of S relates to
+    below = np.zeros((n, 1 << m), dtype=np.int64)
+    above = np.zeros((n, 1 << m), dtype=np.int64)
+    common = np.full((n, 1 << m), (1 << m) - 1)
+    if frame != "any":
+        for a in range(m):
+            has = members[:, a]
+            below = np.where(has, below | pred[:, a, None], below)
+            above = np.where(has, above | succ[:, a, None], above)
+            common = np.where(has, common & succ[:, a, None], common)
+    downs = (below & ~subsets) == 0
+    ups = (above & ~subsets) == 0
+    # every (parent, B, A) of an up-set B and a down-set A of the parent, in
+    # that order: each up-set is repeated once per down-set of its parent
+    up_parent, up_set = np.nonzero(ups)
+    down_set = np.nonzero(downs)[1]
+    per_parent = downs.sum(axis=1)
+    first_down = np.cumsum(per_parent) - per_parent
+    count = per_parent[up_parent]
+    which_up = np.repeat(np.arange(len(up_parent)), count)
+    nth = np.arange(len(which_up)) - np.repeat(np.cumsum(count) - count, count)
+    p = up_parent[which_up]
+    b = up_set[which_up]
+    a = down_set[first_down[p] + nth]
+    keep = (b & ~common[p, a]) == 0
+    p, a, b = p[keep], a[keep], b[keep]
+    loopless = (a & b) == 0 if frame != "any" else np.ones(len(p), dtype=bool)
+    which, loop = np.nonzero(np.stack([loopless, np.ones_like(loopless)], axis=1))
+    out = np.zeros((len(which), m + 1, m + 1), dtype=bool)
+    out[:, :m, :m] = parents[p[which]]
+    out[:, :m, m] = members[a[which]]
+    out[:, m, :m] = members[b[which]]
+    out[:, m, m] = loop == 1
+    return out
+
+
+def _in_class(frame, rel):
+    """Which of the (n, k, k) transitive relations (any relations for
+    ``any``) lie in the frame class; the tests of ``model.is_*``."""
+    n, k, _ = rel.shape
+    eye = np.eye(k, dtype=bool)
+    irreflexive = ~(rel & eye).any(axis=(1, 2))
+    comparable = rel | rel.transpose(0, 2, 1) | eye
+    if frame == "complete":
+        return rel.all(axis=(1, 2))
+    if frame == "linear":
+        return irreflexive & comparable.all(axis=(1, 2))
+    if frame == "transitive-tree":
+        one_root = (~rel.any(axis=1)).sum(axis=1) == 1
+        # any two predecessors a, b of a state v are comparable
+        both = rel[:, :, None, :] & rel[:, None, :, :]
+        chains = (~both | comparable[:, :, :, None]).all(axis=(1, 2, 3))
+        return irreflexive & one_root & chains
+    return np.ones(n, dtype=bool)
+
+
+def _code_words(rel):
+    """The row-major bits of (..., k, k) relations as big-endian uint64
+    words, so that word order is the lexicographic order of the bits."""
+    k = rel.shape[-1]
+    flat = rel.reshape(rel.shape[:-2] + (k * k,))
+    pad = np.zeros(flat.shape[:-1] + ((-k * k) % 64,), dtype=bool)
+    packed = np.packbits(np.concatenate([flat, pad], axis=-1), axis=-1)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def _refine(rel):
+    """(n, k) state ranks of (n, k, k) relations by colour refinement.
+
+    A state's rank counts the states of lower colour.  Colours start equal
+    and are refined by (own rank, ranks of successors, ranks of
+    predecessors) until no class splits.  Ranks are an isomorphism
+    invariant; a collision of the arithmetic below can only merge colours,
+    which costs relabelings in ``_canonical_codes``, never correctness.
+    """
+    n, k, _ = rel.shape
+    r = rel.astype(np.uint64)
+    base = np.uint64(k + 1)
+    # a key orders by rank first: rank * span + (mix mod span) < 2**64
+    span = np.uint64((1 << 64) // k - 1)
+    rank = np.zeros((n, k), dtype=np.uint64)
+    for _ in range(k):
+        weight = base**rank
+        out_mix = (r @ weight[:, :, None])[:, :, 0]
+        in_mix = (weight[:, None, :] @ r)[:, 0, :]
+        key = rank * span + (out_mix * base ** np.uint64(k) + in_mix) % span
+        new = (key[:, None, :] < key[:, :, None]).sum(axis=2, dtype=np.uint64)
+        if np.array_equal(new, rank):
+            break
+        rank = new
+    return rank
+
+
+def _cell_perms(sizes):
+    """Every permutation of range(sum(sizes)) that maps each block of
+    consecutive positions, of the given sizes, onto itself."""
+    out, start = [()], 0
+    for size in sizes:
+        out = [p + q for p in out for q in permutations(range(start, start + size))]
+        start += size
+    return np.array(out, dtype=np.intp)
+
+
+def _canonical_codes(rel):
+    """(n, words) codes of (n, k, k) relations, equal exactly for isomorphic
+    relations: the least code word row over the relabelings that order the
+    states by ``_refine`` rank, in any order within a rank."""
+    n, k, _ = rel.shape
+    rank = _refine(rel)
+    order = np.argsort(rank, axis=1, kind="stable")
+    ordered = rel[np.arange(n)[:, None, None], order[:, :, None], order[:, None, :]]
+    # relations with the same cell sizes share their relabelings
+    ranks = np.take_along_axis(rank, order, axis=1)
+    cuts = (ranks[:, 1:] != ranks[:, :-1]) @ (1 << np.arange(k - 1))
+    words = (k * k + 63) // 64
+    out = np.zeros((n, words), dtype=np.uint64)
+    for pattern in sorted(set(cuts.tolist())):
+        group = np.flatnonzero(cuts == pattern)
+        ends = [i + 1 for i in range(k - 1) if (pattern >> i) & 1] + [k]
+        perms = _cell_perms(np.diff([0, *ends]))
+        step = max(1, (1 << 16) // len(perms))
+        for i in range(0, len(group), step):
+            part = group[i : i + step]
+            codes = _code_words(ordered[part][:, perms[:, :, None], perms[:, None, :]])
+            # lexicographic least word row over the relabelings
+            least = np.ones(codes.shape[:2], dtype=bool)
+            for w in range(words):
+                col = np.where(least, codes[:, :, w], np.iinfo(np.uint64).max)
+                least &= codes[:, :, w] == col.min(axis=1)[:, None]
+            out[part] = codes[np.arange(len(part)), least.argmax(axis=1)]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +700,8 @@ def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
     ``sizes`` restricts the sweep to those model sizes (one slice of a
     parallel sweep); by default it covers 1..max_states.
 
-    The first hit is the least (frame, lane, placement) in enumeration
-    order; each placement keeps only its own first hit in a batch.
+    The first hit is the least (size, class, lane, placement); each
+    placement keeps only its own first hit in a batch.
     """
     extra_props, extra_noms = _split_atoms(atoms)
     props = tuple(sorted({p for f in formulas for p in props_of(f)} | set(extra_props)))
@@ -532,7 +712,9 @@ def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
         engine = _LaneEngine(props, noms, k)
         placements = list(product(range(k), repeat=len(noms)))
         per_batch = max(1, _WORD_BUDGET // (k * engine.m))
-        for batch in _frame_batches(frame, k, per_batch, labeled=False):
+        table = _classes(frame, k)
+        for start in range(0, len(table), per_batch):
+            batch = table[start : start + per_batch]
             engine.set_batch(batch, _closure_batch(batch) if needs_plus else batch)
             best = None
             for pl_idx, placement in enumerate(placements):
@@ -625,6 +807,9 @@ class _FOSearch:
     """
 
     def __init__(self, alpha, k, frame, rel_fixed=None, consts=None):
+        # every class but ``any`` is transitive, so there an R+ atom is R
+        if frame == "any" and any(isinstance(g, sat.RelPlus) for g in subformulas(alpha)):
+            raise ValueError("closure atoms are not searchable over any frames")
         self.alpha = alpha
         self.k = k
         self.frame = frame
@@ -710,12 +895,10 @@ class _FOSearch:
             return (self._term(g.left, env) == self._term(g.right, env)) == value
         if isinstance(g, sat.Pred):
             return self._set_unary(g.name, self._term(g.term, env), _T if value else _F)
-        if isinstance(g, sat.Rel):
+        if isinstance(g, (sat.Rel, sat.RelPlus)):
             return self._set_rel(
                 self._term(g.left, env), self._term(g.right, env), _T if value else _F
             )
-        if isinstance(g, sat.RelPlus):
-            raise ValueError("closure atoms are not searchable")
         if isinstance(g, sat.FONot):
             return self._require(g.body, env, not value)
         # alpha-equivalent copies share a key, so commitments on one copy
@@ -779,10 +962,8 @@ class _FOSearch:
             return _T if self._term(g.left, env) == self._term(g.right, env) else _F
         if isinstance(g, sat.Pred):
             return self.unary[g.name][self._term(g.term, env)]
-        if isinstance(g, sat.Rel):
+        if isinstance(g, (sat.Rel, sat.RelPlus)):
             return self.rel[self._term(g.left, env)][self._term(g.right, env)]
-        if isinstance(g, sat.RelPlus):
-            raise ValueError("closure atoms are not searchable")
         if isinstance(g, sat.FONot):
             v = self._status(g.body, env)
             return _U if v == _U else 1 - v
@@ -920,9 +1101,7 @@ def brute_fo_sat(alpha: sat.FOFormula, frame: str, max_elems: int):
         if frame in ("any", "transitive", "complete"):
             presets = [None]
         else:
-            presets = [
-                rel.tolist() for batch in _frame_batches(frame, k, labeled=False) for rel in batch
-            ]
+            presets = _classes(frame, k).tolist()
         for preset in presets:
             for assignment in product(range(k), repeat=len(consts)):
                 # with a symmetric frame class every assignment is

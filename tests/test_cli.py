@@ -9,7 +9,7 @@ import pytest
 from hylo.cli import _TRANSLATIONS, main
 from hylo.formula import parse
 from hylo.model import load_model, model_from_dict, model_to_dict
-from hylo.satellites import FOConst, fo_rename, parse_fo, parse_pdl
+from hylo.satellites import FOConst, FOStructure, fo_eval, fo_rename, parse_fo, parse_pdl
 
 
 def run(capsys, *argv):
@@ -153,6 +153,21 @@ def test_oracle_fo(capsys):
     )
     assert code == 0
     assert len(json.loads(out)["domain"]) == 2
+
+
+def test_oracle_fo_reads_closure_atoms_as_the_relation_on_transitive_frames(capsys):
+    text = "E x. E y. R+(x,y)"
+    code, out, _ = run(capsys, "oracle", "--frame", "trans", "--max-states", "2", "--fo", text)
+    assert code == 0
+    doc = json.loads(out)
+    s = FOStructure(
+        tuple(doc["domain"]), frozenset(map(tuple, doc["rel"])),
+        {p: frozenset(v) for p, v in doc["unary"].items()}, doc["constants"],
+    )
+    assert fo_eval(s, {}, parse_fo(text))
+    # over any frames R+ is not R, and the search cannot decide it
+    code, _, err = run(capsys, "oracle", "--frame", "any", "--max-states", "2", "--fo", text)
+    assert code == 65 and "closure atoms" in err
 
 
 def test_oracle_jobs_identical(capsys):

@@ -213,3 +213,25 @@ def test_with_val_shares_the_frame_and_checks_the_valuation():
     assert m.val == {"p": frozenset({"a"})}
     with pytest.raises(ValueError, match="unknown states"):
         m.with_val({"p": {"zz"}})
+
+
+def _checked(m):
+    """The same parts through the validating constructor."""
+    return HybridModel(m.states, m.rel, m.val, m.nomval)
+
+
+def test_submodels_and_closures_equal_their_validated_construction():
+    names = ("a", "b", "c")
+    pairs = list(product(names, repeat=2))
+    for bits in range(0, 1 << len(pairs), 7):
+        rel = frozenset(compress(pairs, ((bits >> i) & 1 for i in range(len(pairs)))))
+        m = M(names, rel, {"p": {"a", "c"}, "q": set()}, {"i": "b"})
+        for out in [transitive_closure(m)] + [generated_submodel(m, s) for s in names]:
+            assert out == _checked(out)
+            assert (type(out.states), type(out.rel), type(out.val), type(out.nomval)) == (
+                tuple, frozenset, dict, dict
+            )
+            assert all(type(ss) is frozenset for ss in out.val.values())
+            assert out._views is not m._views and out.val is not m.val
+            assert out._relation(plus=True) == _checked(out)._relation(plus=True)
+        assert transitive_closure(m) == M(names, m._relation(plus=True)[1], m.val, m.nomval)

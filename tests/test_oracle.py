@@ -1,5 +1,9 @@
-from itertools import product
+import os
+import subprocess
+import sys
+from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from hylo.checker import eval_formula, global_eval
@@ -14,11 +18,13 @@ from hylo.model import (
 import hylo.oracle as oracle
 from hylo.oracle import (
     FRAME_CLASSES,
+    _classes,
     _closure_batch,
     _decode_valuation,
-    _frame_batches,
+    _frame_pieces,
     _FOSearch,
     _LaneEngine,
+    _split_atoms,
     brute_fo_sat,
     brute_global_sat,
     brute_sat,
@@ -26,7 +32,8 @@ from hylo.oracle import (
     find_eval_difference,
     frames,
 )
-from hylo.satellites import FOStructure, fo_eval, parse_fo
+from hylo.satellites import Exists, FOStructure, fo_eval, parse_fo
+from hylo.translate import standard_translation
 
 CHAIN = parse("p & <>p & []<>p & [] down $x . ~<> $x")
 
@@ -68,27 +75,87 @@ def test_frame_class_predicates_hold():
                 assert pred(m), (frame, k, sorted(rel))
 
 
+def test_linear_class_table_holds_one_order_per_size():
+    for k in (1, 2, 3, 4, 7):
+        assert _classes("linear", k).tolist() == [[[s < t for t in range(k)] for s in range(k)]]
+
+
+# isomorphism classes per size: transitive relations (OEIS A091073) and
+# all binary relations (OEIS A000595)
+CLASS_COUNTS = {
+    "transitive": [2, 8, 39, 242, 1895],
+    "any": [2, 10, 104, 3044],
+    "complete": [1, 1, 1, 1, 1],
+    "linear": [1, 1, 1, 1, 1],
+    "transitive-tree": [1, 1, 2, 4, 9],  # rooted trees, OEIS A000081
+}
+
+
 @pytest.mark.parametrize("frame", FRAME_CLASSES)
-def test_frame_batches_hold_size_frames_in_generator_order(frame):
-    for k in (1, 2, 3) if frame == "any" else (1, 2, 3, 4):
-        expected = list(frames(frame, k))
-        for size in (1, 7, 64, 5000):
-            batches = list(_frame_batches(frame, k, size))
-            assert all(len(b) == size for b in batches[:-1])
-            assert 1 <= len(batches[-1]) <= size
-            names = [f"s{i}" for i in range(k)]
-            got = [
-                frozenset((names[s], names[t]) for s in range(k) for t in range(k) if row[s, t])
-                for batch in batches
-                for row in batch
-            ]
-            assert got == expected, (frame, k, size)
+def test_class_counts(frame):
+    counts = CLASS_COUNTS[frame]
+    assert [len(_classes(frame, k)) for k in range(1, len(counts) + 1)] == counts
 
 
-def test_unlabeled_linear_batches_hold_one_order_per_size():
+def _brute_canonical(rel):
+    """Least row-major bit string of each (n, k, k) relation over all k!
+    relabelings, as bytes: equal exactly for isomorphic relations."""
+    k = rel.shape[1]
+    perms = np.array(list(permutations(range(k))), dtype=np.intp)
+    relabeled = rel[:, perms[:, :, None], perms[:, None, :]].reshape(len(rel), len(perms), -1)
+    return [min(row.tobytes() for row in each) for each in relabeled]
+
+
+_CLASS_PREDICATES = {
+    "any": lambda m: True,
+    "transitive": is_transitive,
+    "complete": is_complete,
+    "linear": is_linear,
+    "transitive-tree": is_transitive_tree,
+}
+
+
+@pytest.mark.parametrize("frame", FRAME_CLASSES)
+def test_class_tables_hold_one_member_of_each_class(frame):
     for k in (1, 2, 3, 4):
-        (batch,) = list(_frame_batches("linear", k, labeled=False))
-        assert batch.tolist() == [[[s < t for t in range(k)] for s in range(k)]]
+        table = _classes(frame, k)
+        names = tuple(f"s{i}" for i in range(k))
+        for row in table:
+            rel = {(names[s], names[t]) for s, t in product(range(k), repeat=2) if row[s, t]}
+            assert _CLASS_PREDICATES[frame](HybridModel(names, rel)), (frame, k, sorted(rel))
+        reps = _brute_canonical(table)
+        assert len(set(reps)) == len(reps), (frame, k)  # no two isomorphic
+        labeled = set()
+        for piece in _frame_pieces(frame, k):
+            labeled.update(_brute_canonical(piece))
+        assert labeled == set(reps), (frame, k)  # every labeled frame has one
+
+
+def test_transitive_classes_on_five_states_count_every_labeled_frame_once():
+    # orbit-stabilizer: a class whose automorphism group has g members has
+    # 5!/g labeled members, and 154,303 transitive relations are labeled
+    table = _classes("transitive", 5)
+    perms = np.array(list(permutations(range(5))), dtype=np.intp)
+    relabeled = table[:, perms[:, :, None], perms[:, None, :]]
+    automorphisms = (relabeled == table[:, None]).all(axis=(2, 3)).sum(axis=1)
+    assert sum(120 // automorphisms) == 154303
+    assert len(set(_brute_canonical(table))) == len(table)
+
+
+def test_class_tables_do_not_depend_on_the_hash_seed():
+    script = (
+        "import hashlib; from hylo.oracle import FRAME_CLASSES, _classes; "
+        "print(hashlib.sha256(b''.join(_classes(f, k).tobytes() "
+        "for f in FRAME_CLASSES for k in range(1, 5))).hexdigest())"
+    )
+    digests = set()
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        digests.add(out.stdout)
+    assert len(digests) == 1
 
 
 def test_linear_frame_counts():
@@ -150,6 +217,28 @@ def _naive_brute_sat(phi, frame, n, atoms):
     return None
 
 
+def _class_models(frame, n, atoms):
+    """Every model over one frame per isomorphism class: size, class in
+    table order, valuation by code, nominal placement (the sweep order)."""
+    props, noms = _split_atoms(atoms)
+    for k in range(1, n + 1):
+        names = tuple(f"s{i}" for i in range(k))
+        for row in _classes(frame, k):
+            rel = {(names[s], names[t]) for s, t in product(range(k), repeat=2) if row[s, t]}
+            for code in range(1 << (len(props) * k)):
+                val = _decode_valuation(code, props, names)
+                for placement in product(names, repeat=len(noms)):
+                    yield HybridModel(names, rel, val, dict(zip(noms, placement)))
+
+
+def _naive_class_sat(phi, frame, n, atoms):
+    for m in _class_models(frame, n, atoms):
+        for s in m.states:
+            if eval_formula(m, {}, s, phi):
+                return m, s
+    return None
+
+
 LANE_BATTERY = [
     "p",
     "~p & q",
@@ -190,12 +279,17 @@ def test_lane_engine_agrees_with_checker(frame):
             [nom("i")] if "'i" in text else []
         )
         fast = brute_sat(phi, frame, n)
-        slow = _naive_brute_sat(phi, frame, n, atoms)
+        slow = _naive_class_sat(phi, frame, n, atoms)
         if slow is None:
             assert fast is None, text
         else:
             assert fast is not None, text
             assert (fast.model, fast.state) == slow, text
+        # the labeled enumeration has the same verdict and hit size
+        labeled = _naive_brute_sat(phi, frame, n, atoms)
+        assert (labeled is None) == (slow is None), text
+        if labeled is not None:
+            assert len(labeled[0].states) == len(slow[0].states), text
 
 
 def _battery_first_hits(frame, n):
@@ -228,7 +322,7 @@ def test_lane_engine_exhaustive_pointwise_agreement():
     for k in (1, 2):
         names = tuple(f"s{i}" for i in range(k))
         engine = _LaneEngine(props, ("i",), k)
-        for batch in _frame_batches("any", k):
+        for batch in _frame_pieces("any", k):
             engine.set_batch(batch, _closure_batch(batch))
             for place in range(k):
                 engine.set_placement({"i": place})
@@ -258,15 +352,17 @@ def test_find_eval_difference_reports_first():
 
 
 def test_brute_global_sat_matches_naive():
-    for text in ["p", "<>p -> p", "~<>p", "p & []p"]:
+    for text in ["p", "<>p -> p", "~<>p", "p & []p", "<>p & <>~p"]:
         phi = parse(text)
         fast = brute_global_sat(phi, "any", 2)
-        slow = None
-        for m in enumerate_models("any", 2, atoms=[prop("p")]):
-            if global_eval(m, phi):
-                slow = m
-                break
+        atoms = [prop("p")]
+        slow = next((m for m in _class_models("any", 2, atoms) if global_eval(m, phi)), None)
         assert fast == slow, text
+        # the labeled enumeration has the same verdict and hit size
+        labeled = next((m for m in enumerate_models("any", 2, atoms) if global_eval(m, phi)), None)
+        assert (labeled is None) == (slow is None), text
+        if labeled is not None:
+            assert len(labeled.states) == len(slow.states), text
 
 
 def test_brute_fo_sat_spec_examples():
@@ -329,6 +425,31 @@ def _fo_preds(alpha):
     from hylo.satellites import Pred
 
     return [g for g in subformulas(alpha) if isinstance(g, Pred)]
+
+
+CLOSURE_UNTILS = ["U+(p, q)", "S+(p, q)", "U++(p, q)", "S++(p, q)"]
+
+
+@pytest.mark.parametrize("text", CLOSURE_UNTILS)
+@pytest.mark.parametrize("extra", ["", " & ~p", " & ~p & <>(~p & ~q)", " & ~<>p"])
+def test_fo_search_of_closure_untils_agrees_with_the_lane_sweep(text, extra):
+    # the standard translation of a closure Until has R+ atoms, which are
+    # R over transitive frames; the conjuncts move the first hit to sizes
+    # 1, 2 and 3, or leave none
+    phi = parse(text + extra)
+    alpha = Exists("w", standard_translation(phi, anchor="w"))
+    for n in (1, 2, 3):
+        hybrid = brute_sat(phi, "transitive", n)
+        first_order = brute_fo_sat(alpha, "transitive", n)
+        assert (hybrid is None) == (first_order is None), (text + extra, n)
+        if first_order is not None:
+            assert len(first_order.structure.domain) == len(hybrid.model.states)
+            assert fo_eval(first_order.structure, {}, alpha)
+
+
+def test_fo_search_refuses_closure_atoms_over_any_frames():
+    with pytest.raises(ValueError, match="closure atoms"):
+        brute_fo_sat(parse_fo("E x. E y. R+(x,y)"), "any", 2)
 
 
 def test_brute_fo_sat_respects_frames():
