@@ -165,7 +165,7 @@ def _oracle_worker(payload):
     from . import model, oracle
 
     phi, frame, k = payload
-    hit = oracle._lane_search([phi], frame, k, "sat", sizes=(k,))
+    hit = oracle._lane_search(phi, frame, k, sizes=(k,))
     return None if hit is None else (model.model_to_dict(hit[0]), hit[1])
 
 

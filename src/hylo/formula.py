@@ -97,14 +97,23 @@ class _Node(metaclass=_Interned):
         # copy and pickle rebuild through the constructor, which re-interns
         return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
 
+    @cached_property
+    def signature(self) -> frozenset[str]:
+        """The marks (``MARKS``) of every operator and atom kind in this
+        node and below it: a language admits the node when it has them all.
+        Equal signatures are one object."""
+        marks = _own_marks(self).union(*[c.signature for c in children(self)])
+        return _SIGNATURES.setdefault(marks, marks)
+
 
 @_node
 class Formula(_Node):
     """An interned formula node; ``==`` is ``is``.
 
     Derived facts are computed once per node: ``fv`` (the free state
-    variables) here, and the stripped form, the fragment test and the
-    closure behind ``strip_free``, ``check_hld`` and ``diamond_closure``.
+    variables) and ``signature`` (the operators and atom kinds below it),
+    and the stripped form and the closure behind ``strip_free`` and
+    ``diamond_closure``.
     """
 
     def __str__(self):
@@ -126,10 +135,6 @@ class Formula(_Node):
     @cached_property
     def _stripped(self):
         return _false_for(self, self.fv)
-
-    @cached_property
-    def _hld(self):
-        return isinstance(self, _HLD_NODES) and all(c._hld for c in children(self))
 
     @cached_property
     def _closure(self):
@@ -362,6 +367,55 @@ UNTIL_FORMS = {
 }
 
 
+# The mark each operator leaves on a signature, and each atom kind (an atom
+# is keyed by its kind; a proposition leaves none).  Booleans, quantifiers
+# and terms leave none, so every language admits them; ``hylo.satellites``
+# adds the first-order atoms.  A language is the set of marks it admits.
+MARKS = {
+    Diamond: "<>", Box: "<>",
+    Future: "F", Globally: "F",
+    Past: "P", Historically: "P",
+    Somewhere: "E", Everywhere: "E",
+    At: "@", Down: "↓",
+    Until: "U", Since: "S",
+    UntilPlus: "U+", SincePlus: "S+",
+    UntilPlusPlus: "U++", SincePlusPlus: "S++",
+    NOM: NOM, SVAR: SVAR,
+}
+
+_SIGNATURES = {}  # each distinct signature, once
+
+
+def _own_marks(g: _Node) -> frozenset[str]:
+    """The marks of g itself: its class's, or its kind's for an atom, and
+    those of the atoms it holds besides its children (an at-term, a bound
+    variable)."""
+    mark = MARKS.get(g.kind if isinstance(g, Atom) else type(g))
+    marks = [mark] if mark else []
+    for name in g.__match_args__:
+        part = getattr(g, name)
+        if isinstance(part, Atom) and name not in g._kids:
+            marks += part.signature
+    return frozenset(marks)
+
+
+class Language(NamedTuple):
+    """The marks a language admits, and its name for error messages."""
+
+    name: str
+    marks: frozenset
+
+
+def check_language(f: _Node, language: Language) -> None:
+    """Raise FragmentError, naming the first operator or atom of f
+    (preorder) outside language, unless language admits f."""
+    if f.signature <= language.marks:
+        return
+    g = next(g for g in subformulas(f) if not _own_marks(g) <= language.marks)
+    what = f"operator {type(g).__name__}" if g._kids else f"atom {g}"
+    raise FragmentError(f"{what} is outside {language.name}")
+
+
 def children(f: _Node) -> tuple:
     """The subformulas one level below f, in field order."""
     return tuple([getattr(f, name) for name in f._kids])
@@ -447,15 +501,14 @@ def _false_for(f, names):
     return rebuild(f, [_false_for(c, names) for c in children(f)])
 
 
-_HLD_NODES = (Atom, Top, Bot, Not, And, Or, Implies, Iff, Diamond, Box, Down)
+HLD = Language("the down-fragment", frozenset(["<>", "↓", NOM, SVAR]))
 
 
 def check_hld(f: Formula) -> None:
     """Reject formulas outside HL-down (atoms, Booleans, diamond/box, down)."""
-    if f._hld:
-        return
-    g = next(g for g in subformulas(f) if not isinstance(g, _HLD_NODES))
-    raise FragmentError(f"operator {type(g).__name__} is outside the down-fragment")
+    # the solver asks for every candidate: a warm call is one subset test
+    if not f.signature <= HLD.marks:
+        check_language(f, HLD)
 
 
 def closure_sentence(g: Diamond | Box) -> Formula:
@@ -475,63 +528,29 @@ def modal_depth_count(f: Formula) -> int:
     return sum(1 for g in subformulas(f) if isinstance(g, (Diamond, Box)))
 
 
+# the operator pairs of a label's subscript, in order
+_LABEL_PAIRS = (("F", "P"), ("U", "S"), ("U+", "S+"), ("U++", "S++"))
+
+
 def fragment_of(f: Formula) -> str:
     """Smallest language label containing all operators of f.
 
     Labels mirror the usual naming scheme: ML, ML_U, HL, "HL^E_{U,S}" and
     so on; the down arrow is spelled with its unicode glyph.
     """
-    has_nom = has_svar = has_at = has_e = False
-    tense = False
-    us = ups = upps = False
-    u_only = True
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            has_nom |= g.kind == NOM
-            has_svar |= g.kind == SVAR
-        elif isinstance(g, At):
-            has_at = True
-            has_nom |= g.term.kind == NOM
-            has_svar |= g.term.kind == SVAR
-        elif isinstance(g, Down):
-            has_svar = True
-        elif isinstance(g, (Somewhere, Everywhere)):
-            has_e = True
-        elif isinstance(g, (Future, Globally, Past, Historically)):
-            tense = True
-        elif isinstance(g, (Until, Since)):
-            us = True
-            u_only &= isinstance(g, Until)
-        elif isinstance(g, (UntilPlus, SincePlus)):
-            ups = True
-        elif isinstance(g, (UntilPlusPlus, SincePlusPlus)):
-            upps = True
-    hybrid = has_nom or has_svar or has_at or has_e
-    base = "HL" if hybrid else "ML"
-    sup = ""
-    if has_svar:
-        sup += "↓"
-    if has_at:
-        sup += ("," if sup else "^") + "@"
-    if has_e:
-        sup += ("," if sup else "^") + "E"
-    subs = []
-    if tense:
-        subs += ["F", "P"]
-    if us:
-        if not hybrid and u_only and not ups and not upps:
-            subs += ["U"]
-        else:
-            subs += ["U", "S"]
-    if ups:
-        subs += ["U+", "S+"]
-    if upps:
-        subs += ["U++", "S++"]
-    if not subs:
-        return base + sup
-    if len(subs) == 1:
-        return f"{base}{sup}_{subs[0]}"
-    return f"{base}{sup}_{{{','.join(subs)}}}"
+    marks = f.signature
+    hybrid = not marks.isdisjoint([NOM, SVAR, "@", "E"])
+    sup = ",".join(glyph for glyph, mark in (("↓", SVAR), ("@", "@"), ("E", "E")) if mark in marks)
+    if sup and sup[0] != "↓":
+        sup = "^" + sup
+    subs = [op for pair in _LABEL_PAIRS if not marks.isdisjoint(pair) for op in pair]
+    # a modal language with Until and no other binary operator is ML_U
+    if not hybrid and "S" not in marks and subs[-2:] == ["U", "S"]:
+        subs.pop()
+    label = ("HL" if hybrid else "ML") + sup
+    if len(subs) > 1:
+        return f"{label}_{{{','.join(subs)}}}"
+    return f"{label}_{subs[0]}" if subs else label
 
 
 def recode_nominals(f: Formula) -> Formula:

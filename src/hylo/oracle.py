@@ -47,6 +47,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .formula import (
+    MARKS,
     MODAL_FORMS,
     NOM,
     PROP,
@@ -56,16 +57,18 @@ from .formula import (
     Atom,
     Bot,
     Down,
+    Everywhere,
     Formula,
     Iff,
     Implies,
+    Language,
     Not,
     Or,
     Top,
     _sentence_guard,
+    check_language,
     noms_of,
     props_of,
-    subformulas,
 )
 from .model import HybridModel
 from . import satellites as sat
@@ -494,9 +497,12 @@ def enumerate_models(frame, max_states, atoms=()):
 # Lane evaluation: one bit lane per proposition valuation
 
 
+# the marks of the Until forms whose guard reads R+
+_CLOSURE_MARKS = frozenset(MARKS[cls] for cls, form in UNTIL_FORMS.items() if form.guard_plus)
+
+
 def _needs_closure(f):
-    forms = (UNTIL_FORMS.get(type(g)) for g in subformulas(f))
-    return any(form is not None and form.guard_plus for form in forms)
+    return not f.signature.isdisjoint(_CLOSURE_MARKS)
 
 
 def _bigint_to_words(value, m):
@@ -677,7 +683,6 @@ def _closure_batch(rel):
 class Found:
     model: HybridModel
     state: str
-    assignment: dict
 
 
 def _first_lane(row):
@@ -691,23 +696,22 @@ def _first_lane(row):
     return 64 * plane + bit, state
 
 
-def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
-    """Shared search across brute_sat / global sat / equivalence sweeps.
-
-    mode 'sat': first (model, state) where formulas[0] holds.
-    mode 'global': first model where formulas[0] holds at every state.
-    mode 'diff': first (model, state) where formulas[0] and formulas[1] differ.
-    ``sizes`` restricts the sweep to those model sizes (one slice of a
-    parallel sweep); by default it covers 1..max_states.
+def _lane_search(phi, frame, max_states, atoms=(), sizes=None):
+    """The first (model, state) where the sentence phi holds: the one sweep
+    behind brute_sat, brute_global_sat (which asks for A phi) and
+    find_eval_difference (which asks for ~(f1 <-> f2)).  ``atoms`` adds
+    atoms phi does not have to the valuations; ``sizes`` restricts the
+    sweep to those model sizes (one slice of a parallel sweep); by default
+    it covers 1..max_states.
 
     The first hit is the least (size, class, lane, placement); each
     placement keeps only its own first hit in a batch.
     """
     extra_props, extra_noms = _split_atoms(atoms)
-    props = tuple(sorted({p for f in formulas for p in props_of(f)} | set(extra_props)))
-    noms = tuple(sorted({i for f in formulas for i in noms_of(f)} | set(extra_noms)))
+    props = tuple(sorted(set(props_of(phi)) | set(extra_props)))
+    noms = tuple(sorted(set(noms_of(phi)) | set(extra_noms)))
     # the other classes are transitive already, so there R+ is R
-    needs_plus = frame == "any" and any(_needs_closure(f) for f in formulas)
+    needs_plus = frame == "any" and _needs_closure(phi)
     for k in sizes or range(1, max_states + 1):
         engine = _LaneEngine(props, noms, k)
         placements = list(product(range(k), repeat=len(noms)))
@@ -719,14 +723,7 @@ def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
             best = None
             for pl_idx, placement in enumerate(placements):
                 engine.set_placement(dict(zip(noms, placement)))
-                w = engine.ev(formulas[0])
-                if mode == "diff":
-                    w = w ^ engine.ev(formulas[1])
-                if mode == "global":
-                    red = w[:, 0, :]
-                    for s in range(1, k):
-                        red = red & w[:, s, :]
-                    w = red[:, None, :]
+                w = engine.ev(phi)
                 nz = w.any(axis=(1, 2))
                 b = int(np.argmax(nz))
                 if not nz[b] or (best is not None and b > best[0]):
@@ -750,17 +747,14 @@ def _lane_search(formulas, frame, max_states, mode, atoms=(), sizes=None):
 def brute_sat(phi: Formula, frame: str, max_states: int):
     """First model and state satisfying the sentence phi, or None."""
     _sentence_guard(phi)
-    out = _lane_search([phi], frame, max_states, "sat")
-    if out is None:
-        return None
-    model, state = out
-    return Found(model, state, {})
+    out = _lane_search(phi, frame, max_states)
+    return None if out is None else Found(*out)
 
 
 def brute_global_sat(phi: Formula, frame: str, max_states: int):
     """First model globally satisfying phi, or None."""
     _sentence_guard(phi)
-    out = _lane_search([phi], frame, max_states, "global")
+    out = _lane_search(Everywhere(phi), frame, max_states)
     return None if out is None else out[0]
 
 
@@ -768,7 +762,7 @@ def find_eval_difference(f1: Formula, f2: Formula, frame: str, max_states: int, 
     """First (model, state) where the two sentences disagree, or None."""
     _sentence_guard(f1)
     _sentence_guard(f2)
-    return _lane_search([f1, f2], frame, max_states, "diff", atoms=atoms)
+    return _lane_search(Not(Iff(f1, f2)), frame, max_states, atoms=atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +775,12 @@ class FOFound:
 
 
 _T, _F, _U = 1, 0, -1
+
+
+_SEARCHABLE_OVER_ANY = Language(
+    "first-order logic without closure atoms, the language searchable over any frames",
+    frozenset(["R", "=", "pred"]),
+)
 
 
 class _FOSearch:
@@ -808,8 +808,8 @@ class _FOSearch:
 
     def __init__(self, alpha, k, frame, rel_fixed=None, consts=None):
         # every class but ``any`` is transitive, so there an R+ atom is R
-        if frame == "any" and any(isinstance(g, sat.RelPlus) for g in subformulas(alpha)):
-            raise ValueError("closure atoms are not searchable over any frames")
+        if frame == "any":
+            check_language(alpha, _SEARCHABLE_OVER_ANY)
         self.alpha = alpha
         self.k = k
         self.frame = frame

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .formula import ParseError, _Node, _node, _Tokens, subformulas
+from .formula import MARKS, Language, ParseError, _Node, _node, _Tokens, subformulas
 from .model import _closure, _name_lists, _name_map, _names
 
 
@@ -151,6 +151,10 @@ class FOImplies(FOFormula):
     right: FOFormula
 
 
+# the first-order rows of the mark table (``hylo.formula.MARKS``): one per
+# relational atom; true, false and the connectives leave none
+MARKS.update({Rel: "R", RelPlus: "R+", Eq: "=", Pred: "pred"})
+
 # Each binary connective as a junction of its operands: (conjunctive, left
 # sign).  The left operand is taken as it is, or negated when its sign is
 # False, and the two are conjoined or disjoined: p -> q is ~p | q.
@@ -222,14 +226,18 @@ def fo_rename(f: FOFormula, bind, free, scope=None) -> FOFormula:
     return type(f)(*parts)
 
 
+ALL_U1 = Language("[all,(u,1)]", frozenset(["R", "pred"]))
+MC_EQ = Language("the monadic class with equality", frozenset(["=", "pred"]))
+
+
 def is_all_u1(f: FOFormula) -> bool:
     """Membership in [all,(u,1)]: one binary relation, unary preds, no equality."""
-    return not any(isinstance(g, (Eq, RelPlus)) for g in subformulas(f))
+    return f.signature <= ALL_U1.marks
 
 
 def is_mc_eq(f: FOFormula) -> bool:
     """Membership in the monadic class with equality: no binary relation."""
-    return not any(isinstance(g, (Rel, RelPlus)) for g in subformulas(f))
+    return f.signature <= MC_EQ.marks
 
 
 @dataclass(frozen=True)

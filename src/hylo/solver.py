@@ -325,8 +325,6 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
     stats = {"structures": 0, "valuations_skipped": 0, "guesses_fixed": 0, "rejected": {}}
     candidates = 0
     for nodes, cliq, n_c in budget.levels():
-        if complete_only and (nodes != 1 or n_c != 0):
-            continue
         kinds_pool = _node_kinds(cliq, complete_only)
         pair_pool = [(node, t) for node in range(nodes) for t in range(nodes)]
         for parents in _canonical_trees(nodes):

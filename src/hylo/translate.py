@@ -13,6 +13,7 @@ from __future__ import annotations
 from functools import partial, reduce
 
 from .formula import (
+    HLD,
     MODAL_FORMS,
     NOM,
     PROP,
@@ -34,6 +35,7 @@ from .formula import (
     Historically,
     Iff,
     Implies,
+    Language,
     Not,
     Or,
     Past,
@@ -45,12 +47,12 @@ from .formula import (
     UntilPlusPlus,
     atoms_of,
     check_hld,
+    check_language,
     children,
     map_nodes,
     noms_of,
     props_of,
     rebuild,
-    subformulas,
     svar,
 )
 from . import satellites as sat
@@ -107,14 +109,6 @@ def _fo_names(alpha):
     return names
 
 
-def _restrict(phi, allowed, label):
-    for g in subformulas(phi):
-        if not isinstance(g, allowed):
-            raise FragmentError(
-                f"operator {type(g).__name__} is outside {label}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Until and Since through the binder
 
@@ -144,17 +138,12 @@ def since_via_down_tense(phi: Formula, psi: Formula) -> Formula:
 # Modal logic into the Until language, global satisfiability reduction
 
 
-_ML_NODES = (Top, Bot, Not, And, Or, Implies, Iff, Diamond, Box)
+_ML = Language("modal logic", frozenset(["<>"]))
 
 
 def ml_to_until(phi: Formula) -> Formula:
     """Homomorphic image with dia phi mapped to U(phi, false)."""
-    for g in subformulas(phi):
-        if isinstance(g, Atom):
-            if g.kind != PROP:
-                raise FragmentError("pure modal input only")
-        elif not isinstance(g, _ML_NODES):
-            raise FragmentError(f"operator {type(g).__name__} is not modal")
+    check_language(phi, _ML)
 
     def rewrite(g):
         if isinstance(g, Diamond):
@@ -233,21 +222,9 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
             if f.kind == PROP:
                 return sat.Pred(f.name, sat.FOVar(x))
             return sat.Eq(_st_term(f, ctx), sat.FOVar(x))
-        if isinstance(f, Top):
-            return sat.FOTrue()
-        if isinstance(f, Bot):
-            return sat.FOFalse()
-        if isinstance(f, Not):
-            return sat.FONot(rec(f.body, x))
-        if isinstance(f, And):
-            return sat.FOAnd(rec(f.left, x), rec(f.right, x))
-        if isinstance(f, Or):
-            return sat.FOOr(rec(f.left, x), rec(f.right, x))
-        if isinstance(f, Implies):
-            return sat.FOImplies(rec(f.left, x), rec(f.right, x))
-        if isinstance(f, Iff):
-            a, b = rec(f.left, x), rec(f.right, x)
-            return sat.FOAnd(sat.FOImplies(a, b), sat.FOImplies(b, a))
+        boolean = _HL_BOOLEANS.get(type(f))
+        if boolean is not None:
+            return boolean(*[rec(c, x) for c in children(f)])
         form = MODAL_FORMS.get(type(f))
         if form is not None:
             y = ctx.numbered("y")
@@ -295,6 +272,19 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
         raise TypeError(f"not a formula node: {f!r}")
 
     return rec(phi, anchor)
+
+
+# Booleans map to themselves: each first-order connective's hybrid one
+# (the skeleton of _fo_to_hl), and read backwards for the standard
+# translation, where Iff is the one derived row
+_FO_BOOLEANS = {
+    sat.FOTrue: Top, sat.FOFalse: Bot, sat.FONot: Not,
+    sat.FOAnd: And, sat.FOOr: Or, sat.FOImplies: Implies,
+}
+_HL_BOOLEANS = {
+    **{hl: fo for fo, hl in _FO_BOOLEANS.items()},
+    Iff: lambda a, b: sat.FOAnd(sat.FOImplies(a, b), sat.FOImplies(b, a)),
+}
 
 
 def st_complete(phi: Formula, anchor: str = "x") -> sat.FOFormula:
@@ -362,16 +352,9 @@ def _fo_to_hl(alpha, reach, place, step, props):
     return rec(alpha)
 
 
-_FO_BOOLEANS = {
-    sat.FOTrue: Top, sat.FOFalse: Bot, sat.FONot: Not,
-    sat.FOAnd: And, sat.FOOr: Or, sat.FOImplies: Implies,
-}
-
-
 def ht(alpha: sat.FOFormula) -> Formula:
     """Monadic-class sentences into the down-fragment over complete frames."""
-    if not sat.is_mc_eq(alpha):
-        raise FragmentError("ht expects a formula of the monadic class with equality")
+    check_language(alpha, sat.MC_EQ)
     return _fo_to_hl(alpha, Diamond, lambda t, h: Diamond(And(t, h)), Diamond, _prop_names(alpha))
 
 
@@ -392,10 +375,12 @@ def _rename_apart(alpha):
     return sat.fo_rename(alpha, lambda v, scope: names.numbered(v) if v in scope else v, sat.FOVar)
 
 
+_ONE_RELATION = Language("first-order logic over one binary relation only", frozenset(["R"]))
+
+
 def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
     """Relation atoms become zig-zag gadgets over four level predicates."""
-    if not sat.is_all_u1(alpha) or sat.fo_preds(alpha):
-        raise FragmentError("zigzag expects a sentence over one binary relation only")
+    check_language(alpha, _ONE_RELATION)
     alpha = _rename_apart(alpha)
     names = _fo_names(alpha)
 
@@ -433,8 +418,7 @@ def zigzag(alpha: sat.FOFormula) -> sat.FOFormula:
 
 def _spy_sentence(alpha):
     """alpha with its quantifiers renamed apart, and a spy variable fresh for it."""
-    if not sat.is_all_u1(alpha):
-        raise FragmentError("spy reductions expect a sentence of [all,(u,1)]")
+    check_language(alpha, sat.ALL_U1)
     if sat.fo_free_vars(alpha):
         raise FragmentError("spy reductions expect a sentence")
     alpha = _rename_apart(alpha)
@@ -463,14 +447,7 @@ def spy_fp(alpha: sat.FOFormula) -> Formula:
 # Transitive trees over the natural numbers
 
 
-_HLD_FP_NODES = (
-    Atom, Top, Bot, Not, And, Or, Implies, Iff,
-    Diamond, Box, Future, Globally, Past, Historically, Down,
-)
-
-
-def _check_hld_fp(phi):
-    _restrict(phi, _HLD_FP_NODES, "the down-F,P fragment")
+_HLD_FP = Language("the down-F,P fragment", HLD.marks | {"F", "P"})
 
 
 def _f1(psi, sim):
@@ -489,7 +466,7 @@ def tt_to_nat_tense(phi: Formula) -> Formula:
     written through Until/Since and then their binder simulations, so the
     result stays inside the down-F,P fragment.
     """
-    _check_hld_fp(phi)
+    check_language(phi, _HLD_FP)
     names = _Names(phi)
     y = names.svar("y")
     inner = Down(y, since_via_down_tense(_g1(y, until_via_down_tense), Bot()))
@@ -503,7 +480,7 @@ def tt_to_nat_tense(phi: Formula) -> Formula:
 def tt_to_nat_at(phi: Formula) -> Formula:
     """The @-variant: simulate P through the spy point, then force
     unique direct successors with the binder simulation of Until."""
-    _check_hld_fp(phi)
+    check_language(phi, _HLD_FP)
     names = _Names(phi)
     spy = names.svar("i")
 
@@ -538,12 +515,12 @@ def tt_to_nat_at(phi: Formula) -> Formula:
 # Linear frames
 
 
-_HLDAT_FP_NODES = _HLD_FP_NODES + (At,)
+_HLDAT_FP = Language("the down-@-F,P fragment", _HLD_FP.marks | {"@"})
 
 
 def at_elim_linear(phi: Formula) -> Formula:
     """Rewrite @t psi as P(t & psi) | (t & psi) | F(t & psi), bottom-up."""
-    _restrict(phi, _HLDAT_FP_NODES, "the down-@-F,P fragment")
+    check_language(phi, _HLDAT_FP)
 
     def rewrite(g):
         if isinstance(g, At):
@@ -552,6 +529,9 @@ def at_elim_linear(phi: Formula) -> Formula:
         return g
 
     return map_nodes(phi, rewrite)
+
+
+_STRINGS = Language("the string signature", frozenset(["R", "=", "pred"]))
 
 
 def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
@@ -573,8 +553,7 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
     reserved = sorted(a for a in sigma if a.startswith("_"))
     if reserved:
         raise FragmentError(f"letters in the reserved namespace: {reserved}")
-    if any(isinstance(g, sat.RelPlus) for g in subformulas(alpha)):
-        raise FragmentError("closure atoms are not part of the string signature")
+    check_language(alpha, _STRINGS)
     if sat.fo_free_vars(alpha):
         raise FragmentError("string reduction expects a sentence")
     alpha = _rename_apart(alpha)
@@ -618,24 +597,12 @@ def string_reduction(alpha: sat.FOFormula, sigma) -> Formula:
 # E-operator elimination over transitive frames
 
 
-_HLE_US_NODES = (
-    Atom, Top, Bot, Not, And, Or, Implies, Iff,
-    Diamond, Box, Future, Globally, Somewhere, Everywhere, Until, Since,
-)
-
-
-def _check_e_us(phi):
-    for g in subformulas(phi):
-        if isinstance(g, Atom):
-            if g.kind == SVAR:
-                raise FragmentError("the E-U,S language has no state variables")
-        elif not isinstance(g, _HLE_US_NODES):
-            raise FragmentError(f"operator {type(g).__name__} is outside the E-U,S language")
+_HLE_US = Language("the E-U,S language", frozenset(["<>", "F", "E", "U", "S", NOM]))
 
 
 def exists_to_at(phi: Formula) -> Formula:
     """f(phi) = i & ~dia i & dia phi^t with E psi mapped to @i dia psi."""
-    _check_e_us(phi)
+    check_language(phi, _HLE_US)
     spy = _Names(phi).nom("i")
 
     def rewrite(g):
@@ -666,7 +633,7 @@ def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
     """The composition map into tree PDL, one node at a time; a nominal
     becomes the atom _pdl_atoms gives it.  A diamond or box (F, G) is the
     Until with guard true, and E, A look along up*;down*."""
-    _check_e_us(phi)
+    check_language(phi, _HLE_US)
     noms = _pdl_atoms(phi)
     if flat:
         flatp = sat.PdlAtom("_flat")

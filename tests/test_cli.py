@@ -357,8 +357,15 @@ def test_translate_until_down_requires_until_root(capsys):
 
 
 def test_fragment_errors_exit_65(capsys):
-    code, _, _ = run(capsys, "translate", "--rule", "ml-until", "--formula", "'i")
-    assert code == 65
+    code, out, err = run(capsys, "translate", "--rule", "ml-until", "--formula", "'i")
+    assert code == 65 and out == ""
+    assert err == "hylo: atom 'i is outside modal logic\n"
+
+
+def test_parse_labels_a_binder_hybrid(capsys):
+    code, out, _ = run(capsys, "parse", "--formula", "down $x . <> $x")
+    assert code == 0
+    assert out.splitlines() == ["down $x . <>$x", "fragment: HL↓"]
 
 
 def test_sat_exhaustive_searches_exactly_the_bounds(capsys, tmp_path):
