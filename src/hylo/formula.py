@@ -572,8 +572,9 @@ class _Tokens:
     A subclass gives its token ``pattern`` (one named group per kind; ``ws``
     is dropped), the ``reserved`` kinds whose identifiers may not start
     with an underscore unless ``allow_reserved`` is set, and the ``error``
-    class it raises.  Every error carries the 1-based line and column of
-    the token at fault.
+    class it raises.  A token is a (kind, value, offset) triple; every
+    error carries the 1-based line and column of the token at fault,
+    worked out from its offset by ``error_at`` only when it is raised.
     """
 
     pattern: re.Pattern
@@ -581,28 +582,28 @@ class _Tokens:
     error = ParseError
 
     def __init__(self, text, allow_reserved=False):
-        line, col = 1, 1
-        pos = 0
+        self.text = text
         self.toks = []
         self.i = 0
+        pos = 0
         while pos < len(text):
             m = self.pattern.match(text, pos)
             if not m:
-                raise self.error(f"unexpected character {text[pos]!r}", line, col)
+                raise self.error_at(pos, f"unexpected character {text[pos]!r}")
             kind = m.lastgroup
-            value = m.group()
-            if kind in self.reserved and value.lstrip("'$").startswith("_") and not allow_reserved:
-                raise self.error(f"identifier {value!r} uses the reserved namespace", line, col)
             if kind != "ws":
-                self.toks.append((kind, value, line, col))
-            nl = value.count("\n")
-            if nl:
-                line += nl
-                col = len(value) - value.rfind("\n")
-            else:
-                col += len(value)
+                value = m.group()
+                if kind in self.reserved and value.lstrip("'$").startswith("_") and not allow_reserved:
+                    raise self.error_at(pos, f"identifier {value!r} uses the reserved namespace")
+                self.toks.append((kind, value, pos))
             pos = m.end()
-        self.toks.append(("eof", "", line, col))
+        self.toks.append(("eof", "", pos))
+
+    def error_at(self, pos, message):
+        """The error for message at text offset pos, with its 1-based line
+        and column."""
+        line = self.text.count("\n", 0, pos) + 1
+        return self.error(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def peek(self):
         return self.toks[self.i]
@@ -613,14 +614,14 @@ class _Tokens:
         return tok
 
     def fail(self, message):
-        kind, value, line, col = self.peek()
+        kind, value, pos = self.peek()
         shown = value if kind != "eof" else "end of input"
-        raise self.error(f"{message} (found {shown!r})", line, col)
+        raise self.error_at(pos, f"{message} (found {shown!r})")
 
     def expect(self, value):
-        kind, got, line, col = self.next()
+        kind, got, pos = self.next()
         if got != value:
-            raise self.error(f"expected {value!r}, found {got!r}", line, col)
+            raise self.error_at(pos, f"expected {value!r}, found {got!r}")
 
     def done(self, result):
         """result, once every token is read."""
@@ -668,7 +669,7 @@ class _Parser(_Tokens):
         return self.chain({"&": And}, self.unary)
 
     def unary(self):
-        kind, value, line, col = self.peek()
+        kind, value, _ = self.peek()
         if value in _PREFIX_CLASSES:
             self.next()
             return _PREFIX_CLASSES[value](self.unary())
@@ -679,9 +680,9 @@ class _Parser(_Tokens):
             return f
         if value == "@":
             self.next()
-            tkind, tval, tline, tcol = self.next()
+            tkind, tval, tpos = self.next()
             if tkind not in _SIGILS:
-                raise ParseError("at-term must be a nominal or state variable", tline, tcol)
+                raise self.error_at(tpos, "at-term must be a nominal or state variable")
             return At(Atom(_SIGILS[tkind], tval[1:]), self.unary())
         if kind in _SIGILS:
             self.next()
@@ -692,9 +693,9 @@ class _Parser(_Tokens):
         if value in _CONSTANTS:
             return _CONSTANTS[value]()
         if value == "down":
-            vkind, vval, vline, vcol = self.next()
+            vkind, vval, vpos = self.next()
             if vkind != "svartok":
-                raise ParseError("down binds a state variable", vline, vcol)
+                raise self.error_at(vpos, "down binds a state variable")
             self.expect(".")
             return Down(Atom(SVAR, vval[1:]), self.formula())
         if value in _APP_CLASSES:

@@ -29,7 +29,10 @@ build it.
 ``brute_fo_sat`` searches relational structures for a first-order sentence
 by backtracking over atom truth values with frame-constraint propagation;
 naive enumeration cannot refute at the domain sizes the translations need.
-Over the classes closed under permutations (``any``, ``transitive``,
+The search (``_FOSearch``) keeps every decided atom and composite
+requirement in one truth map, records every change as one
+``(undo, argument)`` step on one trail, and imposes and evaluates
+requirements through one case table per node class.  Over the classes closed under permutations (``any``, ``transitive``,
 ``complete``) it breaks element symmetry: constants take only
 restricted-growth assignments, and an existential branch tries the named
 elements and the least unnamed one (``_FOSearch``).  Each pruned branch is
@@ -707,6 +710,8 @@ def _lane_search(phi, frame, max_states, atoms=(), sizes=None):
     The first hit is the least (size, class, lane, placement); each
     placement keeps only its own first hit in a batch.
     """
+    if max_states < 1:
+        raise ValueError("max_states must be >= 1")
     extra_props, extra_noms = _split_atoms(atoms)
     props = tuple(sorted(set(props_of(phi)) | set(extra_props)))
     noms = tuple(sorted(set(noms_of(phi)) | set(extra_noms)))
@@ -774,13 +779,13 @@ class FOFound:
     structure: sat.FOStructure
 
 
-_T, _F, _U = 1, 0, -1
-
-
 _SEARCHABLE_OVER_ANY = Language(
     "first-order logic without closure atoms, the language searchable over any frames",
     frozenset(["R", "=", "pred"]),
 )
+
+# Kleene negation: an unknown status (None) stays unknown
+_NOT = {True: False, False: True}
 
 
 class _FOSearch:
@@ -789,10 +794,16 @@ class _FOSearch:
     A requirement is a (subformula, environment, truth value) triple.
     Conjunctive requirements decompose immediately down to atom
     assignments; disjunctive ones are deferred to a pending list and
-    branched in creation order.  Every composite requirement is recorded,
-    so opposite commitments on the same instance conflict without being
-    expanded.  Status checks use Kleene evaluation with an early-unknown
-    exit on quantifiers.
+    branched in creation order.  One map, ``truth``, holds every decided
+    atom and composite requirement: ``("R", a, b)`` for a relation atom,
+    ``(pred, e)`` for a unary atom, and a composite's alpha code with its
+    slot values, so opposite commitments on the same instance conflict
+    without being expanded.  A missing key is undecided.  Every change is
+    one ``(undo, argument)`` step on the trail, and backtracking calls
+    the steps in reverse.  Status checks use Kleene evaluation (True,
+    False, or None for unknown) with an early-unknown exit on quantifiers.
+    ``_require`` and ``_status`` read one case per node class from
+    ``_REQUIRE_CASES`` and ``_STATUS_CASES``.
 
     Without a fixed relation the frame class is closed under permutations
     of the domain, and the search breaks that symmetry (the least-number
@@ -815,121 +826,86 @@ class _FOSearch:
         self.frame = frame
         self.symmetric = rel_fixed is None
         self.preds = sorted(sat.fo_preds(alpha))
+        if rel_fixed is None and frame == "complete":
+            rel_fixed = [[True] * k] * k
+        # a fixed relation starts out decided
+        self.truth = {}
         if rel_fixed is not None:
-            self.rel = [[_T if rel_fixed[a][b] else _F for b in range(k)] for a in range(k)]
-        elif frame == "complete":
-            self.rel = [[_T] * k for _ in range(k)]
-        else:
-            self.rel = [[_U] * k for _ in range(k)]
-        self.unary = {p: [_U] * k for p in self.preds}
+            self.truth = {("R", a, b): bool(rel_fixed[a][b]) for a in range(k) for b in range(k)}
         self.trail = []
         self.consts = dict(consts or {})
         self.named = set(self.consts.values())
-        self.store = {}
+        # (subformula, environment, value) triples, and the indices settled
         self.pending = []
+        self.done = set()
         self.nodes = 0
 
-    # -- assignments with transitivity propagation --------------------------
+    # -- the truth map and its trail ---------------------------------------
 
-    def _set_rel(self, a, b, value):
-        if self.rel[a][b] != _U:
-            return self.rel[a][b] == value
-        self.rel[a][b] = value
-        self.trail.append(("rel", a, b))
-        if self.frame != "transitive":
-            return True
-        if value == _T:
-            for x in range(self.k):
-                if self.rel[x][a] == _T and not self._set_rel(x, b, _T):
+    def _decide(self, key, value):
+        """Decide key = value unless it is decided; returns the earlier
+        value, or None when it was undecided."""
+        old = self.truth.get(key)
+        if old is None:
+            self.truth[key] = value
+            self.trail.append((self.truth.pop, key))
+        return old
+
+    def _set_rel(self, key, value):
+        """Decide a relation atom, with transitivity propagation over
+        transitive frames; returns False on conflict."""
+        old = self._decide(key, value)
+        if old is not None or self.frame != "transitive":
+            return old in (None, value)
+        _, a, b = key
+        truth = self.truth
+        for x in range(self.k):
+            if value:
+                if truth.get(("R", x, a)) and not self._set_rel(("R", x, b), True):
                     return False
-                if self.rel[b][x] == _T and not self._set_rel(a, x, _T):
+                if truth.get(("R", b, x)) and not self._set_rel(("R", a, x), True):
                     return False
-        else:
-            for x in range(self.k):
-                if self.rel[a][x] == _T and self.rel[x][b] == _T:
-                    return False
+            elif truth.get(("R", a, x)) and truth.get(("R", x, b)):
+                return False
         return True
 
-    def _set_unary(self, name, e, value):
-        if self.unary[name][e] != _U:
-            return self.unary[name][e] == value
-        self.unary[name][e] = value
-        self.trail.append(("unary", name, e))
-        return True
-
-    def _mark(self):
-        return len(self.trail)
+    def _add(self, items, item):
+        """Add item to ``done`` or ``named``, on the trail."""
+        if item not in items:
+            items.add(item)
+            self.trail.append((items.discard, item))
 
     def _undo(self, mark):
         while len(self.trail) > mark:
-            entry = self.trail.pop()
-            kind = entry[0]
-            if kind == "rel":
-                self.rel[entry[1]][entry[2]] = _U
-            elif kind == "unary":
-                self.unary[entry[1]][entry[2]] = _U
-            elif kind == "store":
-                del self.store[entry[1]]
-            elif kind == "pend":
-                popped = self.pending.pop()
-                assert popped is not None
-            elif kind == "name":
-                self.named.discard(entry[1])
-            else:  # done flag
-                self.pending[entry[1]][3] = False
+            undo, argument = self.trail.pop()
+            undo(argument)
 
     # -- requirements --------------------------------------------------------
 
     def _term(self, t, env):
-        if isinstance(t, sat.FOVar):
-            return env[t.name]
-        return self.consts[t.name]
+        return env[t.name] if isinstance(t, sat.FOVar) else self.consts[t.name]
 
     def _require(self, g, env, value):
         """Impose g == value; returns False on conflict."""
-        if isinstance(g, sat.FOTrue):
-            return value
-        if isinstance(g, sat.FOFalse):
-            return not value
-        if isinstance(g, sat.Eq):
-            return (self._term(g.left, env) == self._term(g.right, env)) == value
-        if isinstance(g, sat.Pred):
-            return self._set_unary(g.name, self._term(g.term, env), _T if value else _F)
-        if isinstance(g, (sat.Rel, sat.RelPlus)):
-            return self._set_rel(
-                self._term(g.left, env), self._term(g.right, env), _T if value else _F
-            )
-        if isinstance(g, sat.FONot):
-            return self._require(g.body, env, not value)
+        return _REQUIRE_CASES[type(g)](self, g, env, value)
+
+    def _require_composite(self, g, env, value):
         # alpha-equivalent copies share a key, so commitments on one copy
         # conflict with opposite commitments on another
         code, slots = g.alpha_code
-        key = (code, tuple(env[v] for v in slots))
-        if key in self.store:
-            return self.store[key] == value
-        self.store[key] = value
-        self.trail.append(("store", key))
+        old = self._decide((code, tuple(env[v] for v in slots)), value)
+        if old is not None:
+            return old == value
         junction = sat.FO_JUNCTIONS.get(type(g))
         if junction is not None and value == junction[0]:
             # a true conjunction or a false disjunction fixes both operands
-            left = value == junction[1]
-            return self._require(g.left, env, left) and self._require(g.right, env, value)
-        if (isinstance(g, sat.Forall) and value) or (isinstance(g, sat.Exists) and not value):
-            # conjunctive quantifier requirement: watch it instead of
-            # instantiating; instances are forced only when nothing else
-            # remains, so probes stay cheap
-            self.pending.append([g, dict(env), value, False, True])
-            self.trail.append(("pend",))
-            return True
-        self.pending.append([g, dict(env), value, False, False])
-        self.trail.append(("pend",))
+            return self._require(g.left, env, value == junction[1]) and self._require(
+                g.right, env, value
+            )
+        # a quantifier, a false conjunction or a true disjunction waits
+        self.pending.append((g, env, value))
+        self.trail.append((self.pending.pop, -1))
         return True
-
-    def _name(self, elements):
-        for e in elements:
-            if e not in self.named:
-                self.named.add(e)
-                self.trail.append(("name", e))
 
     def _witnesses(self):
         """Elements an existential branch tries, in domain order: all of
@@ -941,54 +917,36 @@ class _FOSearch:
         return [d for d in range(self.k) if d in self.named or d == fresh]
 
     def _options(self, g, env, value):
-        if isinstance(g, sat.Exists) and value:
-            return [(g.body, {**env, g.var: d}, True) for d in self._witnesses()]
-        if isinstance(g, sat.Forall) and not value:
-            return [(g.body, {**env, g.var: d}, False) for d in self._witnesses()]
+        """The requirements one of which settles a pending one: a
+        junction's two operands, or a quantifier's instances, each with
+        the pending value."""
         junction = sat.FO_JUNCTIONS.get(type(g))
         if junction is not None:
-            # a false conjunction or a true disjunction: one operand settles it
             return [(g.left, env, value == junction[1]), (g.right, env, value)]
-        raise TypeError(f"unexpected pending requirement on {g!r}")
+        return [(g.body, {**env, g.var: d}, value) for d in self._witnesses()]
 
     # -- Kleene status, early-unknown on quantifiers -------------------------
 
     def _status(self, g, env):
-        if isinstance(g, sat.FOTrue):
-            return _T
-        if isinstance(g, sat.FOFalse):
-            return _F
-        if isinstance(g, sat.Eq):
-            return _T if self._term(g.left, env) == self._term(g.right, env) else _F
-        if isinstance(g, sat.Pred):
-            return self.unary[g.name][self._term(g.term, env)]
-        if isinstance(g, (sat.Rel, sat.RelPlus)):
-            return self.rel[self._term(g.left, env)][self._term(g.right, env)]
-        if isinstance(g, sat.FONot):
-            v = self._status(g.body, env)
-            return _U if v == _U else 1 - v
+        return _STATUS_CASES[type(g)](self, g, env)
+
+    def _junction_status(self, g, env):
         # a junction stops at an unknown left operand: a definite answer
         # may be delayed, which only postpones a conflict the option probes
         # catch anyway.  The right operand decides when the left is neutral.
-        junction = sat.FO_JUNCTIONS.get(type(g))
-        if junction is not None:
-            conjunctive, sign = junction
-            v = self._status(g.left, env)
-            if v != _U and not sign:
-                v = 1 - v
-            if v != (_T if conjunctive else _F):
+        conjunctive, sign = sat.FO_JUNCTIONS[type(g)]
+        v = self._status(g.left, env)
+        if not sign:
+            v = _NOT.get(v)
+        return self._status(g.right, env) if v == conjunctive else v
+
+    def _quantifier_status(self, g, env):
+        want = isinstance(g, sat.Exists)
+        for d in range(self.k):
+            v = self._status(g.body, {**env, g.var: d})
+            if v is None or v == want:
                 return v
-            return self._status(g.right, env)
-        if isinstance(g, (sat.Exists, sat.Forall)):
-            want = _T if isinstance(g, sat.Exists) else _F
-            for d in range(self.k):
-                v = self._status(g.body, {**env, g.var: d})
-                if v == want:
-                    return want
-                if v == _U:
-                    return _U
-            return 1 - want
-        raise TypeError(f"not an FO node: {g!r}")
+        return not want
 
     # -- search ---------------------------------------------------------------
 
@@ -998,79 +956,68 @@ class _FOSearch:
         return self._dfs()
 
     def _probe(self, option):
-        mark = self._mark()
+        mark = len(self.trail)
         ok = self._require(*option)
         self._undo(mark)
         return ok
 
-    def _mark_done(self, i):
-        self.pending[i][3] = True
-        self.trail.append(("done", i))
-
     def _propagate(self):
         """Propagate to fixpoint: mark satisfied pendings, fail violated
-        ones, decompose conjunctive constraints, commit forced options of
-        disjunctive pendings.  Returns False on conflict."""
+        ones, instantiate watched quantifiers, commit forced options of
+        junctions.  Returns False on conflict."""
         changed = True
         while changed:
             changed = False
-            for i in range(len(self.pending)):
-                entry = self.pending[i]
-                if entry[3]:
+            for i, (g, env, value) in enumerate(self.pending):
+                if i in self.done:
                     continue
-                g, env, value, _, is_constraint = entry
                 st = self._status(g, env)
-                want = _T if value else _F
-                if st == want:
-                    self._mark_done(i)
+                if st == value:
+                    self._add(self.done, i)
                     continue
-                if st == 1 - want:
+                if st is not None:
                     return False
-                if is_constraint:
-                    self._mark_done(i)
-                    instance_value = isinstance(g, sat.Forall)
-                    for d in range(self.k):
-                        if not self._require(g.body, {**env, g.var: d}, instance_value):
-                            return False
-                    changed = True
-                    break
-                if not isinstance(g, (sat.Exists, sat.Forall)):
-                    options = self._options(g, env, value)
-                    viable = [opt for opt in options if self._probe(opt)]
+                if type(g) in sat.FO_JUNCTIONS:
+                    viable = [opt for opt in self._options(g, env, value) if self._probe(opt)]
                     if not viable:
                         return False
                     if len(viable) == 1:
-                        self._mark_done(i)
+                        self._add(self.done, i)
                         if not self._require(*viable[0]):
                             return False
                         changed = True
                         break
+                elif isinstance(g, sat.Forall) == value:
+                    # a true universal or a false existential is watched:
+                    # _require only records it, so probes stay cheap, and
+                    # here every instance is imposed at once
+                    self._add(self.done, i)
+                    if not all(
+                        self._require(g.body, {**env, g.var: d}, value) for d in range(self.k)
+                    ):
+                        return False
+                    changed = True
+                    break
         return True
 
     def _dfs(self):
         self.nodes += 1
         if not self._propagate():
             return None
-        best = None
-        for i, entry in enumerate(self.pending):
-            if entry[3]:
-                continue
-            g, env, value, _, _ = entry
-            if isinstance(g, (sat.Exists, sat.Forall)):
-                best = (0, i)
-                break
-            if best is None:
-                best = (1, i)
-        if best is None:
+        open_ = [i for i in range(len(self.pending)) if i not in self.done]
+        if not open_:
             return self._extract()
-        i = best[1]
-        g, env, value, _, _ = self.pending[i]
-        self._mark_done(i)
+        # branch on the first open quantifier, else on the first junction
+        i = next((i for i in open_ if type(self.pending[i][0]) in _QUANTIFIERS), open_[0])
+        g, env, value = self.pending[i]
+        self._add(self.done, i)
         # a branch fixes the elements its instance mentions
-        self._name(env.values())
+        for e in env.values():
+            self._add(self.named, e)
         for option in self._options(g, env, value):
-            mark = self._mark()
-            self._name(option[1].values())
+            mark = len(self.trail)
+            for e in option[1].values():
+                self._add(self.named, e)
             if self._require(*option):
                 out = self._dfs()
                 if out is not None:
@@ -1081,10 +1028,48 @@ class _FOSearch:
     def _extract(self):
         domain = tuple(range(self.k))
         binrel = frozenset(
-            (a, b) for a in domain for b in domain if self.rel[a][b] == _T
+            (a, b) for a in domain for b in domain if self.truth.get(("R", a, b))
         )
-        unary = {p: frozenset(e for e in domain if vs[e] == _T) for p, vs in self.unary.items()}
+        unary = {p: frozenset(e for e in domain if self.truth.get((p, e))) for p in self.preds}
         return sat.FOStructure(domain, binrel, unary, dict(self.consts))
+
+
+_QUANTIFIERS = (sat.Exists, sat.Forall)
+
+
+def _pred_key(s, g, env):
+    return (g.name, s._term(g.term, env))
+
+
+def _rel_key(s, g, env):
+    return ("R", s._term(g.left, env), s._term(g.right, env))
+
+
+# One case per node class, each called as case(search, node, env, value).
+# R+ shares R's row: outside ``any`` it is R, and over ``any`` it is refused.
+_REQUIRE_CASES = {
+    **dict.fromkeys(
+        (sat.FOTrue, sat.FOFalse, sat.Eq), lambda s, g, env, value: s._status(g, env) == value
+    ),
+    sat.Pred: lambda s, g, env, value: s._decide(_pred_key(s, g, env), value) in (None, value),
+    **dict.fromkeys(
+        (sat.Rel, sat.RelPlus), lambda s, g, env, value: s._set_rel(_rel_key(s, g, env), value)
+    ),
+    sat.FONot: lambda s, g, env, value: s._require(g.body, env, not value),
+    **dict.fromkeys((*sat.FO_JUNCTIONS, *_QUANTIFIERS), _FOSearch._require_composite),
+}
+
+# One case per node class, each called as case(search, node, env).
+_STATUS_CASES = {
+    sat.FOTrue: lambda s, g, env: True,
+    sat.FOFalse: lambda s, g, env: False,
+    sat.Eq: lambda s, g, env: s._term(g.left, env) == s._term(g.right, env),
+    sat.Pred: lambda s, g, env: s.truth.get(_pred_key(s, g, env)),
+    **dict.fromkeys((sat.Rel, sat.RelPlus), lambda s, g, env: s.truth.get(_rel_key(s, g, env))),
+    sat.FONot: lambda s, g, env: _NOT.get(s._status(g.body, env)),
+    **dict.fromkeys(sat.FO_JUNCTIONS, _FOSearch._junction_status),
+    **dict.fromkeys(_QUANTIFIERS, _FOSearch._quantifier_status),
+}
 
 
 def brute_fo_sat(alpha: sat.FOFormula, frame: str, max_elems: int):
@@ -1096,6 +1081,8 @@ def brute_fo_sat(alpha: sat.FOFormula, frame: str, max_elems: int):
     fv = sat.fo_free_vars(alpha)
     if fv:
         raise ValueError(f"not a sentence, free: {sorted(fv)}")
+    if max_elems < 1:
+        raise ValueError("max_elems must be >= 1")
     consts = sorted(sat.fo_constants(alpha))
     for k in range(1, max_elems + 1):
         if frame in ("any", "transitive", "complete"):

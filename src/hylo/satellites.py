@@ -364,7 +364,7 @@ class _FOParser(_Tokens):
         return self.next()[1]
 
     def unary(self):
-        kind, value, line, col = self.peek()
+        kind, value, pos = self.peek()
         if value == "~":
             self.next()
             return FONot(self.unary())
@@ -404,7 +404,7 @@ class _FOParser(_Tokens):
                 b = self.term_name()
                 self.expect(")")
                 if name != "R":
-                    raise FOParseError(f"unknown binary relation {name!r}", line, col)
+                    raise self.error_at(pos, f"unknown binary relation {name!r}")
                 return Rel(FOVar(a), FOVar(b))
             self.expect(")")
             return Pred(name, FOVar(a))
@@ -804,7 +804,7 @@ class _PdlParser(_Tokens):
         return self.chain({"&": PdlAnd}, self.unary)
 
     def unary(self):
-        kind, value, line, col = self.peek()
+        kind, value, _ = self.peek()
         if value == "~":
             self.next()
             return PdlNot(self.unary())
@@ -837,7 +837,7 @@ class _PdlParser(_Tokens):
         return base
 
     def prog_base(self):
-        kind, value, line, col = self.peek()
+        kind, value, _ = self.peek()
         if value == "(":
             self.next()
             p = self.program()

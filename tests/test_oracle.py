@@ -209,6 +209,23 @@ def test_brute_sat_rejects_open_formulas():
         brute_sat(parse("<> $x"), "any", 2)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+@pytest.mark.parametrize(
+    "search, name",
+    [
+        (lambda n: next(enumerate_models("any", n)), "max_states"),
+        (lambda n: brute_sat(parse("p"), "any", n), "max_states"),
+        (lambda n: brute_global_sat(parse("p"), "transitive", n), "max_states"),
+        (lambda n: find_eval_difference(parse("p"), parse("~p"), "any", n), "max_states"),
+        (lambda n: brute_fo_sat(parse_fo("E x. p(x)"), "any", n), "max_elems"),
+    ],
+)
+def test_sweeps_refuse_bounds_below_one(search, name, bound):
+    # None would claim a refutation that covered no model at all
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
+        search(bound)
+
+
 def _naive_brute_sat(phi, frame, n, atoms):
     for m in enumerate_models(frame, n, atoms=atoms):
         for s in m.states:
@@ -468,7 +485,44 @@ def test_fo_search_breaks_element_symmetry():
     # search nodes with the least-number cut and 22,876 without it
     searcher = _FOSearch(parse_fo(SERIAL_IRREFLEXIVE), 7, "transitive")
     assert searcher.search() is None
-    assert searcher.nodes <= 14
+    assert searcher.nodes == 7
+
+
+@pytest.mark.parametrize("frame", ["any", "transitive", "linear"])
+def test_probes_leave_the_search_state_as_it_was(frame):
+    # every option of the root's open requirements, probed and taken back:
+    # the trail must restore the truth map, the pending list, the settled
+    # indices and the named elements exactly
+    alpha = parse_fo("R(c,d) & (E y. (R(d,y) & p(y))) & (E x. (q(x) | R(x,c))) & A x. E y. ~x=y")
+    rel_fixed = _classes("linear", 3)[0].tolist() if frame == "linear" else None
+    searcher = _FOSearch(alpha, 3, frame, rel_fixed=rel_fixed, consts={"c": 0, "d": 1})
+    assert searcher._require(alpha, {}, True) and searcher._propagate()
+
+    def state():
+        s = searcher
+        return dict(s.truth), list(s.pending), set(s.done), set(s.named), list(s.trail)
+
+    before = state()
+    open_ = [i for i in range(len(searcher.pending)) if i not in searcher.done]
+    options = [option for i in open_ for option in searcher._options(*searcher.pending[i])]
+    assert len(options) == 6
+    verdicts, new_atoms = [], []
+    for option in options:
+        verdicts.append(searcher._probe(option))
+        assert state() == before
+        # the same option taken as a branch, which also settles a pending
+        # index and names an element
+        mark = len(searcher.trail)
+        searcher._add(searcher.done, open_[0])
+        searcher._add(searcher.named, 2)
+        searcher._require(*option)
+        new_atoms.append(sum(isinstance(key[0], str) for key in searcher.truth.keys() - before[0]))
+        searcher._undo(mark)
+        assert state() == before
+    # a fixed order refutes R(1,0) and R(1,1); over transitive frames
+    # R(1,0) forces R(0,0) and R(1,1) as well
+    assert verdicts == ([False, False] if frame == "linear" else [True, True]) + [True] * 4
+    assert new_atoms[0] == {"any": 2, "transitive": 4, "linear": 0}[frame]
 
 
 def _is_restricted_growth(values):
