@@ -1,30 +1,32 @@
 """Brute-force finite-model enumeration per frame class.
 
-This is the ground truth the rest of the toolkit is checked against.  It
-has two layers:
+This is the ground truth the rest of the toolkit is checked against.
+Every frame it touches comes from one generator, ``_classes``: one
+relation per isomorphism class of the frame class and size, built per
+process by one-point extension of the classes one size down, keeping one
+extension per canonical code (colour refinement, then the relabelings
+within each colour).
 
-* ``enumerate_models`` and ``frames`` materialize every labeled model or
-  frame explicitly (no isomorphism reduction, deterministic order);
+* ``frames`` and ``enumerate_models`` yield every labeled frame or model:
+  the relabelings of each class representative, which by the
+  orbit-stabilizer theorem are exactly the labeled members of its class.
 * ``brute_sat`` / ``brute_global_sat`` / ``find_eval_difference`` evaluate
   formulas over all valuations of a frame at once, one bit lane per
-  valuation, on one frame per isomorphism class (``_classes``).  Every
-  valuation and every nominal placement of a frame is a lane or a
-  placement, so the classes give the labeled sweep's verdicts and hit
-  sizes.  The lane evaluator is cross-checked against the plain checker
-  exhaustively at small sizes in the test suite.
+  valuation, on the class representatives alone.  Every valuation and
+  every nominal placement of a frame is a lane or a placement, so the
+  classes give the labeled sweep's verdicts and hit sizes.  The lane
+  evaluator is cross-checked against the plain checker exhaustively at
+  small sizes in the test suite.
 
-The class tables are built per process and size by one-point extension of
-the classes one size down, keeping one extension per canonical code
-(colour refinement, then the relabelings within each colour).  The first
-hit of a sweep is the least (size, class, lane, placement): classes in
-table order, lanes in valuation-code order, placements lexicographically,
-and within them the first state.  Sweeps run in batches cut to a word
-budget: consecutive classes are joined into arrays of about
-``_WORD_BUDGET`` words per (frame, state, lane plane) array, so small
-frames share one numpy call and memory stays flat however many lanes a
-frame has; the first hit does not depend on the batch size.  ``any``
-frames are the only class whose R+ differs from R, so only their batches
-build it.
+The first hit of a sweep is the least (size, class, lane, placement):
+classes in table order, lanes in valuation-code order, placements
+lexicographically, and within them the first state.  Sweeps run in
+batches cut to a word budget: consecutive classes are joined into arrays
+of about ``_WORD_BUDGET`` words per (frame, state, lane plane) array, so
+small frames share one numpy call and memory stays flat however many
+lanes a frame has; the first hit does not depend on the batch size.
+``any`` frames are the only class whose R+ differs from R, so only their
+batches build it.
 
 ``brute_fo_sat`` searches relational structures for a first-order sentence
 by backtracking over atom truth values with frame-constraint propagation;
@@ -32,10 +34,11 @@ naive enumeration cannot refute at the domain sizes the translations need.
 The search (``_FOSearch``) keeps every decided atom and composite
 requirement in one truth map, records every change as one
 ``(undo, argument)`` step on one trail, and imposes and evaluates
-requirements through one case table per node class.  Over the classes closed under permutations (``any``, ``transitive``,
-``complete``) it breaks element symmetry: constants take only
-restricted-growth assignments, and an existential branch tries the named
-elements and the least unnamed one (``_FOSearch``).  Each pruned branch is
+requirements through one case table per node class.  Over the classes
+closed under permutations (``any``, ``transitive``, ``complete``) it
+breaks element symmetry: constants take only restricted-growth
+assignments, and an existential branch tries the named elements and the
+least unnamed one (``_FOSearch``).  Each pruned branch is
 isomorphic to one tried before it, so the first structure found is the
 one the full search finds.  Over ``linear`` and ``transitive-tree`` it
 fixes the relation to each class representative in turn.  Outside ``any``
@@ -45,7 +48,8 @@ every class is transitive, so an R+ atom reads as R there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from functools import cache
+from itertools import compress, permutations, product
 
 import numpy as np
 
@@ -80,187 +84,26 @@ FRAME_CLASSES = ("any", "transitive", "complete", "transitive-tree", "linear")
 
 # A sweep batch holds about this many uint64 words per (frame, state, lane
 # plane) array: batches of small frames share one numpy call, and memory per
-# array stays fixed however many lanes a frame has.  Explicit enumeration
-# of ``any`` frames (``frames``) decodes _FRAMES_PER_BATCH codes at a time.
+# array stays fixed however many lanes a frame has.  ``frames`` relabels
+# about this many labeled frames at a time.
 _WORD_BUDGET = 1 << 13
-_FRAMES_PER_BATCH = 4096
 
 
-# ---------------------------------------------------------------------------
-# Frame generation
-
-
-def _partitions(k):
-    """Set partitions of range(k) in restricted-growth-string order."""
-
-    def rec(i, rgs, maxv):
-        if i == k:
-            classes: list[list[int]] = [[] for _ in range(maxv + 1)]
-            for idx, c in enumerate(rgs):
-                classes[c].append(idx)
-            yield classes
-            return
-        for c in range(maxv + 2):
-            yield from rec(i + 1, rgs + [c], max(maxv, c))
-
-    if k == 0:
-        return
-    yield from rec(1, [0], 0)
-
-
-_POSET_CACHE: dict[int, np.ndarray] = {}
-
-
-def _posets(m):
-    """All strict partial orders on m labeled points, DFS order, cached."""
-    if m in _POSET_CACHE:
-        return _POSET_CACHE[m]
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rel = [[False] * m for _ in range(m)]
-    decided_none = set()
-    out = []
-
-    def closure_add(a, b):
-        queue = [(a, b)]
-        while queue:
-            x, y = queue.pop()
-            if x == y or rel[y][x]:
-                return False
-            if rel[x][y]:
-                continue
-            if (min(x, y), max(x, y)) in decided_none:
-                return False
-            rel[x][y] = True
-            for z in range(m):
-                if rel[y][z] and not rel[x][z]:
-                    queue.append((x, z))
-                if rel[z][x] and not rel[z][y]:
-                    queue.append((z, y))
-        return True
-
-    def dfs(idx):
-        if idx == len(pairs):
-            out.append([row[:] for row in rel])
-            return
-        i, j = pairs[idx]
-        if rel[i][j] or rel[j][i]:
-            dfs(idx + 1)
-            return
-        decided_none.add((i, j))
-        dfs(idx + 1)
-        decided_none.discard((i, j))
-        for a, b in ((i, j), (j, i)):
-            snapshot = [row[:] for row in rel]
-            if closure_add(a, b):
-                dfs(idx + 1)
-            for r in range(m):
-                rel[r][:] = snapshot[r]
-
-    dfs(0)
-    arr = np.array(out, dtype=bool).reshape(len(out), m, m)
-    _POSET_CACHE[m] = arr
-    return arr
-
-
-_TT_CACHE: dict[int, np.ndarray] = {}
-
-
-def _transitive_tree_frames(k):
-    """Closures of all labeled rooted trees on k nodes, parent-vector order."""
-    if k in _TT_CACHE:
-        return _TT_CACHE[k]
-    out = []
-    choices = [[-1] + [p for p in range(k) if p != i] for i in range(k)]
-    for vec in product(*choices):
-        if sum(1 for p in vec if p == -1) != 1:
-            continue
-        ok = True
-        for i in range(k):
-            seen = set()
-            j = i
-            while vec[j] != -1:
-                if j in seen:
-                    ok = False
-                    break
-                seen.add(j)
-                j = vec[j]
-            if not ok:
-                break
-        if not ok:
-            continue
-        anc = [[False] * k for _ in range(k)]
-        for i in range(k):
-            j = vec[i]
-            while j != -1:
-                anc[j][i] = True
-                j = vec[j]
-        out.append(anc)
-    arr = np.array(out, dtype=bool).reshape(len(out), k, k)
-    _TT_CACHE[k] = arr
-    return arr
-
-
-def _frame_pieces(frame, k):
-    """Yield (B, k, k) boolean relation arrays in canonical order, in the
-    units the generator makes them (``any`` in runs of _FRAMES_PER_BATCH
-    codes)."""
-    if frame == "any":
-        total = 1 << (k * k)
-        positions = np.arange(k * k, dtype=np.uint64)
-        for start in range(0, total, _FRAMES_PER_BATCH):
-            stop = min(start + _FRAMES_PER_BATCH, total)
-            codes = np.arange(start, stop, dtype=np.uint64)
-            bits = (codes[:, None] >> positions[None, :]) & np.uint64(1)
-            yield bits.astype(bool).reshape(stop - start, k, k)
-    elif frame == "complete":
-        yield np.ones((1, k, k), dtype=bool)
-    elif frame == "linear":
-        for perm in permutations(range(k)):
-            rel = np.zeros((1, k, k), dtype=bool)
-            for i, s in enumerate(perm):
-                rel[0, s, list(perm[i + 1 :])] = True
-            yield rel
-    elif frame == "transitive-tree":
-        yield _transitive_tree_frames(k)
-    elif frame == "transitive":
-        for classes in _partitions(k):
-            singles = [c[0] for c in classes if len(c) == 1]
-            classof = np.empty(k, dtype=np.intp)
-            for ci, members in enumerate(classes):
-                for s in members:
-                    classof[s] = ci
-            lifted = _posets(len(classes))[:, classof[:, None], classof[None, :]]
-            for flagcode in range(1 << len(singles)):
-                base = np.zeros((k, k), dtype=bool)
-                for ci, members in enumerate(classes):
-                    if len(members) >= 2:
-                        base[np.ix_(members, members)] = True
-                for bit, s in enumerate(singles):
-                    if (flagcode >> bit) & 1:
-                        base[s, s] = True
-                yield lifted | base
-    else:
+def _check_bound(frame, bound, name):
+    if frame not in FRAME_CLASSES:
         raise ValueError(f"unknown frame class {frame!r}")
-
-
-def frames(frame, k):
-    """Relations of the given frame class on k states, as frozensets of pairs."""
-    names = [f"s{i}" for i in range(k)]
-    for piece in _frame_pieces(frame, k):
-        for row in piece:
-            yield frozenset(
-                (names[s], names[t]) for s in range(k) for t in range(k) if row[s, t]
-            )
+    if bound < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism classes: one frame per class for the sweeps
+# Frames: one relation per isomorphism class, and its relabelings
 
 _CLASS_CACHE: dict[tuple[str, int], np.ndarray] = {}
 
-# canonical codes are computed this many relations at a time, which bounds
-# the temporaries of a table build (a cold ``hylo oracle`` pays its peak)
-_CODE_CHUNK = 1 << 11
+# a table build extends about this many relations at a time, which bounds
+# its temporaries (a cold ``hylo oracle`` pays its peak)
+_EXTENSION_CHUNK = 1 << 11
 
 
 def _classes(frame, k):
@@ -274,25 +117,67 @@ def _classes(frame, k):
     the first extension of each class represents it.  The order is fixed:
     parent class, then the new state's successor set, its predecessor set
     (each as a bit mask) and its loop.  So the first class is the empty
-    relation, and for linear frames the one class is ``s < t``.
+    relation, and for linear frames the one class is ``s < t``.  Parents
+    are extended a chunk at a time, in order, and each chunk keeps the
+    first extension of every code no earlier extension had; so memory
+    follows the class count, not the extension count.
     """
     table = _CLASS_CACHE.get((frame, k))
     if table is None:
-        if frame not in FRAME_CLASSES:
-            raise ValueError(f"unknown frame class {frame!r}")
+        _check_bound(frame, k, "k")
         parents = np.zeros((1, 0, 0), dtype=bool) if k == 1 else _classes(frame, k - 1)
-        ext = _extensions(frame, parents)
-        ext = ext[_in_class(frame, ext)]
-        codes = np.concatenate(
-            [_canonical_codes(ext[i : i + _CODE_CHUNK]) for i in range(0, len(ext), _CODE_CHUNK)]
-        )
-        # a stable sort puts the first extension of each class first
-        order = np.lexsort(codes.T[::-1])
-        ranked = codes[order]
+        seen, kept, start, step = set(), [], 0, 1
+        while start < len(parents):
+            ext = _extensions(frame, parents[start : start + step])
+            start += step
+            # every parent has extensions, so the next chunk's step is
+            # sized on this chunk's extensions per parent
+            step = max(1, step * _EXTENSION_CHUNK // len(ext))
+            ext = ext[_in_class(frame, ext)]
+            codes = _canonical_codes(ext)
+            new = []
+            # one bytes key per code row, much cheaper to build than a tuple
+            for i, code in enumerate(codes.view(f"V{8 * codes.shape[1]}").ravel().tolist()):
+                if code not in seen:
+                    seen.add(code)
+                    new.append(i)
+            kept.append(ext[new])
+        table = _CLASS_CACHE[frame, k] = np.concatenate(kept)
+    return table
+
+
+def frames(frame, k):
+    """Every relation of the given frame class on k states, each once, as
+    a frozenset of pairs ``("s<i>", "s<j>")``.
+
+    Order: class in ``_classes`` table order, then the relabelings of its
+    representative by their code, whose bit s*k+t is the pair (s, t).  The
+    relabelings of a representative are the labeled members of its class
+    and distinct classes share none, so no frame repeats.  The iterator
+    is lazy: it relabels about ``_WORD_BUDGET`` relations at a time.
+    """
+    _check_bound(frame, k, "k")
+    return _relabelings(frame, k)
+
+
+def _relabelings(frame, k):
+    table = _classes(frame, k)
+    perms = _cell_perms((k,))
+    names = [f"s{i}" for i in range(k)]
+    pairs = [(names[s], names[t]) for s in range(k) for t in range(k)]
+    per_batch = max(1, _WORD_BUDGET // len(perms))
+    for start in range(0, len(table), per_batch):
+        batch = table[start : start + per_batch]
+        rel = batch[:, perms[:, :, None], perms[:, None, :]].reshape(-1, k, k)
+        cls = np.repeat(np.arange(len(batch), dtype=np.uint64), len(perms))
+        # code words with bit (k-1, k-1) first order as the codes do
+        keys = np.column_stack([cls, _code_words(rel[:, ::-1, ::-1])])
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
         first = np.ones(len(order), dtype=bool)
         first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        table = _CLASS_CACHE[frame, k] = ext[np.sort(order[first])]
-    return table
+        for row in rel[order[first]].reshape(-1, k * k).tolist():
+            yield frozenset(compress(pairs, row))
 
 
 def _mask_bits(masks, m):
@@ -410,6 +295,7 @@ def _refine(rel):
     return rank
 
 
+@cache
 def _cell_perms(sizes):
     """Every permutation of range(sum(sizes)) that maps each block of
     consecutive positions, of the given sizes, onto itself."""
@@ -436,7 +322,7 @@ def _canonical_codes(rel):
     for pattern in sorted(set(cuts.tolist())):
         group = np.flatnonzero(cuts == pattern)
         ends = [i + 1 for i in range(k - 1) if (pattern >> i) & 1] + [k]
-        perms = _cell_perms(np.diff([0, *ends]))
+        perms = _cell_perms(tuple(np.diff([0, *ends]).tolist()))
         step = max(1, (1 << 16) // len(perms))
         for i in range(0, len(group), step):
             part = group[i : i + step]
@@ -477,23 +363,28 @@ def _decode_valuation(code, props, names):
 
 
 def enumerate_models(frame, max_states, atoms=()):
-    """Every model with <= max_states states over the given atoms.
+    """Every model with <= max_states states over the given atoms, as an
+    iterator; the arguments are checked when it is called.
 
     No isomorphism reduction.  Order: state count ascending, then frame in
-    generator order, then proposition valuations by code, then nominal
-    placements lexicographically.
+    ``frames`` order (class, then relabeling), then proposition valuations
+    by code, then nominal placements lexicographically.  Up to relabeling
+    that is the order of the sweeps.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be >= 1")
+    _check_bound(frame, max_states, "max_states")
     props, noms = _split_atoms(atoms)
-    for k in range(1, max_states + 1):
-        names = tuple(f"s{i}" for i in range(k))
-        for rel in frames(frame, k):
-            for code in range(1 << (len(props) * k)):
-                val = _decode_valuation(code, props, names)
-                for placement in product(range(k), repeat=len(noms)):
-                    nomval = {i: names[s] for i, s in zip(noms, placement)}
-                    yield HybridModel(names, rel, val, nomval)
+
+    def models():
+        for k in range(1, max_states + 1):
+            names = tuple(f"s{i}" for i in range(k))
+            for rel in frames(frame, k):
+                for code in range(1 << (len(props) * k)):
+                    val = _decode_valuation(code, props, names)
+                    for placement in product(range(k), repeat=len(noms)):
+                        nomval = {i: names[s] for i, s in zip(noms, placement)}
+                        yield HybridModel(names, rel, val, nomval)
+
+    return models()
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +601,7 @@ def _lane_search(phi, frame, max_states, atoms=(), sizes=None):
     The first hit is the least (size, class, lane, placement); each
     placement keeps only its own first hit in a batch.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be >= 1")
+    _check_bound(frame, max_states, "max_states")
     extra_props, extra_noms = _split_atoms(atoms)
     props = tuple(sorted(set(props_of(phi)) | set(extra_props)))
     noms = tuple(sorted(set(noms_of(phi)) | set(extra_noms)))
@@ -1081,8 +971,7 @@ def brute_fo_sat(alpha: sat.FOFormula, frame: str, max_elems: int):
     fv = sat.fo_free_vars(alpha)
     if fv:
         raise ValueError(f"not a sentence, free: {sorted(fv)}")
-    if max_elems < 1:
-        raise ValueError("max_elems must be >= 1")
+    _check_bound(frame, max_elems, "max_elems")
     consts = sorted(sat.fo_constants(alpha))
     for k in range(1, max_elems + 1):
         if frame in ("any", "transitive", "complete"):

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
@@ -21,7 +23,6 @@ from hylo.oracle import (
     _classes,
     _closure_batch,
     _decode_valuation,
-    _frame_pieces,
     _FOSearch,
     _LaneEngine,
     _split_atoms,
@@ -37,42 +38,79 @@ from hylo.translate import standard_translation
 
 CHAIN = parse("p & <>p & []<>p & [] down $x . ~<> $x")
 
-# number of transitive relations on k labeled states
-TRANSITIVE_COUNTS = {1: 2, 2: 13, 3: 171, 4: 3994}
+_CLASS_PREDICATES = {
+    "any": lambda m: True,
+    "transitive": is_transitive,
+    "complete": is_complete,
+    "linear": is_linear,
+    "transitive-tree": is_transitive_tree,
+}
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_transitive_frame_counts(k):
-    assert sum(1 for _ in frames("transitive", k)) == TRANSITIVE_COUNTS[k]
+def _pairs(row):
+    k = len(row)
+    return frozenset((f"s{s}", f"s{t}") for s, t in product(range(k), repeat=2) if row[s][t])
 
 
-def test_transitive_frames_match_filtered_any():
+@lru_cache(maxsize=None)
+def _labeled_reference(frame, k):
+    """Every k x k bit matrix whose relation passes the frame class's
+    ``model.is_*`` predicate, as a (n, k, k) boolean array: a reference
+    for the labeled frames that does not read the class tables."""
+    names = tuple(f"s{i}" for i in range(k))
+    matrices = np.array(list(product([False, True], repeat=k * k)), dtype=bool).reshape(-1, k, k)
+    keep = [_CLASS_PREDICATES[frame](HybridModel(names, _pairs(row))) for row in matrices.tolist()]
+    return matrices[np.array(keep, dtype=bool)]
+
+
+@pytest.mark.parametrize("frame", FRAME_CLASSES)
+def test_frames_are_the_filtered_bit_matrices(frame):
     for k in (1, 2, 3):
-        via_decomposition = set(frames("transitive", k))
-        names = [f"s{i}" for i in range(k)]
-        via_filter = set()
-        for rel in frames("any", k):
-            pairs = set(rel)
-            if all(
-                (a, d) in pairs for a, b in pairs for c, d in pairs if b == c
-            ):
-                via_filter.add(rel)
-        assert via_decomposition == via_filter
+        labeled = list(frames(frame, k))
+        assert len(set(labeled)) == len(labeled), (frame, k)  # no repeats
+        assert set(labeled) == {_pairs(row) for row in _labeled_reference(frame, k).tolist()}
 
 
-def test_frame_class_predicates_hold():
-    from hylo.model import HybridModel
+# labeled frames per size: transitive relations (OEIS A006905), rooted
+# labeled trees (Cayley, k^(k-1)), linear orders (k!), the one clique, and
+# all 2^(k*k) relations
+LABELED_COUNTS = {
+    "transitive": [2, 13, 171, 3994, 154303],
+    "transitive-tree": [k ** (k - 1) for k in range(1, 6)],
+    "linear": [math.factorial(k) for k in range(1, 6)],
+    "complete": [1] * 5,
+    "any": [2 ** (k * k) for k in range(1, 4)],
+}
 
-    for frame, pred in [
-        ("transitive", is_transitive),
-        ("complete", is_complete),
-        ("linear", is_linear),
-        ("transitive-tree", is_transitive_tree),
-    ]:
-        for k in (1, 2, 3):
-            for rel in frames(frame, k):
-                m = HybridModel(tuple(f"s{i}" for i in range(k)), rel)
-                assert pred(m), (frame, k, sorted(rel))
+
+def _code(rel, k):
+    """The code of a frame on s0..s(k-1): bit s*k+t is the pair (s, t)."""
+    return sum(1 << (int(s[1:]) * k + int(t[1:])) for s, t in rel)
+
+
+@pytest.mark.parametrize("frame", FRAME_CLASSES)
+def test_labeled_frame_counts(frame):
+    for k, count in enumerate(LABELED_COUNTS[frame], start=1):
+        codes = [_code(rel, k) for rel in frames(frame, k)]
+        assert len(codes) == len(set(codes)) == count, (frame, k)
+
+
+@pytest.mark.parametrize("frame", FRAME_CLASSES)
+def test_frames_come_in_class_then_code_order(frame):
+    # the relabelings of each class representative in table order, each
+    # class's sorted by code
+    for k in (1, 2, 3, 4) if frame != "any" else (1, 2, 3):
+        expected = []
+        for row in _classes(frame, k).tolist():
+            expected += sorted(
+                {
+                    sum(1 << (s * k + t) for s, t in product(range(k), repeat=2) if row[p[s]][p[t]])
+                    for p in permutations(range(k))
+                }
+            )
+        assert [_code(rel, k) for rel in frames(frame, k)] == expected, (frame, k)
+    assert list(frames("linear", 2)) == [{("s0", "s1")}, {("s1", "s0")}]
+    assert list(frames("transitive", 1)) == [frozenset(), {("s0", "s0")}]
 
 
 def test_linear_class_table_holds_one_order_per_size():
@@ -106,29 +144,19 @@ def _brute_canonical(rel):
     return [min(row.tobytes() for row in each) for each in relabeled]
 
 
-_CLASS_PREDICATES = {
-    "any": lambda m: True,
-    "transitive": is_transitive,
-    "complete": is_complete,
-    "linear": is_linear,
-    "transitive-tree": is_transitive_tree,
-}
-
-
 @pytest.mark.parametrize("frame", FRAME_CLASSES)
 def test_class_tables_hold_one_member_of_each_class(frame):
     for k in (1, 2, 3, 4):
         table = _classes(frame, k)
         names = tuple(f"s{i}" for i in range(k))
-        for row in table:
-            rel = {(names[s], names[t]) for s, t in product(range(k), repeat=2) if row[s, t]}
+        for row in table.tolist():
+            rel = _pairs(row)
             assert _CLASS_PREDICATES[frame](HybridModel(names, rel)), (frame, k, sorted(rel))
         reps = _brute_canonical(table)
         assert len(set(reps)) == len(reps), (frame, k)  # no two isomorphic
-        labeled = set()
-        for piece in _frame_pieces(frame, k):
-            labeled.update(_brute_canonical(piece))
-        assert labeled == set(reps), (frame, k)  # every labeled frame has one
+        if k <= 3:
+            # every labeled frame has one
+            assert set(_brute_canonical(_labeled_reference(frame, k))) == set(reps), (frame, k)
 
 
 def test_transitive_classes_on_five_states_count_every_labeled_frame_once():
@@ -156,12 +184,6 @@ def test_class_tables_do_not_depend_on_the_hash_seed():
         )
         digests.add(out.stdout)
     assert len(digests) == 1
-
-
-def test_linear_frame_counts():
-    assert sum(1 for _ in frames("linear", 1)) == 1
-    assert sum(1 for _ in frames("linear", 2)) == 2
-    assert sum(1 for _ in frames("linear", 3)) == 6
 
 
 def test_enumerate_models_spec_examples():
@@ -213,7 +235,9 @@ def test_brute_sat_rejects_open_formulas():
 @pytest.mark.parametrize(
     "search, name",
     [
-        (lambda n: next(enumerate_models("any", n)), "max_states"),
+        (lambda n: enumerate_models("any", n), "max_states"),
+        (lambda n: frames("transitive", n), "k"),
+        (lambda n: _classes("transitive", n), "k"),
         (lambda n: brute_sat(parse("p"), "any", n), "max_states"),
         (lambda n: brute_global_sat(parse("p"), "transitive", n), "max_states"),
         (lambda n: find_eval_difference(parse("p"), parse("~p"), "any", n), "max_states"),
@@ -221,9 +245,29 @@ def test_brute_sat_rejects_open_formulas():
     ],
 )
 def test_sweeps_refuse_bounds_below_one(search, name, bound):
-    # None would claim a refutation that covered no model at all
+    # None would claim a refutation that covered no model at all; the
+    # iterators refuse when called, before the first next()
     with pytest.raises(ValueError, match=f"^{name} must be >= 1$"):
         search(bound)
+
+
+@pytest.mark.parametrize("call", [lambda: frames("bogus", 3), lambda: enumerate_models("bogus", 3)])
+def test_unknown_frame_classes_are_refused_when_called(call):
+    with pytest.raises(ValueError, match="^unknown frame class 'bogus'$"):
+        call()
+
+
+def _isomorphic(m1, m2):
+    """Whether the frames of two models on s0..s(k-1) are isomorphic."""
+    if len(m1.states) != len(m2.states):
+        return False
+    k = len(m1.states)
+    rels = np.array(
+        [[[(f"s{s}", f"s{t}") in m.rel for t in range(k)] for s in range(k)] for m in (m1, m2)],
+        dtype=bool,
+    )
+    first, second = _brute_canonical(rels)
+    return first == second
 
 
 def _naive_brute_sat(phi, frame, n, atoms):
@@ -302,11 +346,12 @@ def test_lane_engine_agrees_with_checker(frame):
         else:
             assert fast is not None, text
             assert (fast.model, fast.state) == slow, text
-        # the labeled enumeration has the same verdict and hit size
+        # the labeled enumeration runs class by class too, so its first hit
+        # lies in the sweep hit's class
         labeled = _naive_brute_sat(phi, frame, n, atoms)
         assert (labeled is None) == (slow is None), text
         if labeled is not None:
-            assert len(labeled[0].states) == len(slow[0].states), text
+            assert _isomorphic(labeled[0], slow[0]), text
 
 
 def _battery_first_hits(frame, n):
@@ -339,23 +384,24 @@ def test_lane_engine_exhaustive_pointwise_agreement():
     for k in (1, 2):
         names = tuple(f"s{i}" for i in range(k))
         engine = _LaneEngine(props, ("i",), k)
-        for batch in _frame_pieces("any", k):
-            engine.set_batch(batch, _closure_batch(batch))
-            for place in range(k):
-                engine.set_placement({"i": place})
-                for text in LANE_BATTERY:
-                    phi = parse(text)
-                    words = engine.ev(phi)
-                    for b, row in enumerate(batch):
-                        rel = {(names[s], names[t]) for s, t in product(range(k), repeat=2) if row[s, t]}
-                        word = words[b if words.shape[0] > 1 else 0]
-                        for lane in range(engine.lanes):
-                            val = _decode_valuation(lane, props, names)
-                            m = HybridModel(names, rel, val, {"i": names[place]})
-                            for s in range(k):
-                                bit = (int(word[s, lane // 64]) >> (lane % 64)) & 1
-                                expected = eval_formula(m, {}, names[s], phi)
-                                assert bool(bit) == expected, (text, sorted(rel), val, s)
+        # every relation on k states, in one batch
+        batch = _labeled_reference("any", k)
+        engine.set_batch(batch, _closure_batch(batch))
+        for place in range(k):
+            engine.set_placement({"i": place})
+            for text in LANE_BATTERY:
+                phi = parse(text)
+                words = engine.ev(phi)
+                for b, row in enumerate(batch.tolist()):
+                    rel = _pairs(row)
+                    word = words[b if words.shape[0] > 1 else 0]
+                    for lane in range(engine.lanes):
+                        val = _decode_valuation(lane, props, names)
+                        m = HybridModel(names, rel, val, {"i": names[place]})
+                        for s in range(k):
+                            bit = (int(word[s, lane // 64]) >> (lane % 64)) & 1
+                            expected = eval_formula(m, {}, names[s], phi)
+                            assert bool(bit) == expected, (text, sorted(rel), val, s)
 
 
 def test_find_eval_difference_reports_first():
@@ -375,11 +421,11 @@ def test_brute_global_sat_matches_naive():
         atoms = [prop("p")]
         slow = next((m for m in _class_models("any", 2, atoms) if global_eval(m, phi)), None)
         assert fast == slow, text
-        # the labeled enumeration has the same verdict and hit size
+        # the labeled enumeration's first hit lies in the same class
         labeled = next((m for m in enumerate_models("any", 2, atoms) if global_eval(m, phi)), None)
         assert (labeled is None) == (slow is None), text
         if labeled is not None:
-            assert len(labeled.states) == len(slow.states), text
+            assert _isomorphic(labeled, slow), text
 
 
 def test_brute_fo_sat_spec_examples():
