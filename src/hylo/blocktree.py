@@ -10,7 +10,10 @@ so the valuation is a single proposition map and formulas given to
 
 Truth on a representation is the checker's: ``checker._Evaluator`` runs on
 the explicit part and follows links through C-states by consulting guessed
-types, through its reference hook.
+types, through its reference hook.  Its evaluation is compiled, one closure
+per formula node, and its memo holds only modal and Until nodes, so
+``verify`` reuses the modal answers that ``_evaluate`` computed for the
+closure sentences.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from .formula import (
     Top,
     check_hld,
     closure_sentence,
+    compiled,
     diamond_closure,
     free_vars,
 )
@@ -45,10 +46,14 @@ class UnboundVariableError(EvalError):
 class _Evaluator:
     """One evaluation run over a fixed model.
 
-    Memoized on (subformula, state, assignment restricted to the
-    subformula's free variables), so down-binders only fan out where the
-    bound variable is actually used.  Formula nodes are interned, so a
-    node is its own structural key.
+    Evaluation is compiled (Feeley & Lapalme 1987): each formula node
+    carries one closure ``(ev, g, s) -> bool``, made from its ``_CASES``
+    entry on first use and kept on the node, which calls its children's
+    closures directly.  Only modal and Until nodes fan out over states, so
+    only they consult the memo, keyed on (node, state, assignment
+    restricted to the node's free variables): down-binders fan out only
+    where the bound variable is actually used.  Formula nodes are
+    interned, so a node is its own structural key.
 
     ``refs`` maps a state to the guessed types of its reference successors
     (block-tree representations, see ``blocktree.verify``).  A diamond also
@@ -65,124 +70,105 @@ class _Evaluator:
         self.memo = {}
 
     def run(self, f: Formula, g: dict, s: str) -> bool:
-        used = f.fv & g.keys() if g else None
-        key = (f, s, tuple(sorted((v, g[v]) for v in used)) if used else ())
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._eval(f, g, s)
-        self.memo[key] = out
-        return out
+        return compiled(f, _CASES, "_check", "a formula node")(self, g, s)
 
     def _guessed(self, f, s):
         """Whether f's closure sentence is in the guessed type of a
         reference successor of s, a state that has some."""
         return any(closure_sentence(f) in t for t in self.refs[s])
 
-    def _eval(self, f, g, s):
-        case = _CASES.get(type(f))
-        if case is None:
-            raise TypeError(f"not a formula node: {f!r}")
-        return case(self, f, g, s)
 
-    def _atom(self, f, g, s):
-        m = self.m
-        if f.kind == PROP:
-            return s in m.val.get(f.name, frozenset())
-        if f.kind == NOM:
-            if f.name not in m.nomval:
-                raise UnboundNominalError(f"nominal {f.name!r} not in model")
-            return m.nomval[f.name] == s
-        if f.name not in g:
-            raise UnboundVariableError(f"state variable {f.name!r} unbound")
-        return g[f.name] == s
+def _atom(f):
+    if f.kind == PROP:
+        return lambda ev, g, s: s in ev.m.val.get(f.name, ())
+    return lambda ev, g, s: _denote(ev, g, f) == s
 
-    def _top(self, f, g, s):
-        return True
 
-    def _bot(self, f, g, s):
-        return False
-
-    def _not(self, f, g, s):
-        return not self.run(f.body, g, s)
-
-    def _and(self, f, g, s):
-        return self.run(f.left, g, s) and self.run(f.right, g, s)
-
-    def _or(self, f, g, s):
-        return self.run(f.left, g, s) or self.run(f.right, g, s)
-
-    def _implies(self, f, g, s):
-        return not self.run(f.left, g, s) or self.run(f.right, g, s)
-
-    def _iff(self, f, g, s):
-        return self.run(f.left, g, s) == self.run(f.right, g, s)
-
-    def _modal(self, f, g, s):
-        # one clause for the eight forms: a step along R, along R read
-        # backwards, or to every state
-        exists, backward, universal = MODAL_FORMS[type(f)]
-        if universal:
-            scope = self.m.states
-        elif backward:
-            scope = self.m._relation(converse=True)[0][s]
-        else:
-            scope = self.succ[s]
-        crossing = s in self.refs  # a state with reference successors
-        if exists:
-            return any(self.run(f.body, g, t) for t in scope) or crossing and self._guessed(f, s)
-        return all(self.run(f.body, g, t) for t in scope) and not (crossing and self._guessed(f, s))
-
-    def _at(self, f, g, s):
-        return self.run(f.body, g, self._denote(f.term, g))
-
-    def _down(self, f, g, s):
-        return self.run(f.body, {**g, f.var.name: s}, s)
-
-    def _until(self, f, g, s):
-        # one clause for the six forms: a Since form reads the converse views
-        form = UNTIL_FORMS[type(f)]
-        step = self.m._relation(form.step_plus, form.backward)[0]
-        between, guard = self.m._relation(form.guard_plus, form.backward)
-        return any(
-            self.run(f.left, g, n)
-            and all(self.run(f.right, g, u) for u in between[s] if (u, n) in guard)
-            for n in step[s]
-        )
-
-    def _denote(self, term, g):
+def _denote(ev, g, term):
+    """The state a nominal or a state variable names."""
+    try:
+        return (ev.m.nomval if term.kind == NOM else g)[term.name]
+    except KeyError:
         if term.kind == NOM:
-            if term.name not in self.m.nomval:
-                raise UnboundNominalError(f"nominal {term.name!r} not in model")
-            return self.m.nomval[term.name]
-        if term.name not in g:
-            raise UnboundVariableError(f"state variable {term.name!r} unbound")
-        return g[term.name]
+            raise UnboundNominalError(f"nominal {term.name!r} not in model") from None
+        raise UnboundVariableError(f"state variable {term.name!r} unbound") from None
 
 
-# One case per node class.
+def _modal(f, body):
+    # one clause for the eight forms: a step along R, along R read
+    # backwards, or to every state
+    exists, backward, universal = MODAL_FORMS[type(f)]
+    free = sorted(f.fv)
+
+    def modal(ev, g, s):
+        key = (f, s, tuple([(v, g[v]) for v in free if v in g]) if free else ())
+        out = ev.memo.get(key)
+        if out is None:
+            if universal:
+                scope = ev.m.states
+            elif backward:
+                scope = ev.m._relation(converse=True)[0][s]
+            else:
+                scope = ev.succ[s]
+            # look for a witness of a diamond, a counterexample to a box
+            for t in scope:
+                if body(ev, g, t) == exists:
+                    out = exists
+                    break
+            else:  # none in scope: a reference successor's guess may hold it
+                out = (s in ev.refs and ev._guessed(f, s)) == exists
+            ev.memo[key] = out
+        return out
+
+    return modal
+
+
+def _until(f, left, right):
+    # one clause for the six forms: a Since form reads the converse views
+    form = UNTIL_FORMS[type(f)]
+    free = sorted(f.fv)
+
+    def until(ev, g, s):
+        key = (f, s, tuple([(v, g[v]) for v in free if v in g]) if free else ())
+        out = ev.memo.get(key)
+        if out is None:
+            step = ev.m._relation(form.step_plus, form.backward)[0]
+            between, guard = ev.m._relation(form.guard_plus, form.backward)
+            out = ev.memo[key] = any(
+                left(ev, g, n)
+                and all(right(ev, g, u) for u in between[s] if (u, n) in guard)
+                for n in step[s]
+            )
+        return out
+
+    return until
+
+
+# One case per node class: it compiles the node, given its children's
+# closures, into the node's own closure (ev, g, s) -> bool.
 _CASES = {
-    Atom: _Evaluator._atom,
-    Top: _Evaluator._top,
-    Bot: _Evaluator._bot,
-    Not: _Evaluator._not,
-    And: _Evaluator._and,
-    Or: _Evaluator._or,
-    Implies: _Evaluator._implies,
-    Iff: _Evaluator._iff,
-    At: _Evaluator._at,
-    Down: _Evaluator._down,
-    **dict.fromkeys(MODAL_FORMS, _Evaluator._modal),
-    **dict.fromkeys(UNTIL_FORMS, _Evaluator._until),
+    Atom: _atom,
+    Top: lambda f: lambda ev, g, s: True,
+    Bot: lambda f: lambda ev, g, s: False,
+    Not: lambda f, a: lambda ev, g, s: not a(ev, g, s),
+    And: lambda f, a, b: lambda ev, g, s: a(ev, g, s) and b(ev, g, s),
+    Or: lambda f, a, b: lambda ev, g, s: a(ev, g, s) or b(ev, g, s),
+    Implies: lambda f, a, b: lambda ev, g, s: not a(ev, g, s) or b(ev, g, s),
+    Iff: lambda f, a, b: lambda ev, g, s: a(ev, g, s) == b(ev, g, s),
+    At: lambda f, a: lambda ev, g, s: a(ev, g, _denote(ev, g, f.term)),
+    Down: lambda f, a: lambda ev, g, s: a(ev, {**g, f.var.name: s}, s),
+    **dict.fromkeys(MODAL_FORMS, _modal),
+    **dict.fromkeys(UNTIL_FORMS, _until),
 }
 
 
 def eval_formula(m: HybridModel, g: dict, s: str, f: Formula) -> bool:
     """Truth of f at state s under assignment g."""
-    if s not in set(m.states):
+    states = set(m.states)
+    if s not in states:
         raise UnknownStateError(f"unknown state {s!r}")
     for v in g.values():
-        if v not in set(m.states):
+        if v not in states:
             raise UnknownStateError(f"assignment maps to unknown state {v!r}")
     return _Evaluator(m).run(f, dict(g), s)
 

@@ -444,6 +444,24 @@ def subformulas(f: _Node):
         stack.extend(reversed(children(g)))
 
 
+def compiled(f: _Node, cases: dict, slot: str, what: str):
+    """The closure that evaluates f: ``cases[type(f)](f, *kids)``, given
+    the closures of f's children, compiled the same way.  It is made on
+    first use and kept in f's own ``__dict__`` under slot, the way cached
+    properties are.  A value with no case compiles to a closure that
+    raises TypeError when called, so the error is as lazy as evaluation."""
+    fn = getattr(f, slot, None)
+    if fn is None:
+        case = cases.get(type(f))
+        if case is None:
+            def fn(*args):
+                raise TypeError(f"not {what}: {f!r}")
+            return fn
+        kids = [compiled(c, cases, slot, what) for c in children(f)]
+        fn = f.__dict__[slot] = case(f, *kids)
+    return fn
+
+
 def atoms_of(f: Formula) -> frozenset[Atom]:
     out = set()
     for g in subformulas(f):

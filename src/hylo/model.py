@@ -82,12 +82,14 @@ class HybridModel:
         return out
 
     @classmethod
-    def _trusted(cls, states, rel, val, nomval) -> HybridModel:
+    def _trusted(cls, states, rel, val, nomval, views=None) -> HybridModel:
         """A model from parts that are already normalized and valid, built
         without ``__post_init__``: states a tuple, rel a frozenset of pairs
-        of them, val a fresh dict of frozensets, nomval a fresh dict."""
+        of them, val a fresh dict of frozensets, nomval a fresh dict, and
+        views the relation views of a model on this frame to share, if any."""
         out = object.__new__(cls)
-        out.__dict__.update(states=states, rel=rel, val=val, nomval=nomval, _views={})
+        views = {} if views is None else views
+        out.__dict__.update(states=states, rel=rel, val=val, nomval=nomval, _views=views)
         return out
 
 

@@ -378,11 +378,13 @@ def enumerate_models(frame, max_states, atoms=()):
         for k in range(1, max_states + 1):
             names = tuple(f"s{i}" for i in range(k))
             for rel in frames(frame, k):
+                # one checked frame; each model shares its relation views
+                base = HybridModel(names, rel)
                 for code in range(1 << (len(props) * k)):
                     val = _decode_valuation(code, props, names)
                     for placement in product(range(k), repeat=len(noms)):
                         nomval = {i: names[s] for i, s in zip(noms, placement)}
-                        yield HybridModel(names, rel, val, nomval)
+                        yield HybridModel._trusted(names, base.rel, dict(val), nomval, base._views)
 
     return models()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .formula import MARKS, Language, ParseError, _Node, _node, _Tokens, subformulas
+from .formula import MARKS, Language, ParseError, _Node, _node, _Tokens, compiled, subformulas
 from .model import _closure, _name_lists, _name_map, _names
 
 
@@ -274,41 +274,69 @@ class FOEvalError(ValueError):
 
 
 def fo_eval(s: FOStructure, env: dict, alpha: FOFormula) -> bool:
-    """Classical truth over a finite structure."""
-    return _holds(s, dict(env), alpha)
+    """Classical truth over a finite structure.  Evaluation is compiled:
+    each node carries one closure ``(s, env) -> bool``, made from its
+    ``_FO_CASES`` entry on first use and kept on the node."""
+    return compiled(alpha, _FO_CASES, "_fo_eval", "an FO node")(s, dict(env))
 
 
-def _holds(s, env, g):
-    case = _FO_CASES.get(type(g))
-    if case is None:
-        raise TypeError(f"not an FO node: {g!r}")
-    return case(s, env, g)
+def _term(t):
+    """The closure ``(s, env) -> element`` of a variable or a constant."""
+    var = isinstance(t, FOVar)
+
+    def value(s, env):
+        try:
+            return (env if var else s.constants)[t.name]
+        except KeyError:
+            raise FOEvalError(f"unbound {'variable' if var else 'constant'} {t.name!r}") from None
+
+    return value
 
 
-def _value(s, env, t):
-    if isinstance(t, FOVar):
-        if t.name not in env:
-            raise FOEvalError(f"unbound variable {t.name!r}")
-        return env[t.name]
-    if t.name not in s.constants:
-        raise FOEvalError(f"unbound constant {t.name!r}")
-    return s.constants[t.name]
+def _related(g):
+    a, b, plus = _term(g.left), _term(g.right), isinstance(g, RelPlus)
+    return lambda s, env: (a(s, env), b(s, env)) in (s._plus if plus else s.binrel)
 
 
-# One case per node class, each called as case(structure, env, node).
+def _equal(g):
+    a, b = _term(g.left), _term(g.right)
+    return lambda s, env: a(s, env) == b(s, env)
+
+
+def _predicated(g):
+    t = _term(g.term)
+    return lambda s, env: t(s, env) in s.unary.get(g.name, ())
+
+
+def _quantifier(g, body):
+    exists = isinstance(g, Exists)
+
+    def quantify(s, env):
+        env = dict(env)
+        for d in s.domain:
+            env[g.var] = d
+            if body(s, env) == exists:
+                return exists
+        return not exists
+
+    return quantify
+
+
+# One case per node class: each compiles a node, given its children's
+# closures, into its own.
 _FO_CASES = {
-    FOTrue: lambda s, env, g: True,
-    FOFalse: lambda s, env, g: False,
-    Rel: lambda s, env, g: (_value(s, env, g.left), _value(s, env, g.right)) in s.binrel,
-    RelPlus: lambda s, env, g: (_value(s, env, g.left), _value(s, env, g.right)) in s._plus,
-    Eq: lambda s, env, g: _value(s, env, g.left) == _value(s, env, g.right),
-    Pred: lambda s, env, g: _value(s, env, g.term) in s.unary.get(g.name, frozenset()),
-    FONot: lambda s, env, g: not _holds(s, env, g.body),
-    FOAnd: lambda s, env, g: _holds(s, env, g.left) and _holds(s, env, g.right),
-    FOOr: lambda s, env, g: _holds(s, env, g.left) or _holds(s, env, g.right),
-    FOImplies: lambda s, env, g: not _holds(s, env, g.left) or _holds(s, env, g.right),
-    Exists: lambda s, env, g: any(_holds(s, {**env, g.var: d}, g.body) for d in s.domain),
-    Forall: lambda s, env, g: all(_holds(s, {**env, g.var: d}, g.body) for d in s.domain),
+    FOTrue: lambda g: lambda s, env: True,
+    FOFalse: lambda g: lambda s, env: False,
+    Rel: _related,
+    RelPlus: _related,
+    Eq: _equal,
+    Pred: _predicated,
+    FONot: lambda g, a: lambda s, env: not a(s, env),
+    FOAnd: lambda g, a, b: lambda s, env: a(s, env) and b(s, env),
+    FOOr: lambda g, a, b: lambda s, env: a(s, env) or b(s, env),
+    FOImplies: lambda g, a, b: lambda s, env: not a(s, env) or b(s, env),
+    Exists: _quantifier,
+    Forall: _quantifier,
 }
 
 

@@ -4,11 +4,12 @@ from hylo.checker import (
     UnboundNominalError,
     UnboundVariableError,
     UnknownStateError,
+    _Evaluator,
     eval_formula,
     global_eval,
     phi_type,
 )
-from hylo.formula import Diamond, Not, parse, prop
+from hylo.formula import MODAL_FORMS, UNTIL_FORMS, And, Bot, Diamond, Not, Top, parse, prop
 from hylo.model import HybridModel
 
 
@@ -65,6 +66,28 @@ def test_distinct_errors():
         eval_formula(m, {}, "a", parse("$x"))
     with pytest.raises(UnknownStateError):
         eval_formula(m, {"x": "zz"}, "a", parse("$x"))
+
+
+def test_errors_are_raised_only_where_evaluation_reaches():
+    # compiling a node fixes how it evaluates, not whether it raises: an
+    # operand that is skipped, or a body with no state to run at, raises nothing
+    m = M(["a"], [])
+    assert not eval_formula(m, {}, "a", parse("false & 'i"))
+    assert eval_formula(m, {}, "a", parse("[]$x"))
+    assert not eval_formula(m, {}, "a", And(Bot(), 5))
+    with pytest.raises(TypeError):
+        eval_formula(m, {}, "a", And(Top(), 5))
+    with pytest.raises(UnboundNominalError):
+        eval_formula(m, {}, "a", parse("@'i p"))
+    with pytest.raises(UnboundVariableError):
+        eval_formula(m, {}, "a", parse("@$x p"))
+
+
+def test_memo_holds_only_the_nodes_that_fan_out():
+    ev = _Evaluator(COMPLETE2)
+    ev.run(parse("down $x . ([]<>($x | ~p) & (p -> U(true, $x)) & E $x)"), {}, "a")
+    assert ev.memo
+    assert {type(key[0]) for key in ev.memo} <= MODAL_FORMS.keys() | UNTIL_FORMS.keys()
 
 
 def test_global_eval():
@@ -136,3 +159,10 @@ def test_memoized_down_blowup_is_fast():
     m = M(states, rel, val={"p": {"s0"}})
     f = parse("down $x . <> down $y . <> down $z . (<> $x & <> $y & <> $z & <>p)")
     assert eval_formula(m, {}, "s1", f)
+
+
+def test_deep_modal_nesting_evaluates():
+    # a modal level costs one closure frame, so 250 nested diamonds stay
+    # inside the default recursion limit
+    m = M(["a"], [("a", "a")], val={"p": {"a"}})
+    assert eval_formula(m, {}, "a", parse("<>" * 250 + "p"))

@@ -71,6 +71,16 @@ def test_check_assignment(tmp_path, capsys):
     assert code == 0
 
 
+def test_check_deeply_nested_formula(tmp_path, capsys):
+    doc = {"states": ["a"], "rel": [["a", "a"]], "val": {"p": ["a"]}, "nom": {}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(
+        capsys, "check", "--model", str(path), "--formula", "<>" * 250 + "p", "--state", "a"
+    )
+    assert code == 0 and out.strip() == "true"
+
+
 def test_sat_command_chain_formula(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(

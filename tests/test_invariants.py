@@ -210,6 +210,18 @@ def test_every_formula_class_has_one_case_in_each_engine():
     assert not MODAL_FORMS.keys() & UNTIL_FORMS.keys()
 
 
+def test_every_fo_formula_class_has_one_case_in_each_fo_engine():
+    # fo_eval and the first-order search's two tables, as the test above
+    # does for the hybrid engines
+    from hylo.oracle import _REQUIRE_CASES, _STATUS_CASES
+    from hylo.satellites import _FO_CASES, FOFormula
+
+    classes = _descendants(FOFormula)
+    assert set(_FO_CASES) == classes
+    assert set(_REQUIRE_CASES) == classes
+    assert set(_STATUS_CASES) == classes
+
+
 def test_fo_junctions_are_the_binary_connectives():
     from hylo.satellites import FO_JUNCTIONS, FOFormula
 

@@ -210,6 +210,18 @@ def test_enumerate_models_valuations_and_nominals():
     assert placements == ["s0", "s1"]
 
 
+def test_enumerate_models_share_each_frames_relation_views():
+    # each frame is checked once; its models are the ones the constructor
+    # builds, and they share its relation views but not their valuations
+    models = list(enumerate_models("transitive", 2, atoms=[prop("p"), nom("i")]))
+    for m in models:
+        assert m == HybridModel(m.states, m.rel, m.val, m.nomval)
+    first, second = (m for m in models if m.rel == models[-1].rel and m.val == models[-1].val)
+    assert first._views is second._views
+    assert first.val is not second.val
+    assert first.successors("s0") == HybridModel(first.states, first.rel).successors("s0")
+
+
 def test_brute_sat_spec_examples():
     found = brute_sat(parse("down $x . <> $x"), "transitive", 1)
     assert found is not None

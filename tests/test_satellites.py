@@ -10,9 +10,12 @@ from hylo.satellites import (
     Exists,
     FOAnd,
     FOConst,
+    FOEvalError,
+    FOFalse,
     FONot,
     FOParseError,
     FOStructure,
+    FOTrue,
     FOVar,
     Forall,
     Left,
@@ -62,6 +65,19 @@ def test_fo_eval_closure_atom():
     assert not fo_eval(s, {"x": 1, "y": 0}, RelPlus(x, y))
     chain = FOStructure((0, 1, 2), {(0, 1), (1, 2)})
     assert fo_eval(chain, {"x": 0, "y": 2}, RelPlus(x, y))
+
+
+def test_fo_eval_errors_are_raised_only_where_evaluation_reaches():
+    s = FOStructure((0, 1), {(0, 1)}, constants={"c": 1})
+    with pytest.raises(FOEvalError, match="unbound variable 'x'"):
+        fo_eval(s, {}, Rel(x, y))
+    with pytest.raises(FOEvalError, match="unbound constant 'd'"):
+        fo_eval(s, {"x": 0}, Eq(x, FOConst("d")))
+    assert fo_eval(s, {"x": 1}, Eq(x, FOConst("c")))
+    assert not fo_eval(s, {}, FOAnd(FOFalse(), Rel(x, y)))
+    assert not fo_eval(s, {}, FOAnd(FOFalse(), 5))
+    with pytest.raises(TypeError):
+        fo_eval(s, {}, FOAnd(FOTrue(), 5))
 
 
 def test_fo_eval_mc_eq():
