@@ -19,24 +19,23 @@ closure sentences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .checker import _Evaluator
-from .formula import Formula, diamond_closure
+from .formula import Formula, diamond_closure, record
 from .model import HybridModel, _closure, _name_lists, _name_map, _names, _pairs, cliques
 
 PhiType = frozenset
 
 
-@dataclass(frozen=True)
+@record
 class FiniteRep:
     """Block-tree prefix (M) with reference leaves (C) and ref map C -> M."""
 
     m_states: tuple[str, ...]
     c_states: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
-    val: dict[str, frozenset[str]] = field(default_factory=dict)
-    ref: dict[str, str] = field(default_factory=dict)
+    val: dict[str, frozenset[str]] = {}
+    ref: dict[str, str] = {}
 
     def __post_init__(self):
         object.__setattr__(self, "m_states", tuple(self.m_states))
@@ -192,7 +191,7 @@ def _normalize_guess(rep, c_guess, closure):
     return guess
 
 
-@dataclass(frozen=True)
+@record
 class VerifyResult:
     accepted: bool
     reason: str | None

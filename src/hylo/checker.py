@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 from .formula import (
     MODAL_FORMS,
     NOM,
@@ -53,7 +55,10 @@ class _Evaluator:
     only they consult the memo, keyed on (node, state, assignment
     restricted to the node's free variables): down-binders fan out only
     where the bound variable is actually used.  Formula nodes are
-    interned, so a node is its own structural key.
+    interned, so a node is its own structural key.  A closure holds only
+    what it reads of its node (at and down bind it as argument defaults),
+    or a weak reference to it: a node its own closure held would sit in a
+    cycle that only the cyclic collector frees.
 
     ``refs`` maps a state to the guessed types of its reference successors
     (block-tree representations, see ``blocktree.verify``).  A diamond also
@@ -72,36 +77,32 @@ class _Evaluator:
     def run(self, f: Formula, g: dict, s: str) -> bool:
         return compiled(f, _CASES, "_check", "a formula node")(self, g, s)
 
-    def _guessed(self, f, s):
-        """Whether f's closure sentence is in the guessed type of a
-        reference successor of s, a state that has some."""
-        return any(closure_sentence(f) in t for t in self.refs[s])
-
 
 def _atom(f):
-    if f.kind == PROP:
-        return lambda ev, g, s: s in ev.m.val.get(f.name, ())
-    return lambda ev, g, s: _denote(ev, g, f) == s
+    kind, name = f.kind, f.name
+    if kind == PROP:
+        return lambda ev, g, s: s in ev.m.val.get(name, ())
+    return lambda ev, g, s: _denote(ev, g, kind, name) == s
 
 
-def _denote(ev, g, term):
+def _denote(ev, g, kind, name):
     """The state a nominal or a state variable names."""
     try:
-        return (ev.m.nomval if term.kind == NOM else g)[term.name]
+        return (ev.m.nomval if kind == NOM else g)[name]
     except KeyError:
-        if term.kind == NOM:
-            raise UnboundNominalError(f"nominal {term.name!r} not in model") from None
-        raise UnboundVariableError(f"state variable {term.name!r} unbound") from None
+        if kind == NOM:
+            raise UnboundNominalError(f"nominal {name!r} not in model") from None
+        raise UnboundVariableError(f"state variable {name!r} unbound") from None
 
 
 def _modal(f, body):
     # one clause for the eight forms: a step along R, along R read
     # backwards, or to every state
     exists, backward, universal = MODAL_FORMS[type(f)]
-    free = sorted(f.fv)
+    free, node = sorted(f.fv), weakref.ref(f)
 
     def modal(ev, g, s):
-        key = (f, s, tuple([(v, g[v]) for v in free if v in g]) if free else ())
+        key = (node, s, tuple([(v, g[v]) for v in free if v in g]) if free else ())
         out = ev.memo.get(key)
         if out is None:
             if universal:
@@ -115,8 +116,8 @@ def _modal(f, body):
                 if body(ev, g, t) == exists:
                     out = exists
                     break
-            else:  # none in scope: a reference successor's guess may hold it
-                out = (s in ev.refs and ev._guessed(f, s)) == exists
+            else:  # none in scope: a reference successor's guessed type may hold it
+                out = (s in ev.refs and any(closure_sentence(node()) in t for t in ev.refs[s])) == exists
             ev.memo[key] = out
         return out
 
@@ -126,10 +127,10 @@ def _modal(f, body):
 def _until(f, left, right):
     # one clause for the six forms: a Since form reads the converse views
     form = UNTIL_FORMS[type(f)]
-    free = sorted(f.fv)
+    free, node = sorted(f.fv), weakref.ref(f)
 
     def until(ev, g, s):
-        key = (f, s, tuple([(v, g[v]) for v in free if v in g]) if free else ())
+        key = (node, s, tuple([(v, g[v]) for v in free if v in g]) if free else ())
         out = ev.memo.get(key)
         if out is None:
             step = ev.m._relation(form.step_plus, form.backward)[0]
@@ -155,8 +156,8 @@ _CASES = {
     Or: lambda f, a, b: lambda ev, g, s: a(ev, g, s) or b(ev, g, s),
     Implies: lambda f, a, b: lambda ev, g, s: not a(ev, g, s) or b(ev, g, s),
     Iff: lambda f, a, b: lambda ev, g, s: a(ev, g, s) == b(ev, g, s),
-    At: lambda f, a: lambda ev, g, s: a(ev, g, _denote(ev, g, f.term)),
-    Down: lambda f, a: lambda ev, g, s: a(ev, {**g, f.var.name: s}, s),
+    At: lambda f, a: lambda ev, g, s, t=(f.term.kind, f.term.name): a(ev, g, _denote(ev, g, *t)),
+    Down: lambda f, a: lambda ev, g, s, var=f.var.name: a(ev, {**g, var: s}, s),
     **dict.fromkeys(MODAL_FORMS, _modal),
     **dict.fromkeys(UNTIL_FORMS, _until),
 }

@@ -15,11 +15,10 @@ its operator keywords from the printer's token tables.
 
 from __future__ import annotations
 
-import inspect
 import re
 import weakref
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
+from types import FunctionType
 from typing import NamedTuple
 
 PROP = "prop"
@@ -68,7 +67,59 @@ class _Interned(type):
 
 _TABLE = weakref.WeakValueDictionary()
 
-_node = dataclass(frozen=True, eq=False)
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning to or deleting a field of a record."""
+
+
+def record(cls, eq=True):
+    """Make cls a frozen record, as ``dataclass(frozen=True)`` would, at a
+    fraction of its class-creation cost: fields from the annotations of cls
+    and its bases, an ``__init__`` that takes them by position or keyword,
+    writes them into the instance ``__dict__`` and calls ``__post_init__``
+    if the class has one, and dataclass's ``__repr__``.  A class attribute
+    is a field's default; a dict default gives each instance a fresh dict.
+    With eq, ``==`` and hash go by field; nodes (``_node``) keep identity."""
+    names = tuple(dict.fromkeys(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__annotations__", ())))
+    defaults = tuple(_FRESH if type(d) is dict else d for d in [getattr(cls, n) for n in names if hasattr(cls, n)])
+    fresh = tuple(n for n in names if type(getattr(cls, n, None)) is dict)
+    code = _init_code(names, fresh, hasattr(cls, "__post_init__"))
+    cls.__init__ = FunctionType(code, {"_FRESH": _FRESH}, "__init__", defaults)
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__match_args__, cls.__repr__ = names, _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    if eq:
+        cls.__eq__ = lambda a, b: _values(a) == _values(b) if b.__class__ is a.__class__ else NotImplemented
+        cls.__hash__ = lambda r: hash(_values(r))
+    return cls
+
+
+_FRESH = object()  # stands for a dict default left out of a call
+
+
+@cache
+def _init_code(names, fresh, post):
+    """The code of a record's ``__init__``, compiled once per signature."""
+    lines = [f"if {n} is _FRESH: {n} = {{}}" for n in fresh]
+    lines += [f"self.__dict__[{n!r}] = {n}" for n in names] + ["self.__post_init__()"] * post
+    space = {}
+    exec(f"def __init__(self, {', '.join(names)}):\n " + "\n ".join(lines or ["pass"]), {}, space)
+    return space["__init__"].__code__
+
+
+def _values(r):
+    return tuple([getattr(r, n) for n in r.__match_args__])
+
+
+def _repr(self):
+    return f"{type(self).__qualname__}({', '.join([f'{n}={getattr(self, n)!r}' for n in self.__match_args__])})"
+
+
+def _frozen(self, name, *value):
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+_node = partial(record, eq=False)
 
 
 @_node
@@ -90,12 +141,12 @@ class _Node(metaclass=_Interned):
         super().__init_subclass__(**kwargs)
         family = next(c for c in cls.__mro__ if _Node in c.__bases__)
         kinds = family.__dict__.get("_kinds", (family.__name__,))
-        own = inspect.get_annotations(cls)
+        own = cls.__dict__.get("__annotations__", {})
         cls._kids += tuple(name for name, kind in own.items() if kind in kinds)
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which re-interns
-        return (type(self), tuple(getattr(self, name) for name in self.__match_args__))
+        return (type(self), _values(self))
 
     @cached_property
     def signature(self) -> frozenset[str]:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 
+from .formula import record
 
-@dataclass(frozen=True)
+
+@record
 class HybridModel:
     """Finite Kripke model with propositions and nominals.
 
@@ -17,8 +18,8 @@ class HybridModel:
 
     states: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
-    val: dict[str, frozenset[str]] = field(default_factory=dict)
-    nomval: dict[str, str] = field(default_factory=dict)
+    val: dict[str, frozenset[str]] = {}
+    nomval: dict[str, str] = {}
 
     def __post_init__(self):
         object.__setattr__(self, "states", tuple(self.states))

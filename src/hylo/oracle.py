@@ -47,7 +47,6 @@ every class is transitive, so an R+ atom reads as R there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress, permutations, product
 
@@ -76,6 +75,7 @@ from .formula import (
     check_language,
     noms_of,
     props_of,
+    record,
 )
 from .model import HybridModel
 from . import satellites as sat
@@ -575,7 +575,7 @@ def _closure_batch(rel):
     return plus
 
 
-@dataclass(frozen=True)
+@record
 class Found:
     model: HybridModel
     state: str
@@ -666,7 +666,7 @@ def find_eval_difference(f1: Formula, f2: Formula, frame: str, max_states: int, 
 # First-order model search
 
 
-@dataclass(frozen=True)
+@record
 class FOFound:
     structure: sat.FOStructure
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .formula import MARKS, Language, ParseError, _Node, _node, _Tokens, compiled, subformulas
+from .formula import MARKS, Language, ParseError, _Node, _node, _Tokens, _values, compiled, record, subformulas
 from .model import _closure, _name_lists, _name_map, _names
 
 
@@ -57,7 +56,7 @@ class FOFormula(_Node):
     @cached_property
     def fv(self) -> frozenset[str]:
         """Variables with an occurrence not under a matching quantifier."""
-        out = frozenset().union(*(p.fv for p in _fields(self) if not isinstance(p, str)))
+        out = frozenset().union(*(p.fv for p in _values(self) if not isinstance(p, str)))
         return out - {self.var} if isinstance(self, (Exists, Forall)) else out
 
     @cached_property
@@ -86,7 +85,7 @@ class FOFormula(_Node):
                 # shares a code with a binder still in scope
                 inner = {**bound, h.var: max(bound.values(), default=-1) + 1}
                 return (type(h), rec(h.body, inner))
-            return (type(h), *(part(p, bound) for p in _fields(h)))
+            return (type(h), *(part(p, bound) for p in _values(h)))
 
         code = rec(self, {})
         return code, tuple(slots)
@@ -177,17 +176,13 @@ class Forall(FOFormula):
     body: FOFormula
 
 
-def _fields(f) -> list:
-    return [getattr(f, name) for name in f.__match_args__]
-
-
 def fo_free_vars(f: FOFormula) -> frozenset[str]:
     return f.fv
 
 
 def fo_constants(f: FOFormula) -> frozenset[str]:
     return frozenset(
-        p.name for g in subformulas(f) for p in _fields(g) if isinstance(p, FOConst)
+        p.name for g in subformulas(f) for p in _values(g) if isinstance(p, FOConst)
     )
 
 
@@ -201,7 +196,7 @@ def fo_vars(f: FOFormula) -> frozenset[str]:
     for g in subformulas(f):
         if isinstance(g, (Exists, Forall)):
             out.add(g.var)
-        out.update(p.name for p in _fields(g) if isinstance(p, FOVar))
+        out.update(p.name for p in _values(g) if isinstance(p, FOVar))
     return frozenset(out)
 
 
@@ -217,7 +212,7 @@ def fo_rename(f: FOFormula, bind, free, scope=None) -> FOFormula:
         new = bind(f.var, scope)
         return type(f)(new, fo_rename(f.body, bind, free, {**scope, f.var: new}))
     parts = []
-    for p in _fields(f):
+    for p in _values(f):
         if isinstance(p, FOFormula):
             p = fo_rename(p, bind, free, scope)
         elif isinstance(p, FOVar):
@@ -240,12 +235,12 @@ def is_mc_eq(f: FOFormula) -> bool:
     return f.signature <= MC_EQ.marks
 
 
-@dataclass(frozen=True)
+@record
 class FOStructure:
     domain: tuple
     binrel: frozenset
-    unary: dict = field(default_factory=dict)
-    constants: dict = field(default_factory=dict)
+    unary: dict = {}
+    constants: dict = {}
 
     @cached_property
     def _plus(self) -> frozenset:
@@ -304,17 +299,17 @@ def _equal(g):
 
 
 def _predicated(g):
-    t = _term(g.term)
-    return lambda s, env: t(s, env) in s.unary.get(g.name, ())
+    t, name = _term(g.term), g.name
+    return lambda s, env: t(s, env) in s.unary.get(name, ())
 
 
 def _quantifier(g, body):
-    exists = isinstance(g, Exists)
+    exists, var = isinstance(g, Exists), g.var
 
     def quantify(s, env):
         env = dict(env)
         for d in s.domain:
-            env[g.var] = d
+            env[var] = d
             if body(s, env) == exists:
                 return exists
         return not exists
@@ -604,7 +599,7 @@ def pdl_true() -> PdlFormula:
     return PdlNot(pdl_false())
 
 
-@dataclass(frozen=True)
+@record
 class SiblingTree:
     """Finite tree with ordered children and atom labels: distinct nodes,
     one root without a parent, each child link given both ways (the
@@ -614,7 +609,7 @@ class SiblingTree:
     nodes: tuple
     parent: dict
     children: dict
-    labels: dict = field(default_factory=dict)
+    labels: dict = {}
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))

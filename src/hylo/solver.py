@@ -32,7 +32,6 @@ frames have no finite model property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import combinations, product
 
@@ -46,11 +45,12 @@ from .formula import (
     print_formula,
     props_of,
     recode_nominals,
+    record,
     svars_of,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Budget:
     max_clique: int = 4
     max_nodes: int = 8
@@ -67,7 +67,7 @@ class Budget:
         return triples
 
 
-@dataclass(frozen=True)
+@record
 class SatResult:
     status: str  # "sat" | "unsat" | "unknown"
     witness_rep: FiniteRep | None = None
@@ -77,7 +77,7 @@ class SatResult:
     bounds: tuple = (0, 0, 0)
     candidates: int = 0
     note: str | None = None
-    stats: dict = field(default_factory=dict)
+    stats: dict = {}
 
     @property
     def is_sat(self):

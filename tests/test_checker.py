@@ -85,9 +85,11 @@ def test_errors_are_raised_only_where_evaluation_reaches():
 
 def test_memo_holds_only_the_nodes_that_fan_out():
     ev = _Evaluator(COMPLETE2)
-    ev.run(parse("down $x . ([]<>($x | ~p) & (p -> U(true, $x)) & E $x)"), {}, "a")
+    f = parse("down $x . ([]<>($x | ~p) & (p -> U(true, $x)) & E $x)")
+    ev.run(f, {}, "a")
     assert ev.memo
-    assert {type(key[0]) for key in ev.memo} <= MODAL_FORMS.keys() | UNTIL_FORMS.keys()
+    # keyed on a weak reference to the node, live while f is
+    assert {type(key[0]()) for key in ev.memo} <= MODAL_FORMS.keys() | UNTIL_FORMS.keys()
 
 
 def test_global_eval():

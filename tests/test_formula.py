@@ -351,3 +351,49 @@ def test_intern_table_is_weak():
     del f
     gc.collect()
     assert dead() is None
+
+
+_EVALUATE_AND_DROP = """
+import gc
+gc.disable()
+from hylo.formula import _TABLE
+{run}
+del f
+print(sorted(repr(n) for n in list(_TABLE.values()) if "zz" in repr(n)))
+"""
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # the checker: modal, Until, atom, at and down closures
+        "from hylo.checker import eval_formula\n"
+        "from hylo.formula import parse\n"
+        "from hylo.model import HybridModel\n"
+        "m = HybridModel(('a', 'b'), {('a', 'b'), ('b', 'b')}, {}, {'i': 'b'})\n"
+        "for text in ['<>(zz & <>zz)', \"down $x . @'i U(zz, <>$x & 'i)\"]:\n"
+        "    f = parse(text)\n"
+        "    eval_formula(m, {}, 'a', f)",
+        # fo_eval: predicate and quantifier closures
+        "from hylo.satellites import fo_eval, parse_fo, string_structure\n"
+        "f = parse_fo('E x. (zz(x) & A y. (zz(y) | R(x,y)))')\n"
+        "fo_eval(string_structure('ab'), {}, f)",
+    ],
+    ids=["checker", "fo_eval"],
+)
+def test_evaluated_nodes_die_without_the_cycle_collector(run):
+    # a compiled closure that held its own node would put the node in a
+    # reference cycle, and the table would keep it until a collection
+    import os
+    import subprocess
+    import sys
+
+    import hylo
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hylo.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVALUATE_AND_DROP.format(run=run)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.stderr == ""
+    assert proc.stdout == "[]\n"

@@ -164,9 +164,23 @@ def test_only_the_oracle_loads_numpy():
     assert loaders == {"hylo.oracle"}
 
 
+def test_no_module_imports_dataclasses_or_inspect():
+    # both cost every process start-up; formula.record builds the records
+    # and reads the annotations that these modules would
+    for path in Path(hylo.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+        assert imported.isdisjoint({"dataclasses", "inspect"}), path.name
+
+
 def test_every_syntax_tree_class_is_an_interned_node():
-    # a class with a field typed by a node family is syntax; as a plain
-    # dataclass it would hash its whole subtree on every memo lookup, and
+    # a class with a field typed by a node family is syntax; as a value
+    # record it would hash its whole subtree on every memo lookup, and
     # children, rebuild and map_nodes could not walk it
     import importlib
     import inspect
