@@ -12,8 +12,8 @@ Truth on a representation is the checker's: ``checker._Evaluator`` runs on
 the explicit part and follows links through C-states by consulting guessed
 types, through its reference hook.  Its evaluation is compiled, one closure
 per formula node, and its memo holds only modal and Until nodes, so
-``verify`` reuses the modal answers that ``_evaluate`` computed for the
-closure sentences.
+``verify`` reuses for phi the modal answers it computed while it checked
+the guesses.
 """
 
 from __future__ import annotations
@@ -142,13 +142,17 @@ class FiniteRep:
         return list(self._c_succ.get(s, ()))
 
 
-def _evaluate(rep, phi, c_guess):
-    """Types of every state under one guess, and the evaluator that
-    computed them, so that verify reuses its memo for phi."""
+def _prepare(rep, phi, c_guess):
+    """The closure of phi, the guess checked against it, and the checker on
+    the explicit part, which follows references through the guessed types."""
     closure = diamond_closure(phi)
     guess = _normalize_guess(rep, c_guess, closure)
     refs = {s: [guess[c] for c in cs] for s, cs in rep._c_succ.items()}
-    ev = _Evaluator(rep._m_model, refs)
+    return closure, guess, _Evaluator(rep._m_model, refs)
+
+
+def _types(rep, ev, closure, guess):
+    """Types of every state under one guess."""
     truths = {
         s: frozenset(chi for chi in closure if ev.run(chi, {}, s)) for s in rep.m_states
     }
@@ -160,7 +164,7 @@ def _evaluate(rep, phi, c_guess):
         types[s] = frozenset(here)
     for c in rep.c_states:
         types[c] = guess[c]
-    return types, ev
+    return types
 
 
 def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
@@ -173,7 +177,8 @@ def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
     sentence of a type has an explicit witness, because references only
     replace subtrees whose types repeat.
     """
-    return _evaluate(rep, phi, c_guess)[0]
+    closure, guess, ev = _prepare(rep, phi, c_guess)
+    return _types(rep, ev, closure, guess)
 
 
 def _normalize_guess(rep, c_guess, closure):
@@ -203,19 +208,30 @@ class VerifyResult:
 
 def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
     """Accept iff every guess matches the referenced state's computed type
-    and phi holds at some explicit state."""
-    types, ev = _evaluate(rep, phi, c_guess)
+    and phi holds at some explicit state.
+
+    The guesses are checked first, c-state by c-state: the target's type is
+    built one closure sentence at a time and compared as it grows, so a
+    mismatch stops at the first sentence that differs; phi is evaluated
+    only once every guess matched.  Only an accepted result carries the
+    type of every state; a rejected one's ``types`` is empty."""
+    closure, guess, ev = _prepare(rep, phi, c_guess)
+    known = {}  # the type of each target that a guess has matched
     for c in rep.c_states:
-        target = rep.ref[c]
-        if types[target] != types[c]:
+        target, want = rep.ref[c], guess[c]
+        if target in known:
+            same = known[target] == want
+        else:
+            scope = [target, *ev.succ[target]]
+            same = all(any(ev.run(chi, {}, s) for s in scope) == (chi in want) for chi in closure)
+        if not same:
             return VerifyResult(
-                False,
-                f"type mismatch: guess for {c!r} differs from type of {target!r}",
-                types,
+                False, f"type mismatch: guess for {c!r} differs from type of {target!r}", {}
             )
+        known[target] = want
     if not any(ev.run(phi, {}, s) for s in rep.m_states):
-        return VerifyResult(False, "formula holds at no explicit state", types)
-    return VerifyResult(True, None, types)
+        return VerifyResult(False, "formula holds at no explicit state", {})
+    return VerifyResult(True, None, _types(rep, ev, closure, guess))
 
 
 def realize(rep: FiniteRep, depth: int) -> HybridModel:

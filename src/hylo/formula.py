@@ -122,6 +122,22 @@ def _frozen(self, name, *value):
 _node = partial(record, eq=False)
 
 
+class _fact:
+    """A fact about a node that follows from the node and its children's
+    facts, computed once per node by ``_upward`` and kept in the node's
+    ``__dict__``, where later reads find it before this descriptor."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.slot = name
+
+    def __get__(self, node, owner=None):
+        return self if node is None else _upward(node, self.slot, self.compute)
+
+
 @_node
 class _Node(metaclass=_Interned):
     """The base of every interned node class: hybrid, first-order and PDL.
@@ -148,7 +164,7 @@ class _Node(metaclass=_Interned):
         # copy and pickle rebuild through the constructor, which re-interns
         return (type(self), _values(self))
 
-    @cached_property
+    @_fact
     def signature(self) -> frozenset[str]:
         """The marks (``MARKS``) of every operator and atom kind in this
         node and below it: a language admits the node when it has them all.
@@ -157,20 +173,48 @@ class _Node(metaclass=_Interned):
         return _SIGNATURES.setdefault(marks, marks)
 
 
+def _upward(f, slot, compute, wanted=None):
+    """compute(f), kept in f's ``__dict__`` under slot, computed first for
+    every node below f that has children, lacks it and is wanted (every
+    node when wanted is None), children before parents.  An explicit
+    stack replaces a Python frame per nesting level, so a deep formula is
+    as easy as a shallow one.  compute reads its children's values as
+    attributes: an inner child's is kept by then, a leaf's is quick."""
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if slot in g.__dict__:  # a shared subterm, reached again
+            stack.pop()
+            continue
+        todo = [
+            c for c in children(g)
+            if c._kids and slot not in c.__dict__ and (wanted is None or wanted(c))
+        ]
+        if todo:
+            stack += todo
+        else:
+            g.__dict__[slot] = compute(g)
+            stack.pop()
+    return f.__dict__[slot]
+
+
 @_node
 class Formula(_Node):
     """An interned formula node; ``==`` is ``is``.
 
-    Derived facts are computed once per node: ``fv`` (the free state
-    variables) and ``signature`` (the operators and atom kinds below it),
-    and the stripped form and the closure behind ``strip_free`` and
-    ``diamond_closure``.
+    Derived facts are computed once per node and kept on it: ``fv`` (the
+    free state variables), ``signature`` (the operators and atom kinds
+    below it), ``atoms`` (the atoms below it, behind ``atoms_of``,
+    ``props_of``, ``noms_of`` and ``svars_of``), the recoding behind
+    ``recode_nominals``, and the stripped form and the closure behind
+    ``strip_free`` and ``diamond_closure``.  The first four are computed
+    children first on an explicit stack, not a Python frame per level.
     """
 
     def __str__(self):
         return print_formula(self)
 
-    @cached_property
+    @_fact
     def fv(self) -> frozenset[str]:
         """State variables with an occurrence not under a matching down binder."""
         if isinstance(self, Atom):
@@ -182,6 +226,18 @@ class Formula(_Node):
         if isinstance(self, Down):
             return self.body.fv - {self.var.name}
         return _NO_VARS.union(*(c.fv for c in children(self)))
+
+    @_fact
+    def atoms(self) -> frozenset[Atom]:
+        """The atoms in this node and below it: an atom, an at-term, a
+        bound variable.  Equal sets are one object."""
+        sets = [c.atoms for c in children(self)]
+        parts = [getattr(self, n) for n in self.__match_args__ if n not in self._kids]
+        out = frozenset([a for a in parts if isinstance(a, Atom)]).union(*sets)
+        for s in sets:
+            if len(s) == len(out):
+                return s
+        return _atom_set(out)
 
     @cached_property
     def _stripped(self):
@@ -213,6 +269,11 @@ class Atom(Formula):
             raise ValueError(f"bad atom name: {self.name!r}")
         if self.kind == PROP and self.name in RESERVED_WORDS:
             raise ValueError(f"proposition name {self.name!r} is a keyword")
+
+    @property
+    def atoms(self):
+        # not kept on the atom: a set holding its own node is a cycle
+        return _atom_set(frozenset([self]))
 
 
 def prop(name: str) -> Atom:
@@ -513,28 +574,40 @@ def compiled(f: _Node, cases: dict, slot: str, what: str):
     return fn
 
 
+class _AtomSet(frozenset):
+    """The atoms of a formula node, with the sorted names of each kind."""
+
+    __slots__ = ("props", "noms", "svars")
+
+
+# each distinct atom set, once, keyed by its names: the table holds the
+# sets weakly, so it keeps no atom alive
+_ATOM_SETS = weakref.WeakValueDictionary()
+
+
+def _atom_set(atoms: frozenset) -> _AtomSet:
+    names = tuple(tuple(sorted(a.name for a in atoms if a.kind == k)) for k in (PROP, NOM, SVAR))
+    out = _ATOM_SETS.get(names)
+    if out is None:
+        out = _ATOM_SETS[names] = _AtomSet(atoms)
+        out.props, out.noms, out.svars = names
+    return out
+
+
 def atoms_of(f: Formula) -> frozenset[Atom]:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            out.add(g)
-        elif isinstance(g, At):
-            out.add(g.term)
-        elif isinstance(g, Down):
-            out.add(g.var)
-    return frozenset(out)
+    return f.atoms
 
 
 def props_of(f: Formula) -> tuple[str, ...]:
-    return tuple(sorted(a.name for a in atoms_of(f) if a.kind == PROP))
+    return f.atoms.props
 
 
 def noms_of(f: Formula) -> tuple[str, ...]:
-    return tuple(sorted(a.name for a in atoms_of(f) if a.kind == NOM))
+    return f.atoms.noms
 
 
 def svars_of(f: Formula) -> tuple[str, ...]:
-    return tuple(sorted(a.name for a in atoms_of(f) if a.kind == SVAR))
+    return f.atoms.svars
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -623,12 +696,23 @@ def fragment_of(f: Formula) -> str:
 
 
 def recode_nominals(f: Formula) -> Formula:
-    """Rewrite every nominal atom into a reserved-namespace proposition."""
+    """Rewrite every nominal atom into a reserved-namespace proposition
+    (an at-term is not a child, so it stays).
 
-    def rewrite(g):
-        return Atom(PROP, "_n_" + g.name) if isinstance(g, Atom) and g.kind == NOM else g
+    A formula without nominals is its own recoding.  Any other keeps its
+    recoding on the node (None when that is the node itself): a recoding
+    that differs is as large as f but is not f, so it cannot hold f, and
+    the cache makes no cycle."""
+    if NOM not in f.signature:
+        return f
+    return _upward(f, "_recoded", _recode, lambda g: NOM in g.signature) or f
 
-    return map_nodes(f, rewrite)
+
+def _recode(g):
+    if isinstance(g, Atom):
+        return Atom(PROP, "_n_" + g.name)
+    out = rebuild(g, [recode_nominals(c) for c in children(g)])
+    return None if out is g else out
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,40 @@ def test_verify_depends_on_structure_only(body, data):
     assert _verify_texts(text, guess_texts) == first
 
 
+def _two_leaf_rep():
+    """m0 below-links to m1; c0 hangs below m1 and repeats m1, c1 hangs
+    below m0 and repeats m0."""
+    return FiniteRep(
+        ("m0", "m1"),
+        ("c0", "c1"),
+        frozenset([("m0", "m1"), ("m0", "c0"), ("m1", "c0"), ("m0", "c1")]),
+        {"p": frozenset({"m1"})},
+        {"c0": "m1", "c1": "m0"},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hld_formulas(), st.data())
+def test_verify_answers_as_the_full_types_do(body, data):
+    # verify stops at the first closure sentence that differs, but rejects
+    # for the same c-state, and for the same reason, as the full types do
+    phi = Down(svar("x"), body)
+    closure = sorted(diamond_closure(phi), key=print_formula)
+    rep = _two_leaf_rep()
+    guesses = st.sets(st.sampled_from(closure)) if closure else st.just(set())
+    guess = {c: frozenset(data.draw(guesses)) for c in rep.c_states}
+    types = compute_types(rep, phi, guess)
+    res = verify(rep, phi, guess)
+    bad = [c for c in rep.c_states if types[rep.ref[c]] != guess[c]]
+    if bad:
+        reason = f"type mismatch: guess for {bad[0]!r} differs from type of {rep.ref[bad[0]]!r}"
+        assert (res.accepted, res.reason, res.types) == (False, reason, {})
+    elif res.accepted:
+        assert res.reason is None and res.types == types
+    else:
+        assert (res.reason, res.types) == ("formula holds at no explicit state", {})
+
+
 def test_with_val_reuses_the_structure_and_checks_the_valuation():
     rep = chain_rep()
     other = rep.with_val({"p": frozenset({"m1"})})

@@ -497,6 +497,22 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
     assert modules & (absent | _NEVER) == set()
 
 
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["parse", "--formula", "<>" * 900 + "p"], "fragment: ML"),
+        (["sat", "--frame", "trans", "--formula", "<>" * 400 + "p", "--max-clique", "1",
+          "--max-nodes", "1", "--max-c", "0", "--witness", "w.json"], "SAT (witness written to w.json)"),
+    ],
+    ids=["parse-900", "sat-400"],
+)
+def test_deeply_nested_formulas_get_a_verdict(tmp_path, argv, line):
+    # the per-node facts (signature, free variables, atoms) take no Python
+    # frame per nesting level
+    code, out, _ = _command_process(tmp_path, argv)
+    assert code == 0 and line in out
+
+
 def test_oracle_command_loads_the_oracle(tmp_path):
     argv = ["oracle", "--frame", "any", "--max-states", "2", "--formula", "<>p & ~p"]
     code, out, modules = _command_process(tmp_path, argv)

@@ -24,20 +24,27 @@ from hylo.formula import (
     Until,
     UntilPlusPlus,
     At,
+    NOM,
+    PROP,
+    atoms_of,
     children,
     diamond_closure,
     fragment_of,
     free_vars,
+    map_nodes,
     modal_depth_count,
+    noms_of,
     nom,
     parse,
     print_formula,
     prop,
+    props_of,
     rebuild,
     recode_nominals,
     strip_free,
     subformulas,
     svar,
+    svars_of,
 )
 
 p, q = prop("p"), prop("q")
@@ -325,6 +332,73 @@ def test_strip_free_properties(f):
         assert s == f
 
 
+# -- facts kept per node ------------------------------------------------------
+
+
+def _walked_atoms(f):
+    """The atoms of f by a walk over its nodes: atoms, at-terms, bound variables."""
+    out = set()
+    for g in subformulas(f):
+        if isinstance(g, Atom):
+            out.add(g)
+        elif isinstance(g, At):
+            out.add(g.term)
+        elif isinstance(g, Down):
+            out.add(g.var)
+    return out
+
+
+def _rewritten_nominals(f):
+    def rewrite(g):
+        return Atom(PROP, "_n_" + g.name) if isinstance(g, Atom) and g.kind == NOM else g
+
+    return map_nodes(f, rewrite)
+
+
+# the formulas mix @ with nominal and variable terms, down binders, the six
+# Until/Since forms and E/A with every other operator
+@settings(max_examples=200, deadline=None)
+@given(_formulas())
+def test_atom_facts_match_a_walk(f):
+    atoms = _walked_atoms(f)
+    assert atoms_of(f) == atoms
+    assert props_of(f) == tuple(sorted(a.name for a in atoms if a.kind == "prop"))
+    assert noms_of(f) == tuple(sorted(a.name for a in atoms if a.kind == "nom"))
+    assert svars_of(f) == tuple(sorted(a.name for a in atoms if a.kind == "var"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas())
+def test_recoding_matches_a_rewrite(f):
+    g = recode_nominals(f)
+    assert g is _rewritten_nominals(f)
+    assert recode_nominals(f) is g
+    if NOM not in f.signature:
+        assert g is f
+
+
+def test_equal_atom_sets_are_one_object():
+    assert atoms_of(parse("p & <>q")) is atoms_of(parse("[]q | p"))
+    assert atoms_of(parse("~<>p")) is atoms_of(parse("p"))
+    assert props_of(parse("p & q")) is props_of(parse("q -> p"))
+
+
+@pytest.mark.parametrize("depth", [400, 900])
+def test_deep_formulas_get_their_facts(depth):
+    # built by a loop, since the parser and printer take a frame per level
+    f = g = And(And(nom("i"), p), Down(x, x))
+    recoded = And(And(prop("_n_i"), p), Down(x, x))
+    for _ in range(depth):
+        f, recoded = Diamond(f), Diamond(recoded)
+    assert f.signature == {"<>", "↓", "nom", "var"}
+    assert free_vars(f) == frozenset()
+    assert atoms_of(f) == {nom("i"), p, x}
+    assert (props_of(f), noms_of(f), svars_of(f)) == (("p",), ("i",), ("x",))
+    assert recode_nominals(f) is recoded
+    assert len(diamond_closure(recoded)) == depth
+    assert g in diamond_closure(f)
+
+
 # -- interning ---------------------------------------------------------------
 
 
@@ -378,8 +452,14 @@ print(sorted(repr(n) for n in list(_TABLE.values()) if "zz" in repr(n)))
         "from hylo.satellites import fo_eval, parse_fo, string_structure\n"
         "f = parse_fo('E x. (zz(x) & A y. (zz(y) | R(x,y)))')\n"
         "fo_eval(string_structure('ab'), {}, f)",
+        # the solver: the recoding, the atom sets and the closure kept on
+        # the nodes, and the checker's closures on the recoded ones
+        "from hylo.formula import parse\n"
+        "from hylo.solver import Budget, sat_transitive\n"
+        "f = parse(\"'zz & <>(zz & ~'zz) & []<>zz\")\n"
+        "assert sat_transitive(f, Budget(1, 2, 1)).is_sat",
     ],
-    ids=["checker", "fo_eval"],
+    ids=["checker", "fo_eval", "solver"],
 )
 def test_evaluated_nodes_die_without_the_cycle_collector(run):
     # a compiled closure that held its own node would put the node in a
