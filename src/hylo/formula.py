@@ -9,8 +9,10 @@ are rejected by the parser unless ``allow_reserved`` is set; a keyword
 
 The token cursor ``_Tokens`` serves all three concrete syntaxes (hybrid,
 first-order and PDL): one lexer with line and column tracking, one
-error position, one left-associative infix loop.  The hybrid parser reads
-its operator keywords from the printer's token tables.
+error position, one precedence-climbing infix loop.  Each syntax writes
+its operators once, in an operator table (``Op`` rows: token, binding
+strength, operand floors) that both its parser and its printer
+(``render``) read; only the primaries are written by hand.
 """
 
 from __future__ import annotations
@@ -24,12 +26,6 @@ from typing import NamedTuple
 PROP = "prop"
 NOM = "nom"
 SVAR = "var"
-
-# identifiers the parser reads as operators or constants, so no
-# proposition may take one as its name
-RESERVED_WORDS = frozenset(
-    ["true", "false", "down", "U", "S", "F", "G", "P", "H", "E", "A"]
-)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -175,8 +171,9 @@ class _Node(metaclass=_Interned):
 
 def _upward(f, slot, compute, wanted=None):
     """compute(f), kept in f's ``__dict__`` under slot, computed first for
-    every node below f that has children, lacks it and is wanted (every
-    node when wanted is None), children before parents.  An explicit
+    every node below f that is wanted (every node when wanted is None;
+    asked first, so it may turn away a child that is not a node), has
+    children and lacks it, children before parents.  An explicit
     stack replaces a Python frame per nesting level, so a deep formula is
     as easy as a shallow one.  compute reads its children's values as
     attributes: an inner child's is kept by then, a leaf's is quick."""
@@ -188,7 +185,7 @@ def _upward(f, slot, compute, wanted=None):
             continue
         todo = [
             c for c in children(g)
-            if c._kids and slot not in c.__dict__ and (wanted is None or wanted(c))
+            if (wanted is None or wanted(c)) and c._kids and slot not in c.__dict__
         ]
         if todo:
             stack += todo
@@ -559,18 +556,21 @@ def subformulas(f: _Node):
 def compiled(f: _Node, cases: dict, slot: str, what: str):
     """The closure that evaluates f: ``cases[type(f)](f, *kids)``, given
     the closures of f's children, compiled the same way.  It is made on
-    first use and kept in f's own ``__dict__`` under slot, the way cached
-    properties are.  A value with no case compiles to a closure that
-    raises TypeError when called, so the error is as lazy as evaluation."""
+    first use and kept in f's own ``__dict__`` under slot, children first
+    on ``_upward``'s explicit stack.  A value with no case compiles to a
+    closure that raises TypeError when called, so the error is as lazy as
+    evaluation."""
     fn = getattr(f, slot, None)
     if fn is None:
-        case = cases.get(type(f))
-        if case is None:
+        if type(f) not in cases:
             def fn(*args):
                 raise TypeError(f"not {what}: {f!r}")
             return fn
-        kids = [compiled(c, cases, slot, what) for c in children(f)]
-        fn = f.__dict__[slot] = case(f, *kids)
+        fn = _upward(
+            f, slot,
+            lambda g: cases[type(g)](g, *[compiled(c, cases, slot, what) for c in children(g)]),
+            lambda g: type(g) in cases,
+        )
     return fn
 
 
@@ -716,7 +716,90 @@ def _recode(g):
 
 
 # ---------------------------------------------------------------------------
-# Lexer / parser
+# Concrete syntax
+
+
+class Op(NamedTuple):
+    """One row of an operator table, read by its syntax's parser and printer:
+    the operator as printed (its token stripped of spaces), how tightly it
+    binds, and the floors of its operands before and after the token (None
+    where it has none).  An operand whose strength is below its floor is
+    bracketed.  A right floor equal to the strength associates to the
+    right; a prefix or postfix floor is above every infix strength."""
+
+    text: str
+    strength: int
+    left: int | None
+    right: int | None
+
+
+# the strength of constants and of prefix and postfix operators: no floor is above it
+TIGHTEST = 9
+
+# the floor of a prefix operand and of @'s body: above every infix operator
+_UNARY = 5
+
+# the hybrid operator table
+_OPS = {
+    Iff: Op(" <-> ", 1, 1, 2),
+    Implies: Op(" -> ", 2, 3, 2),
+    Or: Op(" | ", 3, 3, 4),
+    And: Op(" & ", 4, 4, 5),
+    Not: Op("~", TIGHTEST, None, _UNARY),
+    Diamond: Op("<>", TIGHTEST, None, _UNARY),
+    Box: Op("[]", TIGHTEST, None, _UNARY),
+    Future: Op("F ", TIGHTEST, None, _UNARY),
+    Globally: Op("G ", TIGHTEST, None, _UNARY),
+    Past: Op("P ", TIGHTEST, None, _UNARY),
+    Historically: Op("H ", TIGHTEST, None, _UNARY),
+    Somewhere: Op("E ", TIGHTEST, None, _UNARY),
+    Everywhere: Op("A ", TIGHTEST, None, _UNARY),
+    Top: Op("true", TIGHTEST, None, None),
+    Bot: Op("false", TIGHTEST, None, None),
+}
+
+
+def token_maps(ops: dict) -> tuple[dict, dict, dict, dict]:
+    """A parser's view of an operator table: the class and row of each
+    token, in four maps by the operands its row has: infix (both), prefix
+    (right), postfix (left) and constant (none)."""
+    maps = {(True, True): {}, (False, True): {}, (True, False): {}, (False, False): {}}
+    for cls, op in ops.items():
+        maps[op.left is not None, op.right is not None][op.text.strip()] = cls, op
+    return tuple(maps.values())
+
+
+def render(f: _Node, ops: dict, parts) -> str:
+    """The concrete text of f under the operator table ops, on an explicit
+    stack, not a Python frame per nesting level.  A node with a row prints
+    its operands around the row's text at the row's floors, bracketed when
+    its strength is below the floor it is printed at.  Any other node g
+    prints as ``parts(g, floor, trailing)`` says: texts and (node, floor,
+    trailing) operands, where trailing marks an operand that more tokens of
+    an enclosing operator follow."""
+    out, stack = [], [(f, 0, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        g, floor, trailing = item
+        op = ops.get(type(g))
+        if op is None:
+            stack += reversed(parts(g, floor, trailing))
+            continue
+        # the row's pieces go on the stack last first
+        bracket = op.strength < floor
+        if bracket:
+            out.append("(")
+            stack.append(")")
+        if op.right is not None:
+            stack.append((getattr(g, g._kids[-1]), op.right, trailing and not bracket))
+        if op.left is None:
+            out.append(op.text)
+        else:
+            stack += [op.text, (getattr(g, g._kids[0]), op.left, True)]
+    return "".join(out)
 
 
 class _Tokens:
@@ -782,12 +865,14 @@ class _Tokens:
             self.fail("trailing input")
         return result
 
-    def chain(self, ops, operand):
-        """One left-associative infix level: operands joined by the tokens
-        of ops, each mapped to the node class it builds."""
+    def infix(self, ops, operand, floor=0):
+        """Operands read by operand, joined by the infix operators of ops (a
+        ``token_maps`` map) that bind at least as tightly as floor, each
+        right operand at its row's right floor (precedence climbing)."""
         left = operand()
-        while self.peek()[1] in ops:
-            left = ops[self.next()[1]](left, operand())
+        while (row := ops.get(self.peek()[1])) and row[1].strength >= floor:
+            self.next()
+            left = row[0](left, self.infix(ops, operand, row[1].right))
         return left
 
 
@@ -795,40 +880,23 @@ class _Parser(_Tokens):
     pattern = re.compile(
         r"""
         (?P<ws>\s+)
-      | (?P<iff><->)
-      | (?P<implies>->)
-      | (?P<diamond><>)
-      | (?P<box>\[\])
+      | (?P<op><->|->|<>|\[\]|[()&|~@+,.])
       | (?P<nomtok>'[A-Za-z_][A-Za-z0-9_]*)
       | (?P<svartok>\$[A-Za-z_][A-Za-z0-9_]*)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[()&|~@+,.])
         """,
         re.VERBOSE,
     )
     reserved = ("nomtok", "svartok", "ident")
 
-    def formula(self):
-        return self.chain({"<->": Iff}, self.implies_level)
-
-    def implies_level(self):
-        left = self.chain({"|": Or}, self.and_level)
-        if self.peek()[1] == "->":
-            self.next()
-            return Implies(left, self.implies_level())
-        return left
-
-    def and_level(self):
-        return self.chain({"&": And}, self.unary)
-
     def unary(self):
         kind, value, _ = self.peek()
         if value in _PREFIX_CLASSES:
             self.next()
-            return _PREFIX_CLASSES[value](self.unary())
+            return _PREFIX_CLASSES[value][0](self.unary())
         if value == "(":
             self.next()
-            f = self.formula()
+            f = self.infix(_INFIX, self.unary)
             self.expect(")")
             return f
         if value == "@":
@@ -844,20 +912,20 @@ class _Parser(_Tokens):
             self.fail("expected a formula")
         self.next()
         if value in _CONSTANTS:
-            return _CONSTANTS[value]()
+            return _CONSTANTS[value][0]()
         if value == "down":
             vkind, vval, vpos = self.next()
             if vkind != "svartok":
                 raise self.error_at(vpos, "down binds a state variable")
             self.expect(".")
-            return Down(Atom(SVAR, vval[1:]), self.formula())
+            return Down(Atom(SVAR, vval[1:]), self.infix(_INFIX, self.unary))
         if value in _APP_CLASSES:
             while value + "+" in _APP_CLASSES and self.peek()[1] == "+":
                 value += self.next()[1]
             self.expect("(")
-            left = self.formula()
+            left = self.infix(_INFIX, self.unary)
             self.expect(",")
-            right = self.formula()
+            right = self.infix(_INFIX, self.unary)
             self.expect(")")
             return _APP_CLASSES[value](left, right)
         return Atom(PROP, value)
@@ -866,22 +934,8 @@ class _Parser(_Tokens):
 def parse(text: str, allow_reserved: bool = False) -> Formula:
     """Parse concrete syntax into a Formula; raises ParseError with position."""
     parser = _Parser(text, allow_reserved)
-    return parser.done(parser.formula())
+    return parser.done(parser.infix(_INFIX, parser.unary))
 
-
-_PREC = {Iff: 1, Implies: 2, Or: 3, And: 4}
-
-_PREFIX_TOKENS = {
-    Not: "~",
-    Diamond: "<>",
-    Box: "[]",
-    Future: "F ",
-    Globally: "G ",
-    Past: "P ",
-    Historically: "H ",
-    Somewhere: "E ",
-    Everywhere: "A ",
-}
 
 _APP_TOKENS = {
     Until: "U",
@@ -894,10 +948,13 @@ _APP_TOKENS = {
 
 
 # the parser reads the printer's tables backwards
-_PREFIX_CLASSES = {token.strip(): cls for cls, token in _PREFIX_TOKENS.items()}
+_INFIX, _PREFIX_CLASSES, _, _CONSTANTS = token_maps(_OPS)
 _APP_CLASSES = {token: cls for cls, token in _APP_TOKENS.items()}
-_CONSTANTS = {"true": Top, "false": Bot}
 _SIGILS = {"nomtok": NOM, "svartok": SVAR}
+
+# identifiers the parser reads as operators or constants, so no
+# proposition may take one as its name
+RESERVED_WORDS = frozenset(t for t in [*_PREFIX_CLASSES, *_APP_CLASSES, *_CONSTANTS, "down"] if t.isidentifier())
 
 
 def _atom_text(a: Atom) -> str:
@@ -907,37 +964,20 @@ def _atom_text(a: Atom) -> str:
 
 def print_formula(f: Formula) -> str:
     """Canonical concrete syntax; parse(print_formula(f)) == f structurally."""
-    return _render(f, 0, False)
+    return render(f, _OPS, _parts)
 
 
-def _render(f, floor, trailing):
-    # `trailing` marks positions that more tokens will follow at binary level;
-    # a down binder there must be parenthesized since its body extends
-    # maximally to the right.
-    if isinstance(f, Atom):
-        return _atom_text(f)
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if type(f) in _PREFIX_TOKENS:
-        return _PREFIX_TOKENS[type(f)] + _render(f.body, 5, trailing)
-    if type(f) in _APP_TOKENS:
-        return f"{_APP_TOKENS[type(f)]}({_render(f.left, 0, False)}, {_render(f.right, 0, False)})"
-    if isinstance(f, At):
-        return f"@{_atom_text(f.term)} " + _render(f.body, 5, trailing)
-    if isinstance(f, Down):
-        body = f"down {_atom_text(f.var)} . " + _render(f.body, 0, False)
-        return f"({body})" if trailing else body
-    prec = _PREC[type(f)]
-    wrapped = floor > prec
-    inner_trailing = False if wrapped else trailing
-    if isinstance(f, And):
-        text = _render(f.left, 4, True) + " & " + _render(f.right, 5, inner_trailing)
-    elif isinstance(f, Or):
-        text = _render(f.left, 3, True) + " | " + _render(f.right, 4, inner_trailing)
-    elif isinstance(f, Implies):
-        text = _render(f.left, 3, True) + " -> " + _render(f.right, 2, inner_trailing)
-    else:
-        text = _render(f.left, 1, True) + " <-> " + _render(f.right, 2, inner_trailing)
-    return f"({text})" if wrapped else text
+def _parts(g, floor, trailing):
+    """How a hybrid node without an operator row prints.  A down binder's
+    body extends as far right as it can, so a binder that more tokens
+    follow is bracketed."""
+    if isinstance(g, Atom):
+        return [_atom_text(g)]
+    if type(g) in _APP_TOKENS:
+        return [f"{_APP_TOKENS[type(g)]}(", (g.left, 0, False), ", ", (g.right, 0, False), ")"]
+    if isinstance(g, At):
+        return [f"@{_atom_text(g.term)} ", (g.body, _UNARY, trailing)]
+    if isinstance(g, Down):
+        parts = [f"down {_atom_text(g.var)} . ", (g.body, 0, False)]
+        return ["(", *parts, ")"] if trailing else parts
+    raise TypeError(f"not a formula node: {g!r}")

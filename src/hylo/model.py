@@ -94,6 +94,16 @@ class HybridModel:
         return out
 
 
+def _decode_valuation(code, props, states):
+    """The valuation a code packs: proposition i holds at the s-th state
+    when bit i * len(states) + s of code is set."""
+    k = len(states)
+    return {
+        p: frozenset(states[s] for s in range(k) if (code >> (i * k + s)) & 1)
+        for i, p in enumerate(props)
+    }
+
+
 def is_transitive(m: HybridModel) -> bool:
     """Every successor of a successor is a successor."""
     succ = {s: set(ts) for s, ts in m._relation()[0].items()}

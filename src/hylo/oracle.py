@@ -77,7 +77,7 @@ from .formula import (
     props_of,
     record,
 )
-from .model import HybridModel
+from .model import HybridModel, _decode_valuation
 from . import satellites as sat
 
 FRAME_CLASSES = ("any", "transitive", "complete", "transitive-tree", "linear")
@@ -352,14 +352,6 @@ def _split_atoms(atoms):
         else:
             raise ValueError("state variables are not enumerated in valuations")
     return tuple(sorted(set(props))), tuple(sorted(set(noms)))
-
-
-def _decode_valuation(code, props, names):
-    k = len(names)
-    return {
-        p: frozenset(names[s] for s in range(k) if (code >> (i * k + s)) & 1)
-        for i, p in enumerate(props)
-    }
 
 
 def enumerate_models(frame, max_states, atoms=()):

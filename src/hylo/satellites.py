@@ -13,7 +13,8 @@ from collections import Counter
 from functools import cached_property
 from itertools import product
 
-from .formula import MARKS, Language, ParseError, _Node, _node, _Tokens, _values, compiled, record, subformulas
+from .formula import MARKS, TIGHTEST, Language, Op, ParseError, _Node, _node, _Tokens, _values, compiled, record
+from .formula import render, subformulas, token_maps
 from .model import _closure, _name_lists, _name_map, _names
 
 
@@ -350,8 +351,22 @@ def string_structure(word) -> FOStructure:
 
 
 # -- FO concrete syntax -----------------------------------------------------
-# quantifiers "E x." / "A x."; atoms R(x,y), R+(x,y), P(x), x=y, x<y;
-# connectives ~ & | ->; free names parse as constants.
+# quantifiers "E x." / "A x." (a body extends maximally, so a quantifier
+# prints bracketed unless it is the whole text or a body); atoms R(x,y),
+# R+(x,y), P(x), and x=y, x<y from _TERM_RELATIONS; the operators of
+# _FO_OPS; free names parse as constants.
+
+_FO_OPS = {
+    FOImplies: Op(" -> ", 1, 2, 1),
+    FOOr: Op(" | ", 2, 2, 3),
+    FOAnd: Op(" & ", 3, 3, 4),
+    FONot: Op("~", TIGHTEST, None, 4),
+    FOTrue: Op("true", TIGHTEST, None, None),
+    FOFalse: Op("false", TIGHTEST, None, None),
+}
+_FO_INFIX, _FO_PREFIX, _, _FO_CONSTANTS = token_maps(_FO_OPS)
+_TERM_RELATIONS = {"=": Eq, "<": Rel}
+
 
 class FOParseError(ParseError):
     """A syntax error in FO concrete syntax, with its line and column."""
@@ -361,25 +376,14 @@ class _FOParser(_Tokens):
     pattern = re.compile(
         r"""
         (?P<ws>\s+)
-      | (?P<implies>->)
       | (?P<plus>R\+\s*\()
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*|[0-9]+)
-      | (?P<punct>[()~&|=<,.])
+      | (?P<punct>->|[()~&|=<,.])
         """,
         re.VERBOSE,
     )
     reserved = ("ident",)
     error = FOParseError
-
-    def formula(self):
-        left = self.chain({"|": FOOr}, self.and_level)
-        if self.peek()[1] == "->":
-            self.next()
-            return FOImplies(left, self.formula())
-        return left
-
-    def and_level(self):
-        return self.chain({"&": FOAnd}, self.unary)
 
     def term_name(self):
         if self.peek()[0] != "ident":
@@ -388,12 +392,12 @@ class _FOParser(_Tokens):
 
     def unary(self):
         kind, value, pos = self.peek()
-        if value == "~":
+        if value in _FO_PREFIX:
             self.next()
-            return FONot(self.unary())
+            return _FO_PREFIX[value][0](self.unary())
         if value == "(":
             self.next()
-            f = self.formula()
+            f = self.infix(_FO_INFIX, self.unary)
             self.expect(")")
             return f
         if kind == "plus":
@@ -410,13 +414,10 @@ class _FOParser(_Tokens):
             var = self.term_name()
             self.expect(".")
             cls = Exists if value == "E" else Forall
-            return cls(var, self.formula())
-        if value == "true":
+            return cls(var, self.infix(_FO_INFIX, self.unary))
+        if value in _FO_CONSTANTS:
             self.next()
-            return FOTrue()
-        if value == "false":
-            self.next()
-            return FOFalse()
+            return _FO_CONSTANTS[value][0]()
         name = self.term_name()
         value2 = self.peek()[1]
         if value2 == "(":
@@ -431,18 +432,15 @@ class _FOParser(_Tokens):
                 return Rel(FOVar(a), FOVar(b))
             self.expect(")")
             return Pred(name, FOVar(a))
-        if value2 == "=":
+        if value2 in _TERM_RELATIONS:
             self.next()
-            return Eq(FOVar(name), FOVar(self.term_name()))
-        if value2 == "<":
-            self.next()
-            return Rel(FOVar(name), FOVar(self.term_name()))
+            return _TERM_RELATIONS[value2](FOVar(name), FOVar(self.term_name()))
         self.fail(f"dangling term {name!r}")
 
 
 def parse_fo(text: str) -> FOFormula:
     parser = _FOParser(text)
-    f = parser.done(parser.formula())
+    f = parser.done(parser.infix(_FO_INFIX, parser.unary))
     # free names are constants; bound ones stay variables
     return fo_rename(f, lambda v, scope: v, FOConst)
 
@@ -451,43 +449,24 @@ def fo_to_text(f: FOFormula, rplus_as_lfp: bool = False) -> str:
     """Concrete FO syntax; with rplus_as_lfp closure atoms print as their
     least-fixed-point form instead of the primitive R+ symbol."""
 
-    def term(t):
-        return t.name
-
-    def rec(g, floor):
-        if isinstance(g, FOTrue):
-            return "true"
-        if isinstance(g, FOFalse):
-            return "false"
-        if isinstance(g, Rel):
-            return f"R({term(g.left)},{term(g.right)})"
-        if isinstance(g, RelPlus):
-            a, b = term(g.left), term(g.right)
-            if rplus_as_lfp:
-                return f"[LFP W({a},{b}). (R({a},{b}) | E z. (R(z,{b}) & W({a},z)))]({a},{b})"
-            return f"R+({a},{b})"
-        if isinstance(g, Eq):
-            return f"{term(g.left)}={term(g.right)}"
-        if isinstance(g, Pred):
-            return f"{g.name}({term(g.term)})"
-        if isinstance(g, FONot):
-            return "~" + rec(g.body, 4)
-        if isinstance(g, FOAnd):
-            text = rec(g.left, 3) + " & " + rec(g.right, 4)
-            return f"({text})" if floor > 3 else text
-        if isinstance(g, FOOr):
-            text = rec(g.left, 2) + " | " + rec(g.right, 3)
-            return f"({text})" if floor > 2 else text
-        if isinstance(g, FOImplies):
-            text = rec(g.left, 2) + " -> " + rec(g.right, 1)
-            return f"({text})" if floor > 1 else text
+    def parts(g, floor, trailing):
         if isinstance(g, (Exists, Forall)):
-            q = "E" if isinstance(g, Exists) else "A"
-            text = f"{q} {g.var}. " + rec(g.body, 0)
-            return f"({text})" if floor > 0 else text
+            text = [f"{'E' if isinstance(g, Exists) else 'A'} {g.var}. ", (g.body, 0, False)]
+            return ["(", *text, ")"] if floor > 0 else text
+        if isinstance(g, Rel):
+            return [f"R({g.left.name},{g.right.name})"]
+        if isinstance(g, RelPlus):
+            a, b = g.left.name, g.right.name
+            if rplus_as_lfp:
+                return [f"[LFP W({a},{b}). (R({a},{b}) | E z. (R(z,{b}) & W({a},z)))]({a},{b})"]
+            return [f"R+({a},{b})"]
+        if isinstance(g, Eq):
+            return [f"{g.left.name}={g.right.name}"]
+        if isinstance(g, Pred):
+            return [f"{g.name}({g.term.name})"]
         raise TypeError(f"not an FO node: {g!r}")
 
-    return rec(f, 0)
+    return render(f, _FO_OPS, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -766,53 +745,49 @@ def enumerate_trees(n: int, atoms=()):
 
 
 # -- PDL concrete syntax ----------------------------------------------------
-# formulas: atoms, ~f, f & g, <prog>f, parentheses
-# programs: left right up down, p;q, p|q, p*, p+, ?(f)
+# formulas: atoms, parentheses, <prog>f and the operators of _PDL_OPS;
+# programs: ?(f), parentheses, p+ and the operators of _PROG_OPS.
+
+# the floor of a prefix operand, ~ or <prog>
+_PDL_UNARY = 2
+
+_PDL_OPS = {
+    PdlAnd: Op(" & ", 1, _PDL_UNARY, _PDL_UNARY),
+    PdlNot: Op("~", TIGHTEST, None, _PDL_UNARY),
+}
+_PROG_OPS = {
+    Choice: Op(" | ", 1, 1, 2),
+    Seq: Op(";", 2, 2, 3),
+    Star: Op("*", TIGHTEST, 3, None),
+    Left: Op("left", TIGHTEST, None, None),
+    Right: Op("right", TIGHTEST, None, None),
+    Up: Op("up", TIGHTEST, None, None),
+    DownP: Op("down", TIGHTEST, None, None),
+}
+# the parser reads the printer's tables backwards; p+ is the derived a;a*
+_PDL_INFIX, _PDL_PREFIX, _, _ = token_maps(_PDL_OPS)
+_PROG_INFIX, _, _POSTFIX, _PROG_CONSTANTS = token_maps(_PROG_OPS)
+_POSTFIX["+"] = plus_prog, None
+# one printer walk reads both tables, since each family holds the other
+_PDL_PRINTED = {**_PDL_OPS, **_PROG_OPS}
 
 
 def pdl_to_text(f: PdlFormula) -> str:
-    if isinstance(f, PdlAtom):
-        return f.name
-    if isinstance(f, PdlNot):
-        return "~" + _pdl_unary_text(f.body)
-    if isinstance(f, PdlAnd):
-        return f"{_pdl_unary_text(f.left)} & {_pdl_unary_text(f.right)}"
-    if isinstance(f, PdlDiamond):
-        return f"<{pdl_prog_to_text(f.program)}>{_pdl_unary_text(f.body)}"
-    raise TypeError(f"not a PDL formula: {f!r}")
-
-
-def _pdl_unary_text(f):
-    text = pdl_to_text(f)
-    return f"({text})" if isinstance(f, PdlAnd) else text
-
-
-_PROG_NAMES = {Left: "left", Right: "right", Up: "up", DownP: "down"}
-
-# binding strength of the infix programs; every other program binds tightest
-_PROG_PREC = {Choice: 1, Seq: 2}
+    return render(f, _PDL_PRINTED, _pdl_parts)
 
 
 def pdl_prog_to_text(p: PdlProgram) -> str:
-    if type(p) in _PROG_NAMES:
-        return _PROG_NAMES[type(p)]
-    # ; and | read left-nested, so a right operand with the same operator
-    # keeps its brackets
-    if isinstance(p, Seq):
-        return f"{_prog_part(p.first, 2)};{_prog_part(p.second, 3)}"
-    if isinstance(p, Choice):
-        return f"{_prog_part(p.left, 1)} | {_prog_part(p.right, 2)}"
-    if isinstance(p, Star):
-        return _prog_part(p.body, 3) + "*"
-    if isinstance(p, Test):
-        return f"?({pdl_to_text(p.formula)})"
-    raise TypeError(f"not a PDL program: {p!r}")
+    return render(p, _PDL_PRINTED, _pdl_parts)
 
 
-def _prog_part(p, floor):
-    """The text of p, bracketed when p binds looser than floor."""
-    text = pdl_prog_to_text(p)
-    return f"({text})" if _PROG_PREC.get(type(p), 3) < floor else text
+def _pdl_parts(g, floor, trailing):
+    if isinstance(g, PdlAtom):
+        return [g.name]
+    if isinstance(g, PdlDiamond):
+        return ["<", (g.program, 0, False), ">", (g.body, _PDL_UNARY, False)]
+    if isinstance(g, Test):
+        return ["?(", (g.formula, 0, False), ")"]
+    raise TypeError(f"not a PDL node: {g!r}")
 
 
 class PdlParseError(ParseError):
@@ -823,22 +798,19 @@ class _PdlParser(_Tokens):
     pattern = re.compile(r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>[()<>~&;|*+?])")
     error = PdlParseError
 
-    def formula(self):
-        return self.chain({"&": PdlAnd}, self.unary)
-
     def unary(self):
         kind, value, _ = self.peek()
-        if value == "~":
+        if value in _PDL_PREFIX:
             self.next()
-            return PdlNot(self.unary())
+            return _PDL_PREFIX[value][0](self.unary())
         if value == "<":
             self.next()
-            prog = self.program()
+            prog = self.infix(_PROG_INFIX, self.postfix)
             self.expect(">")
             return PdlDiamond(prog, self.unary())
         if value == "(":
             self.next()
-            f = self.formula()
+            f = self.infix(_PDL_INFIX, self.unary)
             self.expect(")")
             return f
         if kind == "ident":
@@ -846,45 +818,34 @@ class _PdlParser(_Tokens):
             return PdlAtom(value)
         self.fail("expected a PDL formula")
 
-    def program(self):
-        return self.chain({"|": Choice}, self.seq)
-
-    def seq(self):
-        return self.chain({";": Seq}, self.postfix)
-
     def postfix(self):
         base = self.prog_base()
-        while self.peek()[1] in ("*", "+"):
-            op = self.next()[1]
-            base = Star(base) if op == "*" else plus_prog(base)
+        while self.peek()[1] in _POSTFIX:
+            base = _POSTFIX[self.next()[1]][0](base)
         return base
 
     def prog_base(self):
         kind, value, _ = self.peek()
         if value == "(":
             self.next()
-            p = self.program()
+            p = self.infix(_PROG_INFIX, self.postfix)
             self.expect(")")
             return p
         if value == "?":
             self.next()
             self.expect("(")
-            f = self.formula()
+            f = self.infix(_PDL_INFIX, self.unary)
             self.expect(")")
             return Test(f)
-        if kind == "ident" and value in _PROG_CLASSES:
+        if kind == "ident" and value in _PROG_CONSTANTS:
             self.next()
-            return _PROG_CLASSES[value]()
+            return _PROG_CONSTANTS[value][0]()
         self.fail("expected a program")
-
-
-# the parser reads the printer's table backwards
-_PROG_CLASSES = {name: cls for cls, name in _PROG_NAMES.items()}
 
 
 def parse_pdl(text: str) -> PdlFormula:
     parser = _PdlParser(text)
-    return parser.done(parser.formula())
+    return parser.done(parser.infix(_PDL_INFIX, parser.unary))
 
 
 # -- tree / structure file formats (mirror the model format) ----------------

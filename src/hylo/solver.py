@@ -48,6 +48,7 @@ from .formula import (
     record,
     svars_of,
 )
+from .model import _decode_valuation
 
 
 @record
@@ -268,13 +269,6 @@ class _Shape:
                 return False
         return True
 
-    def valuation(self, code, atoms):
-        n_m, m_states = self.n_m, self.rep.m_states
-        return {
-            p: frozenset(m_states[s] for s in range(n_m) if (code >> (i * n_m + s)) & 1)
-            for i, p in enumerate(atoms)
-        }
-
     def guesses(self, rep, compiled, stats):
         """Guess vectors in canonical order: per slot, types realized in the
         explicit part first, then all remaining subsets of the closure."""
@@ -344,7 +338,7 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                         if not shape.canonical(code, len(atoms)):
                             stats["valuations_skipped"] += 1
                             continue
-                        rep = shape.rep.with_val(shape.valuation(code, atoms))
+                        rep = shape.rep.with_val(_decode_valuation(code, atoms, shape.rep.m_states))
                         for guess in shape.guesses(rep, compiled, stats):
                             candidates += 1
                             result = verify(rep, recoded, guess)

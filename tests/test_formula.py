@@ -46,6 +46,7 @@ from hylo.formula import (
     svar,
     svars_of,
 )
+from operator_rows import placed, rows_beside_rows, unary_floors_clear_infix
 
 p, q = prop("p"), prop("q")
 x, y = svar("x"), svar("y")
@@ -122,6 +123,50 @@ def test_keywords_are_the_parser_tokens_and_name_no_proposition():
         with pytest.raises(ValueError, match="keyword"):
             prop(word)
         assert parse(print_formula(nom(word))) == nom(word)
+
+
+def test_every_operator_row_round_trips_beside_every_other():
+    from hylo.formula import _OPS
+
+    # 4 infix rows hold each of the 15 rows on either side, 9 prefix rows
+    # hold each once
+    assert rows_beside_rows(_OPS, [p, q], lambda f: parse(print_formula(f))) == 4 * 15 * 2 + 9 * 15
+    # beside the hand-written forms too: a down binder's body extends
+    # maximally, so a binder that more tokens follow is bracketed
+    for inner in [Down(x, And(p, x)), At(nom("i"), Or(p, q)), Until(p, q)]:
+        for cls, op in _OPS.items():
+            for f in placed(cls, op, inner, q):
+                assert parse(print_formula(f)) is f
+
+
+def test_prefix_floors_are_above_every_infix_strength():
+    # the parser reads a prefix operand, and @'s body, as a unary
+    from hylo.formula import _OPS, _UNARY
+
+    assert unary_floors_clear_infix(_OPS)
+    assert _UNARY > max(op.strength for op in _OPS.values() if op.left is not None)
+
+
+def test_deep_brackets_parse():
+    # a bracket level costs the parser two Python frames
+    assert parse("(" * 300 + "p & q" + ")" * 300) == And(p, q)
+    f = parse("~(p & " * 150 + "q" + ")" * 150)
+    for _ in range(150):
+        assert type(f) is Not and f.body.left is p
+        f = f.body.right
+    assert f is q
+
+
+def test_deep_formulas_print():
+    # built by a loop; the printer walks an explicit stack
+    f = p
+    for _ in range(5000):
+        f = Not(And(f, Diamond(q)))
+    assert print_formula(f) == "~(" * 5000 + "p" + " & <>q)" * 5000
+    g = q
+    for _ in range(5000):
+        g = And(Down(x, p), g)
+    assert print_formula(g) == "(down $x . p) & (" * 4999 + "(down $x . p) & q" + ")" * 4999
 
 
 def test_until_variants_parse():

@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hylo.formula import ParseError
 from hylo.satellites import (
@@ -12,7 +14,9 @@ from hylo.satellites import (
     FOConst,
     FOEvalError,
     FOFalse,
+    FOImplies,
     FONot,
+    FOOr,
     FOParseError,
     FOStructure,
     FOTrue,
@@ -23,6 +27,7 @@ from hylo.satellites import (
     PdlDiamond,
     PdlNot,
     PdlParseError,
+    PdlAnd,
     Pred,
     Rel,
     RelPlus,
@@ -35,6 +40,7 @@ from hylo.satellites import (
     enumerate_trees,
     fo_eval,
     fo_free_vars,
+    fo_rename,
     fo_to_text,
     is_all_u1,
     is_mc_eq,
@@ -43,12 +49,14 @@ from hylo.satellites import (
     pdl_box,
     pdl_eval,
     pdl_program_relation,
+    pdl_prog_to_text,
     pdl_to_text,
     plus_prog,
     string_structure,
     tree_from_dict,
     tree_to_dict,
 )
+from operator_rows import rows_beside_rows, unary_floors_clear_infix
 
 x, y = FOVar("x"), FOVar("y")
 
@@ -310,6 +318,107 @@ def test_pdl_text_roundtrip():
         assert parse_pdl(pdl_to_text(f)) is f
     assert pdl_to_text(formulas[4]) == "<up*;(left;left*);down*>i"
     assert pdl_to_text(formulas[5]) == "<left | (right | up)>p"
+
+
+# -- the operator tables ---------------------------------------------------
+
+
+def _fo_roundtrip(f):
+    return parse_fo(fo_to_text(f))
+
+
+def test_every_fo_operator_row_round_trips_beside_every_other():
+    from hylo.satellites import _FO_OPS
+
+    a, b = Pred("p", FOConst("c")), Rel(FOConst("c"), FOConst("d"))
+    # 3 infix rows hold each of the 6 rows on either side, ~ holds each once
+    assert rows_beside_rows(_FO_OPS, [a, b], _fo_roundtrip) == 3 * 6 * 2 + 6
+    # and beside a quantifier, whose body extends maximally
+    for f in (FOAnd(Exists("x", Pred("p", x)), a), FONot(Forall("x", Pred("p", x))), FOImplies(a, Exists("x", a))):
+        assert _fo_roundtrip(f) is f
+
+
+def test_every_pdl_operator_row_round_trips_beside_every_other():
+    from hylo.satellites import _PDL_OPS, _PROG_OPS
+
+    p, q = PdlAtom("p"), PdlAtom("q")
+    assert rows_beside_rows(_PDL_OPS, [p, q], lambda f: parse_pdl(pdl_to_text(f))) == 2 * 2 + 2
+    # a program reads back inside a diamond; 2 infix rows hold each of the
+    # 7 rows on either side, * holds each once
+    checked = rows_beside_rows(
+        _PROG_OPS, [Left(), Test(PdlAnd(p, q))], lambda g: parse_pdl(pdl_to_text(PdlDiamond(g, p))).program
+    )
+    assert checked == 2 * 7 * 2 + 7
+
+
+def test_prefix_and_postfix_floors_are_above_every_infix_strength():
+    # the parsers read a prefix or postfix operand as a unary, without a floor
+    from hylo.satellites import _FO_OPS, _PDL_OPS, _PROG_OPS
+
+    for ops in (_FO_OPS, _PDL_OPS, _PROG_OPS):
+        assert unary_floors_clear_infix(ops)
+
+
+_terms = st.sampled_from([x, y, FOConst("c"), FOConst("d")])
+
+
+def _fo_formulas():
+    atoms = st.one_of(
+        st.sampled_from([FOTrue(), FOFalse()]),
+        st.builds(Rel, _terms, _terms),
+        st.builds(RelPlus, _terms, _terms),
+        st.builds(Eq, _terms, _terms),
+        st.builds(Pred, st.sampled_from(["p", "q"]), _terms),
+    )
+
+    def extend(child):
+        return st.one_of(
+            st.builds(FONot, child),
+            *[st.builds(cls, child, child) for cls in (FOAnd, FOOr, FOImplies)],
+            *[st.builds(cls, st.sampled_from(["x", "y"]), child) for cls in (Exists, Forall)],
+        )
+
+    return st.recursive(atoms, extend, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fo_formulas())
+def test_fo_print_parse_roundtrip(f):
+    # the parser reads a free variable as a constant
+    assert _fo_roundtrip(f) is fo_rename(f, lambda v, scope: v, FOConst)
+
+
+_pdl_atoms = st.sampled_from([PdlAtom("p"), PdlAtom("q"), PdlAtom("i'")])
+_programs = st.recursive(
+    st.one_of(st.sampled_from([Left(), Right(), Up(), DownP()]), st.builds(Test, st.deferred(lambda: _pdl_formulas))),
+    lambda c: st.one_of(st.builds(Seq, c, c), st.builds(Choice, c, c), st.builds(Star, c), st.builds(plus_prog, c)),
+    max_leaves=6,
+)
+_pdl_formulas = st.recursive(
+    _pdl_atoms,
+    lambda c: st.one_of(st.builds(PdlNot, c), st.builds(PdlAnd, c, c), st.builds(PdlDiamond, _programs, c)),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pdl_formulas)
+def test_pdl_print_parse_roundtrip(f):
+    assert parse_pdl(pdl_to_text(f)) is f
+
+
+def test_deep_fo_and_pdl_formulas_print():
+    # built by a loop; the printers walk an explicit stack
+    f = FOTrue()
+    for _ in range(5000):
+        f = FONot(FOAnd(f, Pred("q", FOConst("c"))))
+    assert fo_to_text(f) == "~(" * 5000 + "true" + " & q(c))" * 5000
+    g, prog = PdlAtom("p"), DownP()
+    for _ in range(5000):
+        g, prog = PdlNot(PdlAnd(g, PdlAtom("q"))), Star(Seq(prog, Left()))
+    assert pdl_to_text(g) == "~(" * 5000 + "p" + " & q)" * 5000
+    assert pdl_prog_to_text(prog) == "(" * 5000 + "down" + ";left)*" * 5000
+    assert pdl_to_text(PdlDiamond(prog, g)) == f"<{pdl_prog_to_text(prog)}>{pdl_to_text(g)}"
 
 
 def test_tree_dict_roundtrip():
