@@ -13,7 +13,9 @@ the explicit part and follows links through C-states by consulting guessed
 types, through its reference hook.  Its evaluation is compiled, one closure
 per formula node, and its memo holds only modal and Until nodes, so
 ``verify`` reuses for phi the modal answers it computed while it checked
-the guesses.
+the guesses.  A ``Recording`` evaluates under a vector of guesses and logs
+each test the hook makes of them, which is all that the evaluation
+depends on the guesses for.
 """
 
 from __future__ import annotations
@@ -71,36 +73,40 @@ class FiniteRep:
         m_val = {p: ss & m_set for p, ss in self.val.items()}
         m_model = HybridModel(self.m_states, m_rel, m_val)
         parts, edges = cliques(m_model)  # raises if not transitive
-        node_of = {}
-        for idx, part in enumerate(parts):
-            for s in part:
-                node_of[s] = idx
         self._check_condensation_tree(parts, edges)
+        object.__setattr__(self, "_m_model", m_model)
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_c_succ", self._attach(self.rel))
+
+    def _attach(self, rel):
+        """The reference successors of every explicit state, once each
+        c-state is checked to hang below some node and all its ancestors,
+        given edges that include those into the c-states."""
         c_succ = {s: [] for s in self.m_states}
+        if not self.c_states:
+            return c_succ
+        preds = {c: set() for c in self.c_states}
+        for a, b in rel:
+            if b in preds:
+                preds[b].add(a)
+        # each explicit state's node and all its ancestors, as a state set
+        parts = self._parts
+        nodes = [set(part) for part in parts]
+        for w, v in self._edges:
+            nodes[v] |= set(parts[w])
+        above = {s: nodes[u] for u, part in enumerate(parts) for s in part}
         for c in self.c_states:
-            preds = {a for a, b in self.rel if b == c}
-            if not preds:
+            if not preds[c]:
                 raise ValueError(f"c-state {c!r} is attached to no node")
-            candidates = {node_of[s] for s in preds}
             # the deepest node among the predecessors must account for the set
-            ok = False
-            for u in candidates:
-                expected = set(parts[u])
-                for w, v in edges:
-                    if v == u:
-                        expected |= set(parts[w])
-                if preds == expected:
-                    ok = True
-                    break
-            if not ok:
+            if not any(preds[c] == above[s] for s in preds[c]):
                 raise ValueError(
                     f"predecessors of c-state {c!r} are not a node plus its ancestors"
                 )
-            for a in preds:
+            for a in preds[c]:
                 c_succ[a].append(c)
-        object.__setattr__(self, "_m_model", m_model)
-        object.__setattr__(self, "_c_succ", c_succ)
-        object.__setattr__(self, "_parts", parts)
+        return c_succ
 
     @staticmethod
     def _check_condensation_tree(parts, edges):
@@ -135,6 +141,29 @@ class FiniteRep:
         out.__dict__.update(self.__dict__, val=val, _m_model=m_model)
         return out
 
+    def with_leaves(self, ref: dict, leaf_rel) -> FiniteRep:
+        """This explicit part with reference leaves: ``ref`` maps each new
+        c-state to the m-state it references, in c-state order, and
+        ``leaf_rel`` holds the edges into them.  Only the leaves are
+        checked; the explicit model, its cliques and its condensation tree
+        are shared with this representation."""
+        if self.c_states:
+            raise ValueError("leaves are added to a representation without c-states")
+        m_set = set(self.m_states)
+        for c, target in ref.items():
+            if c in m_set:
+                raise ValueError("m and c states overlap")
+            if target not in m_set:
+                raise ValueError(f"ref({c!r}) = {target!r} is not an m-state")
+        leaf_rel = frozenset(tuple(e) for e in leaf_rel)
+        for a, b in leaf_rel:
+            if a not in m_set or b not in ref:
+                raise ValueError(f"({a}, {b}) is not an edge from an m-state into a c-state")
+        out = object.__new__(FiniteRep)
+        out.__dict__.update(self.__dict__, c_states=tuple(ref), rel=self.rel | leaf_rel, ref=dict(ref))
+        out.__dict__["_c_succ"] = out._attach(leaf_rel)
+        return out
+
     def m_successors(self, s):
         return self._m_model.successors(s)
 
@@ -151,8 +180,9 @@ def _prepare(rep, phi, c_guess):
     return closure, guess, _Evaluator(rep._m_model, refs)
 
 
-def _types(rep, ev, closure, guess):
-    """Types of every state under one guess."""
+def _explicit_types(rep, ev, closure):
+    """Types of the explicit states: closure sentences true at each or at
+    an explicit state below it."""
     truths = {
         s: frozenset(chi for chi in closure if ev.run(chi, {}, s)) for s in rep.m_states
     }
@@ -162,9 +192,12 @@ def _types(rep, ev, closure, guess):
         for t in ev.succ[s]:
             here |= truths[t]
         types[s] = frozenset(here)
-    for c in rep.c_states:
-        types[c] = guess[c]
     return types
+
+
+def _types(rep, ev, closure, guess):
+    """Types of every state under one guess."""
+    return {**_explicit_types(rep, ev, closure), **guess}
 
 
 def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
@@ -179,6 +212,65 @@ def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
     """
     closure, guess, ev = _prepare(rep, phi, c_guess)
     return _types(rep, ev, closure, guess)
+
+
+class _Logged:
+    """A guessed type that logs each test of its membership: the checker's
+    reference hook reads a guess only through ``in``."""
+
+    __slots__ = ("slot", "members", "log")
+
+    def __init__(self, slot, members, log):
+        self.slot, self.members, self.log = slot, members, log
+
+    def __contains__(self, chi):
+        answer = self.log[self.slot, chi] = chi in self.members
+        return answer
+
+
+class Recording:
+    """One evaluation of a representation under a vector of guessed types
+    that logs every test it makes of a guess.
+
+    ``slots`` maps each explicit state to the slots in ``vector`` of its
+    reference successors, each once.  The evaluation reads the vector only
+    through the tests it logs, and it is deterministic, so a vector that
+    answers those tests the same way evaluates every sentence as this one
+    does: the result is recorded with what it depended on, as in
+    dependency-directed backtracking (Stallman & Sussman 1977).
+    """
+
+    def __init__(self, rep: FiniteRep, phi: Formula, slots: dict, vector, targets):
+        closure = diamond_closure(phi)
+        log = {}
+        logged = [_Logged(k, t, log) for k, t in enumerate(vector)]
+        refs = {s: [logged[k] for k in ks] for s, ks in slots.items()}
+        ev = _Evaluator(rep._m_model, refs)
+        self.rep, self.ev, self.closure = rep, ev, closure
+        #: the type of each target state under the vector
+        self.types = tuple(
+            frozenset(chi for chi in closure if any(ev.run(chi, {}, t) for t in [s, *ev.succ[s]]))
+            for s in targets
+        )
+        #: the tests those types depend on, as (slot, sentences tested, those
+        #: found in the guess), one per slot tested
+        per_slot = {}
+        for (k, chi), answer in log.items():
+            tested, found = per_slot.setdefault(k, (set(), set()))
+            tested.add(chi)
+            if answer:
+                found.add(chi)
+        self.tests = tuple((k, frozenset(t), frozenset(f)) for k, (t, f) in per_slot.items())
+
+    def settles(self, vector) -> bool:
+        """Whether vector answers every logged test as this one did, so
+        that its targets' types are ``types``."""
+        return all(vector[k] & tested == found for k, tested, found in self.tests)
+
+    def explicit_types(self) -> dict:
+        """The type of every explicit state under the vector, as
+        ``compute_types`` gives it; its tests are not recorded."""
+        return _explicit_types(self.rep, self.ev, self.closure)
 
 
 def _normalize_guess(rep, c_guess, closure):

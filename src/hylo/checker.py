@@ -65,7 +65,11 @@ class _Evaluator:
     holds, and a box also fails, when its closure sentence belongs to one
     of them; that is sound because the free variables of its body are
     bound at or above the crossing.  Guesses come only with down-fragment
-    formulas, whose modal nodes are all diamonds and boxes.
+    formulas, whose modal nodes are all diamonds and boxes.  This reference
+    hook is the only place that reads a guess, and it reads one only
+    through ``in``: a guess may be any container, and
+    ``blocktree.Recording`` passes one that logs each test, so that the
+    solver knows which guesses an evaluation depended on.
     """
 
     def __init__(self, model: HybridModel, refs: dict | None = None):

@@ -810,12 +810,15 @@ class _Tokens:
     with an underscore unless ``allow_reserved`` is set, and the ``error``
     class it raises.  A token is a (kind, value, offset) triple; every
     error carries the 1-based line and column of the token at fault,
-    worked out from its offset by ``error_at`` only when it is raised.
+    worked out from its offset by ``error_at`` only when it is raised.  A
+    parser reads an operand with ``unary``, from its own ``prefixes`` (the
+    tokens that start a prefix operator), ``prefix`` and ``primary``.
     """
 
     pattern: re.Pattern
     reserved = ()
     error = ParseError
+    prefixes = frozenset()
 
     def __init__(self, text, allow_reserved=False):
         self.text = text
@@ -865,6 +868,20 @@ class _Tokens:
             self.fail("trailing input")
         return result
 
+    def unary(self):
+        """An operand: a chain of prefix operators around one primary.  The
+        chain is read in a loop while the next token is in ``prefixes``,
+        each ``prefix`` reading one operator and giving its wrapper, and is
+        wrapped around the primary from the inside out, so its length takes
+        no Python frames."""
+        wraps = []
+        while self.toks[self.i][1] in self.prefixes:
+            wraps.append(self.prefix())
+        f = self.primary()
+        while wraps:
+            f = wraps.pop()(f)
+        return f
+
     def infix(self, ops, operand, floor=0):
         """Operands read by operand, joined by the infix operators of ops (a
         ``token_maps`` map) that bind at least as tightly as floor, each
@@ -874,6 +891,10 @@ class _Tokens:
             self.next()
             left = row[0](left, self.infix(ops, operand, row[1].right))
         return left
+
+
+# the parser reads the printer's tables backwards
+_INFIX, _PREFIX_CLASSES, _, _CONSTANTS = token_maps(_OPS)
 
 
 class _Parser(_Tokens):
@@ -888,23 +909,24 @@ class _Parser(_Tokens):
         re.VERBOSE,
     )
     reserved = ("nomtok", "svartok", "ident")
+    prefixes = frozenset([*_PREFIX_CLASSES, "@"])
 
-    def unary(self):
+    def prefix(self):
+        value = self.next()[1]
+        if value != "@":
+            return _PREFIX_CLASSES[value][0]
+        tkind, tval, tpos = self.next()
+        if tkind not in _SIGILS:
+            raise self.error_at(tpos, "at-term must be a nominal or state variable")
+        return partial(At, Atom(_SIGILS[tkind], tval[1:]))
+
+    def primary(self):
         kind, value, _ = self.peek()
-        if value in _PREFIX_CLASSES:
-            self.next()
-            return _PREFIX_CLASSES[value][0](self.unary())
         if value == "(":
             self.next()
             f = self.infix(_INFIX, self.unary)
             self.expect(")")
             return f
-        if value == "@":
-            self.next()
-            tkind, tval, tpos = self.next()
-            if tkind not in _SIGILS:
-                raise self.error_at(tpos, "at-term must be a nominal or state variable")
-            return At(Atom(_SIGILS[tkind], tval[1:]), self.unary())
         if kind in _SIGILS:
             self.next()
             return Atom(_SIGILS[kind], value[1:])
@@ -947,8 +969,6 @@ _APP_TOKENS = {
 }
 
 
-# the parser reads the printer's tables backwards
-_INFIX, _PREFIX_CLASSES, _, _CONSTANTS = token_maps(_OPS)
 _APP_CLASSES = {token: cls for cls, token in _APP_TOKENS.items()}
 _SIGILS = {"nomtok": NOM, "svartok": SVAR}
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 from .formula import MARKS, TIGHTEST, Language, Op, ParseError, _Node, _node, _Tokens, _values, compiled, record
@@ -207,19 +207,34 @@ def fo_rename(f: FOFormula, bind, free, scope=None) -> FOFormula:
     A quantifier on v binds ``bind(v, scope)`` instead, where scope maps
     each variable bound above to its binder's new name; an occurrence
     takes its binder's new name, and a free one becomes ``free(name)``.
+    The walk is on an explicit stack, in the order of a recursive one: a
+    node is rebuilt once its formula parts are, from the end of ``out``.
     """
-    scope = scope or {}
-    if isinstance(f, (Exists, Forall)):
-        new = bind(f.var, scope)
-        return type(f)(new, fo_rename(f.body, bind, free, {**scope, f.var: new}))
-    parts = []
-    for p in _values(f):
-        if isinstance(p, FOFormula):
-            p = fo_rename(p, bind, free, scope)
-        elif isinstance(p, FOVar):
-            p = FOVar(scope[p.name]) if p.name in scope else free(p.name)
-        parts.append(p)
-    return type(f)(*parts)
+    out, stack = [], [(f, scope or {}, False)]
+    while stack:
+        g, scope, ready = stack.pop()
+        quantified = isinstance(g, (Exists, Forall))
+        if ready and quantified:
+            out.append(type(g)(scope, out.pop()))  # scope is the new name here
+        elif ready:
+            kids = sum(isinstance(p, FOFormula) for p in _values(g))
+            done = iter(out[len(out) - kids :])
+            del out[len(out) - kids :]
+            parts = []
+            for p in _values(g):
+                if isinstance(p, FOFormula):
+                    p = next(done)
+                elif isinstance(p, FOVar):
+                    p = FOVar(scope[p.name]) if p.name in scope else free(p.name)
+                parts.append(p)
+            out.append(type(g)(*parts))
+        elif quantified:
+            new = bind(g.var, scope)
+            stack += [(g, new, True), (g.body, {**scope, g.var: new}, False)]
+        else:
+            stack.append((g, scope, True))
+            stack += [(p, scope, False) for p in reversed(_values(g)) if isinstance(p, FOFormula)]
+    return out[0]
 
 
 ALL_U1 = Language("[all,(u,1)]", frozenset(["R", "pred"]))
@@ -390,11 +405,13 @@ class _FOParser(_Tokens):
             self.fail("expected a term")
         return self.next()[1]
 
-    def unary(self):
+    prefixes = frozenset(_FO_PREFIX)
+
+    def prefix(self):
+        return _FO_PREFIX[self.next()[1]][0]
+
+    def primary(self):
         kind, value, pos = self.peek()
-        if value in _FO_PREFIX:
-            self.next()
-            return _FO_PREFIX[value][0](self.unary())
         if value == "(":
             self.next()
             f = self.infix(_FO_INFIX, self.unary)
@@ -798,16 +815,18 @@ class _PdlParser(_Tokens):
     pattern = re.compile(r"(?P<ws>\s+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<punct>[()<>~&;|*+?])")
     error = PdlParseError
 
-    def unary(self):
+    prefixes = frozenset([*_PDL_PREFIX, "<"])
+
+    def prefix(self):
+        value = self.next()[1]
+        if value != "<":
+            return _PDL_PREFIX[value][0]
+        prog = self.infix(_PROG_INFIX, self.postfix)
+        self.expect(">")
+        return partial(PdlDiamond, prog)
+
+    def primary(self):
         kind, value, _ = self.peek()
-        if value in _PDL_PREFIX:
-            self.next()
-            return _PDL_PREFIX[value][0](self.unary())
-        if value == "<":
-            self.next()
-            prog = self.infix(_PROG_INFIX, self.postfix)
-            self.expect(">")
-            return PdlDiamond(prog, self.unary())
         if value == "(":
             self.next()
             f = self.infix(_PDL_INFIX, self.unary)

@@ -18,11 +18,26 @@ lex-leader symmetry breaking (Crawford et al. 1996).
 - Leaves with the same target share one guess.
 - A target whose subtree attaches no leaf has a type that no guess
   changes; the empty-guess pass computes it and it is the only guess.
-``candidates`` counts the canonical candidates handed to verify().  Each
-(tree, kinds, pairs) structure is built and validated once, and its
-valuations reuse it through ``FiniteRep.with_val``.  ``SatResult.stats``
-counts structures built, valuations skipped by symmetry, guesses fixed
-directly, and verify() rejections by reason.
+
+The guess vectors keep that order, but only those whose every guess
+equals its target's type reach verify().  The checker reads a guess only
+by testing whether a closure sentence belongs to it, so an evaluation
+under one vector, recorded with the tests it made (``Recording``),
+gives the targets' types of every vector that answers those tests the
+same way.  The empty-guess pass is the first recording of each
+valuation; a vector that no recording settles is evaluated once more and
+recorded.  A vector unlike its targets' types is exactly one that
+verify() would reject with a type mismatch, so verdicts and first
+witnesses do not change.
+
+``candidates`` counts the vectors handed to verify(), and
+``stats["guesses_skipped"]`` the settled ones it never sees; together
+they are every canonical guess vector.  The explicit part of each (tree,
+kinds) is built and validated once per level; each reference-pair set
+adds its leaves through ``FiniteRep.with_leaves`` and each valuation
+through ``FiniteRep.with_val``.  ``SatResult.stats`` counts structures built,
+valuations skipped by symmetry, guesses fixed directly, guess vectors
+skipped, and verify() rejections by reason.
 
 Verdicts: SAT always carries a witness that verify() accepts.  A bounded
 failure is UNSAT only when the budget covers the (conservative) theoretical
@@ -35,7 +50,7 @@ from __future__ import annotations
 from functools import cache, cached_property
 from itertools import combinations, product
 
-from .blocktree import FiniteRep, compute_types, verify
+from .blocktree import FiniteRep, Recording, verify
 from .formula import (
     Formula,
     _sentence_guard,
@@ -193,57 +208,74 @@ def _node_kinds(cliq, complete_only):
     return kinds
 
 
+class _Explicit:
+    """The explicit part of one (tree, kinds), built and validated once for
+    every reference-pair set that extends it."""
+
+    def __init__(self, parents, kinds):
+        n = len(parents)
+        self.first = []
+        counter = 0
+        for size, _refl in kinds:
+            self.first.append(counter)
+            counter += size
+        self.kinds, self.n_m = kinds, counter
+        m_states = [f"m{i}" for i in range(counter)]
+        self.node_states = [m_states[self.first[i] : self.first[i] + kinds[i][0]] for i in range(n)]
+        self.ancestors = [[] for _ in range(n)]
+        for i in range(1, n):
+            self.ancestors[i] = self.ancestors[parents[i]] + [parents[i]]
+        rel = set()
+        for i, (size, refl) in enumerate(kinds):
+            above = [a for anc in self.ancestors[i] for a in self.node_states[anc]]
+            if size >= 2 or refl:
+                above += self.node_states[i]
+            rel.update((a, b) for a in above for b in self.node_states[i])
+        self.rep = FiniteRep(tuple(m_states), (), frozenset(rel), {}, {})
+        # Valuations are canonical when every clique's state columns are
+        # non-increasing; state j's column packs its atom bits, last atom
+        # highest, as the valuation code does.
+        self.cliques = [
+            range(self.first[i], self.first[i] + size) for i, (size, _) in enumerate(kinds) if size >= 2
+        ]
+
+
 class _Shape:
-    """One (tree, kinds, reference pairs) structure, built and validated
-    once, with everything its valuations and guesses share.
+    """One (tree, kinds, reference pairs) structure: its explicit part with
+    the leaves added, and everything its valuations and guesses share.
 
     ``c_pairs`` are (attachment node, target node); a reference points at
     the first state of its target's clique.  Leaves are named c0, c1, ...
     in pair order.
     """
 
-    def __init__(self, parents, kinds, c_pairs, swaps):
-        n = len(parents)
-        first = []
-        counter = 0
-        for size, _refl in kinds:
-            first.append(counter)
-            counter += size
-        self.n_m = counter
+    def __init__(self, explicit, c_pairs, swaps):
+        first, kinds, ancestors = explicit.first, explicit.kinds, explicit.ancestors
+        m_states = explicit.rep.m_states
+        self.n_m, self.cliques = explicit.n_m, explicit.cliques
         # Sibling swaps that fix kinds and pairs, as permutations of states.
         self.state_swaps = [
             [first[sw[i]] + k for i, (size, _) in enumerate(kinds) for k in range(size)]
             for sw in swaps
         ]
-        m_states = [f"m{i}" for i in range(counter)]
-        node_states = [m_states[first[i] : first[i] + kinds[i][0]] for i in range(n)]
-        ancestors = [[] for _ in range(n)]
-        for i in range(1, n):
-            ancestors[i] = ancestors[parents[i]] + [parents[i]]
-        rel = set()
-        for i, (size, refl) in enumerate(kinds):
-            above = [a for anc in ancestors[i] for a in node_states[anc]]
-            if size >= 2 or refl:
-                above += node_states[i]
-            rel.update((a, b) for a in above for b in node_states[i])
-        ref = {}
+        ref, leaf_rel = {}, set()
         for idx, (node, target) in enumerate(c_pairs):
             cname = f"c{idx}"
             ref[cname] = m_states[first[target]]
             for anc in ancestors[node] + [node]:
-                rel.update((a, cname) for a in node_states[anc])
-        self.rep = FiniteRep(tuple(m_states), tuple(ref), frozenset(rel), {}, ref)
-        # Valuations are canonical when every clique's state columns are
-        # non-increasing; state j's column packs its atom bits, last atom
-        # highest, as the valuation code does.
-        self.cliques = [
-            range(first[i], first[i] + size) for i, (size, _) in enumerate(kinds) if size >= 2
-        ]
+                leaf_rel.update((a, cname) for a in explicit.node_states[anc])
+        self.rep = explicit.rep.with_leaves(ref, leaf_rel) if ref else explicit.rep
         # Leaves sharing a target share one guess slot, in order of first
         # appearance.  A target whose subtree attaches no leaf has a
         # guess-independent type: its slot takes the empty-guess type only.
         targets = list(dict.fromkeys(target for _, target in c_pairs))
         self.slot = {f"c{idx}": targets.index(t) for idx, (_, t) in enumerate(c_pairs)}
+        # the slots of each explicit state's reference successors, each once
+        self.slots_below = {
+            s: list(dict.fromkeys(self.slot[c] for c in cs))
+            for s, cs in self.rep._c_succ.items()
+            if cs
+        }
         self.fixed = [not any(u == t or t in ancestors[u] for u, _ in c_pairs) for t in targets]
         self.target_state = [m_states[first[t]] for t in targets]
 
@@ -270,26 +302,41 @@ class _Shape:
         return True
 
     def guesses(self, rep, compiled, stats):
-        """Guess vectors in canonical order: per slot, types realized in the
-        explicit part first, then all remaining subsets of the closure."""
+        """The guess vectors, in canonical order, whose every slot holds its
+        target's type: per slot, types realized in the explicit part first,
+        then all remaining subsets of the closure.  A vector that some
+        recorded evaluation settles, with a slot unlike its target's type,
+        is counted as skipped; a vector that none settles is evaluated once
+        more and recorded."""
         if not rep.c_states:
             yield {}
             return
-        base = compute_types(rep, compiled.phi, {c: frozenset() for c in rep.c_states})
+        # the empty-guess evaluation is the first recording; it also gives
+        # the types realized in the explicit part when a slot is guessed
+        empty = [frozenset()] * len(self.fixed)
+        recorded = [Recording(rep, compiled.phi, self.slots_below, empty, self.target_state)]
         options = None
         per_slot = []
-        for target, fixed in zip(self.target_state, self.fixed):
+        for target_type, fixed in zip(recorded[0].types, self.fixed):
             if fixed:
                 stats["guesses_fixed"] += 1
-                per_slot.append((base[target],))
+                per_slot.append((target_type,))
                 continue
             if options is None:
+                base = recorded[0].explicit_types()
                 realized = list(dict.fromkeys(base[s] for s in rep.m_states))
                 seen = set(realized)
                 options = realized + [t for t in compiled.subsets if t not in seen]
             per_slot.append(options)
         for choice in product(*per_slot):
-            yield {c: choice[k] for c, k in self.slot.items()}
+            known = next((r for r in recorded if r.settles(choice)), None)
+            if known is None:
+                known = Recording(rep, compiled.phi, self.slots_below, choice, self.target_state)
+                recorded.append(known)
+            if choice == known.types:
+                yield {c: choice[k] for c, k in self.slot.items()}
+            else:
+                stats["guesses_skipped"] += 1
 
 
 class _Compiled:
@@ -316,7 +363,13 @@ class _Compiled:
 def _search(phi, budget, complete_only, nominal_warning, bounds):
     compiled = _Compiled(phi)
     recoded, atoms = compiled.phi, compiled.atoms
-    stats = {"structures": 0, "valuations_skipped": 0, "guesses_fixed": 0, "rejected": {}}
+    stats = {
+        "structures": 0,
+        "valuations_skipped": 0,
+        "guesses_fixed": 0,
+        "guesses_skipped": 0,
+        "rejected": {},
+    }
     candidates = 0
     for nodes, cliq, n_c in budget.levels():
         kinds_pool = _node_kinds(cliq, complete_only)
@@ -328,11 +381,13 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                 kinds_swaps = _fixing(kinds, _sibling_swaps(parents), _swap_kinds)
                 if kinds_swaps is None:
                     continue
+                explicit = None
                 for c_pairs in combinations(pair_pool, n_c):
                     swaps = _fixing(c_pairs, kinds_swaps, _swap_pairs)
                     if swaps is None:
                         continue
-                    shape = _Shape(parents, kinds, c_pairs, swaps)
+                    explicit = explicit or _Explicit(parents, kinds)
+                    shape = _Shape(explicit, c_pairs, swaps)
                     stats["structures"] += 1
                     for code in range(1 << (len(atoms) * shape.n_m)):
                         if not shape.canonical(code, len(atoms)):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hylo.blocktree import (
     FiniteRep,
+    Recording,
     compute_types,
     realize,
     rep_from_dict,
@@ -319,3 +320,52 @@ def test_successor_lists_are_cached_per_structure():
     assert rep.c_successors("m0") == ["c0"] and rep.c_successors("m1") == ["c0"]
     rep.c_successors("m0").clear()
     assert rep.c_successors("m0") == ["c0"]
+
+
+def test_with_leaves_checks_only_the_leaves_of_a_shared_explicit_part():
+    explicit = FiniteRep(("m0", "m1"), (), frozenset([("m0", "m1")]), {"p": frozenset({"m0"})}, {})
+    rep = explicit.with_leaves({"c0": "m1"}, [("m0", "c0"), ("m1", "c0")])
+    whole = FiniteRep(
+        ("m0", "m1"),
+        ("c0",),
+        frozenset([("m0", "m1"), ("m0", "c0"), ("m1", "c0")]),
+        {"p": frozenset({"m0"})},
+        {"c0": "m1"},
+    )
+    assert rep == whole and rep._c_succ == whole._c_succ
+    assert rep._m_model is explicit._m_model and rep._parts is explicit._parts
+    assert explicit.c_states == () and explicit.c_successors("m0") == []
+    with pytest.raises(ValueError, match="ancestors"):
+        explicit.with_leaves({"c0": "m1"}, [("m1", "c0")])
+    with pytest.raises(ValueError, match="attached to no node"):
+        explicit.with_leaves({"c0": "m1"}, [])
+    with pytest.raises(ValueError, match="not an m-state"):
+        explicit.with_leaves({"c0": "c1"}, [("m0", "c0"), ("m1", "c0")])
+    with pytest.raises(ValueError, match="overlap"):
+        explicit.with_leaves({"m1": "m0"}, [("m0", "m1")])
+    with pytest.raises(ValueError, match="into a c-state"):
+        explicit.with_leaves({"c0": "m1"}, [("m0", "c0"), ("m1", "c0"), ("m1", "m0")])
+    with pytest.raises(ValueError, match="without c-states"):
+        rep.with_leaves({"c1": "m1"}, [("m0", "c1"), ("m1", "c1")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hld_formulas(), st.data())
+def test_a_recording_settles_every_guess_that_answers_its_tests_alike(body, data):
+    # a recorded evaluation gives the targets' types under its own guess,
+    # and under any guess that answers the tests it logged the same way
+    phi = Down(svar("x"), body)
+    closure = sorted(diamond_closure(phi), key=print_formula)
+    rep = _two_leaf_rep()
+    slots = {"m0": [0, 1], "m1": [0]}  # c0 (target m1) is slot 0, c1 (target m0) slot 1
+    guesses = st.sets(st.sampled_from(closure)) if closure else st.just(set())
+    vectors = [tuple(frozenset(data.draw(guesses)) for _ in range(2)) for _ in range(2)]
+    recording = Recording(rep, phi, slots, vectors[0], ["m1", "m0"])
+    assert recording.settles(vectors[0])
+    for vector in vectors:
+        types = compute_types(rep, phi, {"c0": vector[0], "c1": vector[1]})
+        if recording.settles(vector):
+            assert recording.types == (types["m1"], types["m0"])
+    assert recording.explicit_types() == {
+        s: t for s, t in compute_types(rep, phi, {"c0": vectors[0][0], "c1": vectors[0][1]}).items() if s in rep.m_states
+    }

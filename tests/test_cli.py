@@ -502,16 +502,19 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
     [
         (["parse", "--formula", "<>" * 900 + "p"], "fragment: ML"),
         (["parse", "--formula", "(" * 300 + "p" + ")" * 300], "fragment: ML"),
+        (["parse", "--formula", "<>" * 3000 + "p"], "fragment: ML"),
+        (["parse", "--formula", "~" * 3000 + "p"], "fragment: ML"),
+        (["parse", "--formula", "@'i " * 3000 + "p"], "fragment: HL^@"),
         (["check", "--model", "m.json", "--formula", "<>" * 900 + "p", "--state", "a"], "true"),
         (["sat", "--frame", "trans", "--formula", "<>" * 400 + "p", "--max-clique", "1",
           "--max-nodes", "1", "--max-c", "0", "--witness", "w.json"], "SAT (witness written to w.json)"),
     ],
-    ids=["parse-900", "parse-brackets-300", "check-900", "sat-400"],
+    ids=["parse-900", "parse-brackets-300", "parse-3000", "parse-not-3000", "parse-at-3000", "check-900", "sat-400"],
 )
 def test_deeply_nested_formulas_get_a_verdict(tmp_path, argv, line):
-    # the per-node facts (signature, free variables, atoms), the printer and
-    # the checker's compile step take no Python frame per nesting level, and
-    # a bracket level costs the parser two
+    # the per-node facts (signature, free variables, atoms), the printer,
+    # the checker's compile step and a prefix chain in the parser take no
+    # Python frame per nesting level, and a bracket level costs the parser two
     doc = {"states": ["a"], "rel": [["a", "a"]], "val": {"p": ["a"]}, "nom": {}}
     (tmp_path / "m.json").write_text(json.dumps(doc))
     code, out, _ = _command_process(tmp_path, argv)

@@ -157,6 +157,17 @@ def test_deep_brackets_parse():
     assert f is q
 
 
+def test_deep_prefix_chains_parse():
+    # a prefix chain is read in a loop, so its length takes no Python frame
+    ops = ["~", "<>", "[]", "F", "G", "P", "H", "E", "A", "@'i", "@$x"]
+    f = parse(" ".join(ops * 300) + " p")
+    for _ in range(300):
+        for op in ops:
+            assert print_formula(f).startswith(op)
+            f = f.body
+    assert f is p
+
+
 def test_deep_formulas_print():
     # built by a loop; the printer walks an explicit stack
     f = p

@@ -407,6 +407,19 @@ def test_pdl_print_parse_roundtrip(f):
     assert parse_pdl(pdl_to_text(f)) is f
 
 
+def test_deep_fo_and_pdl_prefix_chains_parse():
+    # prefix chains are read in a loop, and parse_fo renames on a stack
+    f = parse_fo("~" * 3000 + "q(c)")
+    for _ in range(3000):
+        f = f.body
+    assert f is Pred("q", FOConst("c"))
+    g = parse_pdl("~<down;left*>" * 1500 + "p")
+    for _ in range(1500):
+        assert type(g) is PdlNot and g.body.program is Seq(DownP(), Star(Left()))
+        g = g.body.body
+    assert g is PdlAtom("p")
+
+
 def test_deep_fo_and_pdl_formulas_print():
     # built by a loop; the printers walk an explicit stack
     f = FOTrue()

@@ -1,6 +1,7 @@
 import pytest
 
-from hylo.blocktree import realize, verify
+import hylo.solver
+from hylo.blocktree import Recording, realize, verify
 from hylo.checker import eval_formula
 from hylo.formula import FragmentError, parse, recode_nominals
 from hylo.model import is_transitive
@@ -139,11 +140,56 @@ def test_unsat_below_bounds_is_unknown(text, limits):
 def test_stats_count_structures_prunings_and_rejections():
     result = sat_transitive(parse("<>(p & ~p)"), Budget(max_clique=1, max_nodes=3, max_c=1))
     stats = result.stats
-    assert set(stats) == {"structures", "valuations_skipped", "guesses_fixed", "rejected"}
+    assert set(stats) == {
+        "structures",
+        "valuations_skipped",
+        "guesses_fixed",
+        "guesses_skipped",
+        "rejected",
+    }
     assert sum(stats["rejected"].values()) == result.candidates
     assert stats["structures"] > 0
     assert stats["valuations_skipped"] > 0
     assert stats["guesses_fixed"] > 0
     sat = sat_transitive(CHAIN, Budget(max_clique=2, max_nodes=2, max_c=2))
     assert sum(sat.stats["rejected"].values()) == sat.candidates - 1
-    assert set(sat.stats["rejected"]) <= {"type mismatch", "formula holds at no explicit state"}
+    # a guess unlike its target's type is skipped before verify
+    assert set(sat.stats["rejected"]) <= {"formula holds at no explicit state"}
+
+
+def test_recorded_evaluations_settle_the_type_mismatches():
+    # the guess vectors unlike their targets' types are skipped, and the
+    # two counts sum to the candidates the enumeration had before
+    phi = parse("down $x . <>($x & ~<> $x)")
+    result = sat_transitive(phi, Budget(max_clique=2, max_nodes=3, max_c=2))
+    assert result.status == "unknown"
+    assert (result.candidates, result.stats["guesses_skipped"]) == (1995, 13293)
+    assert result.stats["rejected"] == {"formula holds at no explicit state": 1995}
+
+
+@pytest.mark.parametrize(
+    "text, limits, counts",
+    [
+        # (candidates, guesses skipped, evaluations recorded beyond the
+        # empty-guess one of each valuation)
+        ("<>(p & []false) & <>(~p & []false) & []([]false | <>p)", (1, 3, 1), (91, 1612, 54)),
+        ("<>(p & down $x . <>(~$x & <>$x)) & <>(~p & []false)", (2, 3, 1), (212, 1705, 127)),
+    ],
+)
+def test_guesses_the_empty_guess_does_not_settle_are_evaluated_again(monkeypatch, text, limits, counts):
+    # a guess vector that answers some test of the empty-guess evaluation
+    # differently has its targets evaluated once more
+    again = []
+
+    class Counted(Recording):
+        def __init__(self, rep, phi, slots, vector, targets):
+            super().__init__(rep, phi, slots, vector, targets)
+            if any(vector):
+                again.append(vector)
+
+    monkeypatch.setattr(hylo.solver, "Recording", Counted)
+    clique, nodes, c = limits
+    result = sat_transitive(parse(text), Budget(max_clique=clique, max_nodes=nodes, max_c=c))
+    assert result.is_sat
+    assert verify(result.witness_rep, recode_nominals(parse(text)), result.witness_guess).accepted
+    assert (result.candidates, result.stats["guesses_skipped"], len(again)) == counts

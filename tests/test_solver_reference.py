@@ -1,23 +1,44 @@
 """Differential tests of the symmetry-reduced solver against the unreduced
 enumeration in ``solver_reference.py``, and against ground truth that
 needs no solver: sentences UNSAT on every frame must never come out SAT.
+In every search here, each guess vector the solver hands to verify
+matches its targets' types.
 """
 
 import json
 import os
 import random
+from itertools import combinations, product
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import hylo.solver
 from hylo.blocktree import verify
 from hylo.formula import parse, recode_nominals
-from hylo.solver import Budget, sat_transitive
-from solver_reference import reference_sat_transitive
+from hylo.solver import Budget, _canonical_trees, _Explicit, _node_kinds, _Shape, sat_transitive
+from solver_reference import _build_rep, reference_sat_transitive
 
 BUDGETS = [(2, 2, 1), (1, 3, 1), (2, 1, 2), (1, 2, 2)]
+
+
+@pytest.fixture(autouse=True)
+def verify_sees_no_type_mismatch(monkeypatch):
+    """The solver's verify, failing the search on a type mismatch: the
+    recorded evaluations settle every guess vector unlike its targets'
+    types before it reaches verify.  Yields the list of verify results."""
+    results = []
+
+    def checked(rep, phi, guess):
+        result = verify(rep, phi, guess)
+        assert not (result.reason or "").startswith("type mismatch"), result.reason
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(hylo.solver, "verify", checked)
+    return results
 
 
 def _subformula(rng, depth, bound):
@@ -63,6 +84,26 @@ def test_reduced_search_matches_reference(text):
         if new.is_sat:
             fresh = recode_nominals(parse(text))
             assert verify(new.witness_rep, fresh, new.witness_guess).accepted, (text, budget)
+
+
+def test_leaves_added_to_a_shared_explicit_part_give_the_full_representation():
+    # every (tree, kinds, pairs) structure up to 3 nodes, cliques of 2 and
+    # 2 leaves is the representation the reference builds and validates whole
+    structures = 0
+    for nodes in (1, 2, 3):
+        pairs = [(u, t) for u in range(nodes) for t in range(nodes)]
+        for parents in _canonical_trees(nodes):
+            for kinds in product(_node_kinds(2, False), repeat=nodes):
+                explicit = _Explicit(parents, kinds)
+                for c_pairs in (c for n_c in (0, 1, 2) for c in combinations(pairs, n_c)):
+                    rep = _Shape(explicit, c_pairs, []).rep
+                    targets = [(u, rep.ref[f"c{i}"]) for i, (u, _) in enumerate(c_pairs)]
+                    whole = _build_rep(parents, kinds, targets, 0, ())
+                    assert rep == whole, (parents, kinds, c_pairs)
+                    assert rep._c_succ == whole._c_succ
+                    assert rep._m_model is explicit.rep._m_model
+                    structures += 1
+    assert structures == 2589
 
 
 # Sentences whose models need the shapes the prunings act on: cliques whose
@@ -114,6 +155,39 @@ def test_unsat_on_every_frame_is_never_sat(text):
     for clique, nodes, c in [(1, 1, 0), (3, 1, 1), (2, 1, 2), (2, 2, 1), (1, 2, 2)]:
         result = sat_transitive(parse(text), Budget(max_clique=clique, max_nodes=nodes, max_c=c))
         assert result.status in ("unknown", "unsat"), (text, clique, nodes, c)
+
+
+# The benchmark's budget-exhausting searches (perfbench/workloads.py,
+# REFUTATION_GRID): each is UNKNOWN at its budget.
+GRID = [
+    ("[]p & <>~p", (2, 2, 1)),
+    ("[]q & <>~q", (2, 2, 1)),
+    ("<>(p & ~p)", (2, 2, 1)),
+    ("<>(q & ~q)", (2, 2, 1)),
+    ("<>p & []~p", (2, 2, 1)),
+    ("<>(p & ~p)", (1, 3, 1)),
+    ("down $x . ([]~$x & <>$x)", (1, 3, 1)),
+    ("down $x . <>($x & ~<> $x)", (1, 3, 1)),
+    ("[]false & <>true", (2, 2, 2)),
+    ("down $x . ([]~$x & <>$x)", (2, 2, 2)),
+    ("down $x . <>($x & ~<> $x)", (2, 2, 2)),
+    ("[]p & <>(q & ~p)", (1, 2, 1)),
+    ("[](p -> q) & <>(p & ~q)", (1, 2, 1)),
+    ("<>p & <>q & [](~p | ~q) & []p", (2, 1, 1)),
+    ("p & ~p & <>q", (1, 2, 2)),
+]
+
+
+def test_grid_searches_hand_verify_only_consistent_guesses(verify_sees_no_type_mismatch):
+    candidates = skipped = 0
+    for text, (clique, nodes, c) in GRID:
+        result = sat_transitive(parse(text), Budget(max_clique=clique, max_nodes=nodes, max_c=c))
+        assert result.status == "unknown", text
+        candidates += result.candidates
+        skipped += result.stats["guesses_skipped"]
+    assert len(verify_sees_no_type_mismatch) == candidates
+    # the enumeration before recorded evaluations handed all 10,750 to verify
+    assert (candidates, skipped) == (4398, 6352)
 
 
 _DETERMINISM_SCRIPT = """
