@@ -15,7 +15,11 @@ per formula node, and its memo holds only modal and Until nodes, so
 ``verify`` reuses for phi the modal answers it computed while it checked
 the guesses.  A ``Recording`` evaluates under a vector of guesses and logs
 each test the hook makes of them, which is all that the evaluation
-depends on the guesses for.
+depends on the guesses for.  Its evaluator and memo then serve any vector
+that answers every logged test alike: ``Recording.holds`` points the
+guesses at that vector and evaluates phi there, which is how the solver
+rejects a candidate without ``verify``; ``verify`` sees only the
+candidates under which phi holds, and shares ``holds_somewhere`` with it.
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ class FiniteRep:
         for c, target in self.ref.items():
             if target not in m_set:
                 raise ValueError(f"ref({c!r}) = {target!r} is not an m-state")
-        m_rel = frozenset((a, b) for a, b in self.rel if a in m_set and b in m_set)
+        # no c-state has an outgoing edge, so an edge into M lies in M; the
+        # edges are kept, not copied, as the explicit part may be cached
+        m_rel = frozenset(e for e in self.rel if e[1] in m_set)
         m_val = {p: ss & m_set for p, ss in self.val.items()}
         m_model = HybridModel(self.m_states, m_rel, m_val)
         parts, edges = cliques(m_model)  # raises if not transitive
@@ -136,8 +142,10 @@ class FiniteRep:
         for p, ss in val.items():
             if ss - m_set - set(self.c_states):
                 raise ValueError(f"valuation of {p!r} outside states")
+        m = self._m_model
+        m_val = {p: ss & m_set for p, ss in val.items()}
         out = object.__new__(FiniteRep)
-        m_model = self._m_model.with_val({p: ss & m_set for p, ss in val.items()})
+        m_model = HybridModel._trusted(m.states, m.rel, m_val, {}, m._views)
         out.__dict__.update(self.__dict__, val=val, _m_model=m_model)
         return out
 
@@ -195,6 +203,15 @@ def _explicit_types(rep, ev, closure):
     return types
 
 
+def holds_somewhere(rep, phi, ev=None):
+    """Whether phi holds at some explicit state: on the evaluator ev or,
+    without one, on the explicit part alone, which is exact when rep has
+    no c-states."""
+    if ev is None:
+        ev = _Evaluator(rep._m_model)
+    return any(ev.run(phi, {}, s) for s in rep.m_states)
+
+
 def _types(rep, ev, closure, guess):
     """Types of every state under one guess."""
     return {**_explicit_types(rep, ev, closure), **guess}
@@ -247,6 +264,8 @@ class Recording:
         refs = {s: [logged[k] for k in ks] for s, ks in slots.items()}
         ev = _Evaluator(rep._m_model, refs)
         self.rep, self.ev, self.closure = rep, ev, closure
+        #: every test made of a guess so far, (slot, sentence) -> answer
+        self.log, self.logged = log, logged
         #: the type of each target state under the vector
         self.types = tuple(
             frozenset(chi for chi in closure if any(ev.run(chi, {}, t) for t in [s, *ev.succ[s]]))
@@ -269,8 +288,25 @@ class Recording:
 
     def explicit_types(self) -> dict:
         """The type of every explicit state under the vector, as
-        ``compute_types`` gives it; its tests are not recorded."""
+        ``compute_types`` gives it; its tests are logged but not added to
+        ``tests``."""
         return _explicit_types(self.rep, self.ev, self.closure)
+
+    def holds(self, phi: Formula, vector) -> bool | None:
+        """Whether phi holds at some explicit state under vector, read on
+        this evaluation and its memo, or None when vector answers some
+        logged test otherwise than the evaluation did.
+
+        The memo depends on every test in the log, ``explicit_types``'
+        and earlier calls' included, not only on ``tests``.  Once vector
+        agrees with all of them, the guesses are pointed at it, so that a
+        test made while phi is evaluated is answered by vector and logged
+        too."""
+        if any((chi in vector[k]) != answer for (k, chi), answer in self.log.items()):
+            return None
+        for logged, members in zip(self.logged, vector):
+            logged.members = members
+        return holds_somewhere(self.rep, phi, self.ev)
 
 
 def _normalize_guess(rep, c_guess, closure):
@@ -286,6 +322,10 @@ def _normalize_guess(rep, c_guess, closure):
                 f"{[str(x) for x in extra]}"
             )
     return guess
+
+
+#: the reason verify() gives when every guess matched but phi holds nowhere
+NO_STATE = "formula holds at no explicit state"
 
 
 @record
@@ -321,8 +361,8 @@ def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
                 False, f"type mismatch: guess for {c!r} differs from type of {target!r}", {}
             )
         known[target] = want
-    if not any(ev.run(phi, {}, s) for s in rep.m_states):
-        return VerifyResult(False, "formula holds at no explicit state", {})
+    if not holds_somewhere(rep, phi, ev):
+        return VerifyResult(False, NO_STATE, {})
     return VerifyResult(True, None, _types(rep, ev, closure, guess))
 
 

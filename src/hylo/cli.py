@@ -137,11 +137,7 @@ def _cmd_sat(args):
     run = solver.sat_transitive if args.frame == "trans" else solver.sat_complete
     result = run(phi, budget)
     if result.nominal_warning:
-        print(
-            "WARN: nominals handled as propositional atoms; SAT answers may "
-            "identify states the representation keeps apart",
-            file=sys.stderr,
-        )
+        print("WARN: nominals recoded as propositional atoms", file=sys.stderr)
     if result.status == "sat":
         blocktree.save_rep(result.witness_rep, args.witness)
         guess = {

@@ -19,43 +19,59 @@ lex-leader symmetry breaking (Crawford et al. 1996).
 - A target whose subtree attaches no leaf has a type that no guess
   changes; the empty-guess pass computes it and it is the only guess.
 
-The guess vectors keep that order, but only those whose every guess
-equals its target's type reach verify().  The checker reads a guess only
-by testing whether a closure sentence belongs to it, so an evaluation
-under one vector, recorded with the tests it made (``Recording``),
-gives the targets' types of every vector that answers those tests the
-same way.  The empty-guess pass is the first recording of each
-valuation; a vector that no recording settles is evaluated once more and
-recorded.  A vector unlike its targets' types is exactly one that
+The guess vectors keep that order, but only the candidates, those whose
+every guess equals its target's type, are checked.  The checker reads a
+guess only by testing whether a closure sentence belongs to it, so an
+evaluation under one vector, recorded with the tests it made
+(``Recording``), gives the targets' types of every vector that answers
+those tests the same way.  The empty-guess pass is the first recording of
+each valuation; a vector that no recording settles is evaluated once more
+and recorded.  A vector unlike its targets' types is exactly one that
 verify() would reject with a type mismatch, so verdicts and first
 witnesses do not change.
 
-``candidates`` counts the vectors handed to verify(), and
-``stats["guesses_skipped"]`` the settled ones it never sees; together
-they are every canonical guess vector.  The explicit part of each (tree,
-kinds) is built and validated once per level; each reference-pair set
-adds its leaves through ``FiniteRep.with_leaves`` and each valuation
-through ``FiniteRep.with_val``.  ``SatResult.stats`` counts structures built,
-valuations skipped by symmetry, guesses fixed directly, guess vectors
-skipped, and verify() rejections by reason.
+A candidate equals the types of the recording that settled it, so that
+recording's evaluation, with its guesses pointed at the candidate, also
+tells whether phi holds at some explicit state (``Recording.holds``).
+Its memo depends on every test it logged, the explicit part's types
+included, so a candidate that answers one of them otherwise is evaluated
+alone; a structure without c-states is evaluated plainly.  A candidate
+under which phi holds nowhere is rejected there, exactly as verify()
+would reject it.  The others reach verify(), the SAT gate, which checks
+the guesses and phi again from scratch.  For nominal input the gate also
+asks that each recoded nominal hold at no more than one explicit state,
+outside every referenced subtree; any other witness is rejected with its
+own reason and the search goes on.
+
+``candidates`` counts the candidates, and ``stats["guesses_skipped"]``
+the settled vectors unlike their targets' types; together they are
+every canonical guess vector.  The explicit part of each (tree, kinds)
+depends on neither the formula nor the budget, so it is built and
+validated once per process (``_explicit``, a bounded cache); each
+reference-pair set adds its leaves through ``FiniteRep.with_leaves`` and
+each valuation through ``FiniteRep.with_val``.  ``SatResult.stats``
+counts structures built, valuations skipped by symmetry, guesses fixed
+directly, guess vectors skipped, and rejected candidates by reason.
 
 Verdicts: SAT always carries a witness that verify() accepts.  A bounded
 failure is UNSAT only when the budget covers the (conservative) theoretical
-completeness bounds; otherwise the answer is UNKNOWN, because transitive
-frames have no finite model property.
+completeness bounds and no witness was rejected for its nominals;
+otherwise the answer is UNKNOWN, because transitive frames have no finite
+model property.
 """
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 
-from .blocktree import FiniteRep, Recording, verify
+from .blocktree import NO_STATE, FiniteRep, Recording, holds_somewhere, verify
 from .formula import (
     Formula,
     _sentence_guard,
     check_hld,
     diamond_closure,
+    nom,
     noms_of,
     print_formula,
     props_of,
@@ -210,7 +226,7 @@ def _node_kinds(cliq, complete_only):
 
 class _Explicit:
     """The explicit part of one (tree, kinds), built and validated once for
-    every reference-pair set that extends it."""
+    every reference-pair set that extends it (see ``_explicit``)."""
 
     def __init__(self, parents, kinds):
         n = len(parents)
@@ -238,6 +254,15 @@ class _Explicit:
         self.cliques = [
             range(self.first[i], self.first[i] + size) for i, (size, _) in enumerate(kinds) if size >= 2
         ]
+
+
+@lru_cache(maxsize=256)
+def _explicit(parents, kinds):
+    """The explicit part of (parents, kinds), once per process: it depends
+    on neither the formula nor the budget, and every search and every c
+    level meets the same few.  Bounded, so that a long-running process
+    keeps only the most recent."""
+    return _Explicit(parents, kinds)
 
 
 class _Shape:
@@ -307,9 +332,13 @@ class _Shape:
         then all remaining subsets of the closure.  A vector that some
         recorded evaluation settles, with a slot unlike its target's type,
         is counted as skipped; a vector that none settles is evaluated once
-        more and recorded."""
+        more and recorded.  Each vector comes with whether phi holds at
+        some explicit state under it, read on the recording that settled
+        it, or, when that recording's log holds a test the vector answers
+        otherwise, on an evaluation under the vector alone.  Without
+        c-states the one vector is empty and needs no recording."""
         if not rep.c_states:
-            yield {}
+            yield {}, holds_somewhere(rep, compiled.phi)
             return
         # the empty-guess evaluation is the first recording; it also gives
         # the types realized in the explicit part when a slot is guessed
@@ -334,21 +363,26 @@ class _Shape:
                 known = Recording(rep, compiled.phi, self.slots_below, choice, self.target_state)
                 recorded.append(known)
             if choice == known.types:
-                yield {c: choice[k] for c, k in self.slot.items()}
+                holds = known.holds(compiled.phi, choice)
+                if holds is None:  # its log holds tests answered otherwise
+                    alone = Recording(rep, compiled.phi, self.slots_below, choice, ())
+                    holds = alone.holds(compiled.phi, choice)
+                yield {c: choice[k] for c, k in self.slot.items()}, holds
             else:
                 stats["guesses_skipped"] += 1
 
 
 class _Compiled:
     """What a search derives from its input once: the recoded formula,
-    checked against the fragment, its atoms and, on first use, every
-    subset of its closure in guess order (by size, then by position in the
-    printed order of the closure)."""
+    checked against the fragment, its atoms, the propositions its nominals
+    became and, on first use, every subset of its closure in guess order
+    (by size, then by position in the printed order of the closure)."""
 
     def __init__(self, phi):
         self.phi = recode_nominals(phi)
         check_hld(self.phi)
         self.atoms = props_of(self.phi)
+        self.nominals = [recode_nominals(nom(i)).name for i in noms_of(phi)]
 
     @cached_property
     def subsets(self):
@@ -358,6 +392,25 @@ class _Compiled:
             for size in range(len(closure_list) + 1)
             for combo in combinations(closure_list, size)
         ]
+
+
+#: the reason a witness that verify() accepts is rejected for nominal input
+NOMINAL_SPLIT = "nominal holds at two states or in a referenced subtree"
+
+
+def _names_one_state(rep, nominals):
+    """Whether each recoded nominal holds at no more than one explicit
+    state, and outside every referenced subtree (the clique of a reference
+    target and everything below it).  Realized, such a witness gives each
+    nominal at most one state.  The fragment has no @, so a nominal that
+    holds nowhere can name a fresh state that no other state sees."""
+    if not nominals:
+        return True
+    referenced = set()
+    for target in set(rep.ref.values()):
+        referenced.add(target)
+        referenced.update(rep.m_successors(target))
+    return all(len(rep.val[p]) <= 1 and rep.val[p].isdisjoint(referenced) for p in nominals)
 
 
 def _search(phi, budget, complete_only, nominal_warning, bounds):
@@ -386,7 +439,7 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                     swaps = _fixing(c_pairs, kinds_swaps, _swap_pairs)
                     if swaps is None:
                         continue
-                    explicit = explicit or _Explicit(parents, kinds)
+                    explicit = explicit or _explicit(parents, kinds)
                     shape = _Shape(explicit, c_pairs, swaps)
                     stats["structures"] += 1
                     for code in range(1 << (len(atoms) * shape.n_m)):
@@ -394,10 +447,15 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                             stats["valuations_skipped"] += 1
                             continue
                         rep = shape.rep.with_val(_decode_valuation(code, atoms, shape.rep.m_states))
-                        for guess in shape.guesses(rep, compiled, stats):
+                        for guess, holds in shape.guesses(rep, compiled, stats):
                             candidates += 1
-                            result = verify(rep, recoded, guess)
-                            if result.accepted:
+                            if not holds:
+                                reason = NO_STATE
+                            else:  # the SAT gate
+                                reason = verify(rep, recoded, guess).reason
+                                if reason is None and not _names_one_state(rep, compiled.nominals):
+                                    reason = NOMINAL_SPLIT
+                            if reason is None:
                                 return SatResult(
                                     "sat",
                                     witness_rep=rep,
@@ -407,10 +465,13 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                                     candidates=candidates,
                                     stats=stats,
                                 )
-                            reason = result.reason.split(":")[0]
+                            reason = reason.split(":")[0]
                             stats["rejected"][reason] = stats["rejected"].get(reason, 0) + 1
     limit = (budget.max_nodes, budget.max_clique, budget.max_c)
-    if all(a >= b for a, b in zip(limit, bounds)):
+    # the bounds are complete for the recoded sentence, whose nominals may
+    # hold at many states: once the gate has turned down one of its
+    # witnesses, exhausting them no longer shows the input UNSAT
+    if all(a >= b for a, b in zip(limit, bounds)) and NOMINAL_SPLIT not in stats["rejected"]:
         return SatResult(
             "unsat",
             exhaustive=True,

@@ -11,11 +11,15 @@ from hylo.formula import (
     Down,
     Formula,
     FragmentError,
+    Everywhere,
     Future,
+    Globally,
+    Historically,
     Iff,
     Implies,
     Not,
     Or,
+    Past,
     RESERVED_WORDS,
     ParseError,
     Since,
@@ -159,11 +163,14 @@ def test_deep_brackets_parse():
 
 def test_deep_prefix_chains_parse():
     # a prefix chain is read in a loop, so its length takes no Python frame
-    ops = ["~", "<>", "[]", "F", "G", "P", "H", "E", "A", "@'i", "@$x"]
-    f = parse(" ".join(ops * 300) + " p")
+    text = "~<>[]F G P H E A @'i @$x " * 300 + "p"
+    f = parse(text)
+    assert print_formula(f) == text
+    links = [Not, Diamond, Box, Future, Globally, Past, Historically, Somewhere, Everywhere]
+    links = [(cls, None) for cls in links] + [(At, nom("i")), (At, x)]
     for _ in range(300):
-        for op in ops:
-            assert print_formula(f).startswith(op)
+        for cls, term in links:
+            assert type(f) is cls and getattr(f, "term", None) is term
             f = f.body
     assert f is p
 

@@ -1,12 +1,27 @@
+from itertools import islice, product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hylo.solver
-from hylo.blocktree import Recording, realize, verify
+from hylo.blocktree import NO_STATE, Recording, realize, verify
 from hylo.checker import eval_formula
-from hylo.formula import FragmentError, parse, recode_nominals
-from hylo.model import is_transitive
+from hylo.formula import Down, FragmentError, parse, recode_nominals, svar
+from hylo.model import _decode_valuation, is_transitive
 from hylo.oracle import brute_sat
-from hylo.solver import Budget, bounds_for, sat_complete, sat_transitive
+from hylo.solver import (
+    Budget,
+    _canonical_trees,
+    _Compiled,
+    _explicit,
+    _node_kinds,
+    _Shape,
+    bounds_for,
+    sat_complete,
+    sat_transitive,
+)
+from test_blocktree import _hld_formulas
 
 CHAIN = parse("p & <>p & []<>p & [] down $x . ~<> $x")
 
@@ -193,3 +208,44 @@ def test_guesses_the_empty_guess_does_not_settle_are_evaluated_again(monkeypatch
     assert result.is_sat
     assert verify(result.witness_rep, recode_nominals(parse(text)), result.witness_guess).accepted
     assert (result.candidates, result.stats["guesses_skipped"], len(again)) == counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hld_formulas(), st.data())
+def test_the_solver_reads_the_verdict_verify_gives(body, data):
+    # a solver structure under a valuation: the first consistent vectors,
+    # in the solver's order, each with the verdict read on the recording
+    # that settled it (the empty-guess one also gave the explicit part's
+    # types whenever a slot is guessed)
+    phi = Down(svar("x"), body)
+    nodes = data.draw(st.integers(1, 3))
+    parents = data.draw(st.sampled_from(_canonical_trees(nodes)))
+    kinds = tuple(data.draw(st.sampled_from(_node_kinds(2, False))) for _ in range(nodes))
+    pairs = [(u, t) for u in range(nodes) for t in range(nodes)]
+    c_pairs = tuple(sorted(data.draw(st.sets(st.sampled_from(pairs), max_size=2))))
+    shape = _Shape(_explicit(parents, kinds), c_pairs, [])
+    code = data.draw(st.integers(0, (1 << (2 * shape.n_m)) - 1))
+    rep = shape.rep.with_val(_decode_valuation(code, ("p", "q"), shape.rep.m_states))
+    stats = {"guesses_fixed": 0, "guesses_skipped": 0}
+    for guess, holds in islice(shape.guesses(rep, _Compiled(phi), stats), 20):
+        result = verify(rep, phi, guess)
+        assert result.accepted or result.reason == NO_STATE
+        assert holds == result.accepted
+
+
+def test_a_second_search_reuses_the_explicit_parts_of_the_first():
+    _explicit.cache_clear()
+    budget = Budget(max_clique=2, max_nodes=2, max_c=1)
+    sat_transitive(parse("<>(p & ~p)"), budget)
+    first = _explicit.cache_info()
+    assert first.misses > 0
+    sat_transitive(parse("[]q & <>~q"), budget)
+    second = _explicit.cache_info()
+    assert second.misses == first.misses and second.hits > first.hits
+    # bounded: one explicit part more than it holds leaves it full
+    kinds = _node_kinds(4, False)
+    parts = ((parents, k) for parents in _canonical_trees(4) for k in product(kinds, repeat=4))
+    for parents, k in islice(parts, second.maxsize + 1):
+        _explicit(parents, k)
+    assert _explicit.cache_info().currsize == second.maxsize
+    _explicit.cache_clear()

@@ -1,8 +1,9 @@
 """Differential tests of the symmetry-reduced solver against the unreduced
 enumeration in ``solver_reference.py``, and against ground truth that
 needs no solver: sentences UNSAT on every frame must never come out SAT.
-In every search here, each guess vector the solver hands to verify
-matches its targets' types.
+In every search here, each guess vector the solver hands to verify is
+accepted there: the solver rejects the others on the recorded evaluation
+that settled them.
 """
 
 import json
@@ -16,24 +17,36 @@ from pathlib import Path
 import pytest
 
 import hylo.solver
-from hylo.blocktree import verify
-from hylo.formula import parse, recode_nominals
-from hylo.solver import Budget, _canonical_trees, _Explicit, _node_kinds, _Shape, sat_transitive
+from hylo.blocktree import Recording, realize, verify
+from hylo.checker import eval_formula
+from hylo.formula import nom, noms_of, parse, recode_nominals
+from hylo.model import HybridModel
+from hylo.solver import (
+    NOMINAL_SPLIT,
+    Budget,
+    _canonical_trees,
+    _Explicit,
+    _node_kinds,
+    _Shape,
+    sat_transitive,
+)
 from solver_reference import _build_rep, reference_sat_transitive
 
 BUDGETS = [(2, 2, 1), (1, 3, 1), (2, 1, 2), (1, 2, 2)]
 
 
 @pytest.fixture(autouse=True)
-def verify_sees_no_type_mismatch(monkeypatch):
-    """The solver's verify, failing the search on a type mismatch: the
+def verify_accepts_every_vector(monkeypatch):
+    """The solver's verify, failing the search on any rejection: the
     recorded evaluations settle every guess vector unlike its targets'
-    types before it reaches verify.  Yields the list of verify results."""
+    types, and reject every vector under which phi holds at no explicit
+    state, before it reaches verify.  Yields the list of verify results."""
     results = []
 
     def checked(rep, phi, guess):
         result = verify(rep, phi, guess)
         assert not (result.reason or "").startswith("type mismatch"), result.reason
+        assert result.accepted, result.reason
         results.append(result)
         return result
 
@@ -41,29 +54,30 @@ def verify_sees_no_type_mismatch(monkeypatch):
     return results
 
 
-def _subformula(rng, depth, bound):
+def _subformula(rng, depth, bound, atoms):
     if depth == 0 or rng.random() < 0.2:
-        return rng.choice(["p", "q"] + [f"${v}" for v in bound])
+        return rng.choice(list(atoms) + [f"${v}" for v in bound])
     op = rng.choices(["~", "&", "|", "<>", "[]", "down"], weights=[3, 2, 2, 3, 3, 2])[0]
     if op == "~":
-        return f"~{_subformula(rng, depth - 1, bound)}"
+        return f"~{_subformula(rng, depth - 1, bound, atoms)}"
     if op in ("&", "|"):
-        return f"({_subformula(rng, depth - 1, bound)} {op} {_subformula(rng, depth - 1, bound)})"
+        left, right = (_subformula(rng, depth - 1, bound, atoms) for _ in range(2))
+        return f"({left} {op} {right})"
     if op in ("<>", "[]"):
-        return f"{op}{_subformula(rng, depth - 1, bound)}"
+        return f"{op}{_subformula(rng, depth - 1, bound, atoms)}"
     if len(bound) >= 2:
-        return _subformula(rng, depth, bound)
+        return _subformula(rng, depth, bound, atoms)
     var = "xy"[len(bound)]
-    return f"(down ${var} . {_subformula(rng, depth - 1, bound + [var])})"
+    return f"(down ${var} . {_subformula(rng, depth - 1, bound + [var], atoms)})"
 
 
-def _sentences(seed, count):
-    """Distinct random down-fragment sentences over p and q, each a
-    conjunction of two subformulas of depth at most 3."""
+def _sentences(seed, count, atoms=("p", "q"), conjuncts=2):
+    """Distinct random down-fragment sentences over atoms, each a
+    conjunction of subformulas of depth at most 3."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        text = " & ".join(_subformula(rng, 3, []) for _ in range(2))
+        text = " & ".join(_subformula(rng, 3, [], atoms) for _ in range(conjuncts))
         if text not in out:
             out.append(text)
     return out
@@ -157,6 +171,71 @@ def test_unsat_on_every_frame_is_never_sat(text):
         assert result.status in ("unknown", "unsat"), (text, clique, nodes, c)
 
 
+# Sentences UNSAT on every frame because a nominal names one state.  Their
+# recodings are SAT: the nominal's proposition holds at two states.
+NOMINALLY_UNSAT = ["'i & p & <>('i & ~p)", "<>('i & p) & <>('i & ~p)"]
+
+
+@pytest.mark.parametrize("text", NOMINALLY_UNSAT)
+def test_a_nominal_at_two_states_is_never_sat(text):
+    for clique, nodes, c in BUDGETS:
+        result = sat_transitive(parse(text), Budget(max_clique=clique, max_nodes=nodes, max_c=c))
+        assert result.status == "unknown", (text, clique, nodes, c)
+        assert result.stats["rejected"][NOMINAL_SPLIT] > 0
+
+
+def _read_back(m, phi):
+    """m with the proposition each nominal of phi was recoded as read back
+    as that nominal: it names the one state where the proposition holds,
+    or a fresh state that no other state sees."""
+    val, nomval, states = dict(m.val), {}, list(m.states)
+    for i in noms_of(phi):
+        where = val.pop(recode_nominals(nom(i)).name, frozenset())
+        assert len(where) <= 1, (i, sorted(where))
+        nomval[i] = min(where) if where else f"fresh {i}"
+        if not where:
+            states.append(nomval[i])
+    return HybridModel(tuple(states), m.rel, val, nomval)
+
+
+# Seeded sentences over p and a nominal: at the three-conjunct depth the
+# first recoded witness of some of them holds the nominal at two states.
+NOMINAL_SENTENCES = [t for t in _sentences(1, 40, ("p", "'i"), 3) if "'i" in t]
+
+
+def test_nominal_witnesses_realize_to_models_of_the_sentence():
+    sat = 0
+    for text in NOMINAL_SENTENCES:
+        phi = parse(text)
+        for clique, nodes, c in BUDGETS:
+            result = sat_transitive(phi, Budget(max_clique=clique, max_nodes=nodes, max_c=c))
+            if result.is_sat:
+                m = _read_back(realize(result.witness_rep, 3), phi)
+                assert any(eval_formula(m, {}, s, phi) for s in m.states), (text, clique, nodes, c)
+                sat += 1
+    # three more came out SAT when the gate ignored nominals
+    assert (len(NOMINAL_SENTENCES), sat) == (38, 138)
+
+
+def test_candidates_the_empty_guess_recording_cannot_tell_are_evaluated_alone(monkeypatch):
+    # the empty-guess recording also gave the explicit part's types, and
+    # its memo keeps what their tests answered under the empty guess; a
+    # candidate it settles that answers one of them otherwise is read on an
+    # evaluation under that candidate alone, so verify sees no rejection
+    untold, read = [], Recording.holds
+
+    def holds(self, phi, vector):
+        out = read(self, phi, vector)
+        if out is None:
+            untold.append(vector)
+        return out
+
+    monkeypatch.setattr(hylo.solver.Recording, "holds", holds)
+    result = sat_transitive(parse("~<>p & ~q & <><>p"), Budget(max_clique=2, max_nodes=2, max_c=1))
+    assert result.status == "unknown"
+    assert len(untold) == 99
+
+
 # The benchmark's budget-exhausting searches (perfbench/workloads.py,
 # REFUTATION_GRID): each is UNKNOWN at its budget.
 GRID = [
@@ -178,14 +257,16 @@ GRID = [
 ]
 
 
-def test_grid_searches_hand_verify_only_consistent_guesses(verify_sees_no_type_mismatch):
+def test_grid_searches_hand_verify_only_consistent_guesses(verify_accepts_every_vector):
     candidates = skipped = 0
     for text, (clique, nodes, c) in GRID:
         result = sat_transitive(parse(text), Budget(max_clique=clique, max_nodes=nodes, max_c=c))
         assert result.status == "unknown", text
         candidates += result.candidates
         skipped += result.stats["guesses_skipped"]
-    assert len(verify_sees_no_type_mismatch) == candidates
+    # each candidate is rejected on the recording that settled it: verify
+    # sees only SAT answers, and these searches have none
+    assert verify_accepts_every_vector == []
     # the enumeration before recorded evaluations handed all 10,750 to verify
     assert (candidates, skipped) == (4398, 6352)
 
