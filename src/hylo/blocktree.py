@@ -15,11 +15,10 @@ per formula node, and its memo holds only modal and Until nodes, so
 ``verify`` reuses for phi the modal answers it computed while it checked
 the guesses.  A ``Recording`` evaluates under a vector of guesses and logs
 each test the hook makes of them, which is all that the evaluation
-depends on the guesses for.  Its evaluator and memo then serve any vector
-that answers every logged test alike: ``Recording.holds`` points the
-guesses at that vector and evaluates phi there, which is how the solver
-rejects a candidate without ``verify``; ``verify`` sees only the
-candidates under which phi holds, and shares ``holds_somewhere`` with it.
+depends on the guesses for: any vector that answers every logged test
+alike gives its targets the same types.  ``holds_somewhere`` answers
+whether phi holds at some explicit state, for ``verify`` and for the
+solver alike.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import json
 
 from .checker import _Evaluator
 from .formula import Formula, diamond_closure, record
-from .model import HybridModel, _closure, _name_lists, _name_map, _names, _pairs, cliques
-
-PhiType = frozenset
+from .model import HybridModel, _closure, _is_tree_order, _name_lists, _name_map, _names, _pairs, cliques
 
 
 @record
@@ -79,7 +76,8 @@ class FiniteRep:
         m_val = {p: ss & m_set for p, ss in self.val.items()}
         m_model = HybridModel(self.m_states, m_rel, m_val)
         parts, edges = cliques(m_model)  # raises if not transitive
-        self._check_condensation_tree(parts, edges)
+        if not _is_tree_order(range(len(parts)), edges):
+            raise ValueError("condensation of the m-part is not a tree with a single root")
         object.__setattr__(self, "_m_model", m_model)
         object.__setattr__(self, "_parts", parts)
         object.__setattr__(self, "_edges", edges)
@@ -113,25 +111,6 @@ class FiniteRep:
             for a in preds[c]:
                 c_succ[a].append(c)
         return c_succ
-
-    @staticmethod
-    def _check_condensation_tree(parts, edges):
-        n = len(parts)
-        preds = {v: {u for u, w in edges if w == v} for v in range(n)}
-        # immediate predecessor: u with no node strictly between u and v
-        for v in range(n):
-            immediate = [
-                u
-                for u in preds[v]
-                if not any((u, w) in edges and (w, v) in edges for w in range(n))
-            ]
-            if len(immediate) > 1:
-                raise ValueError("condensation of the m-part is not a tree")
-            if preds[v] and not immediate:
-                raise ValueError("condensation of the m-part is not a tree")
-        roots = [v for v in range(n) if not preds[v]]
-        if len(roots) != 1:
-            raise ValueError("condensation of the m-part must have a single root")
 
     def with_val(self, val: dict) -> FiniteRep:
         """The same validated structure under another valuation.  Only the
@@ -254,18 +233,17 @@ class Recording:
     through the tests it logs, and it is deterministic, so a vector that
     answers those tests the same way evaluates every sentence as this one
     does: the result is recorded with what it depended on, as in
-    dependency-directed backtracking (Stallman & Sussman 1977).
+    dependency-directed backtracking (Stallman & Sussman 1977).  ``types``
+    and ``tests`` are fixed when it is built.
     """
 
     def __init__(self, rep: FiniteRep, phi: Formula, slots: dict, vector, targets):
         closure = diamond_closure(phi)
-        log = {}
+        log = {}  # every test made of a guess, (slot, sentence) -> answer
         logged = [_Logged(k, t, log) for k, t in enumerate(vector)]
         refs = {s: [logged[k] for k in ks] for s, ks in slots.items()}
         ev = _Evaluator(rep._m_model, refs)
         self.rep, self.ev, self.closure = rep, ev, closure
-        #: every test made of a guess so far, (slot, sentence) -> answer
-        self.log, self.logged = log, logged
         #: the type of each target state under the vector
         self.types = tuple(
             frozenset(chi for chi in closure if any(ev.run(chi, {}, t) for t in [s, *ev.succ[s]]))
@@ -288,25 +266,9 @@ class Recording:
 
     def explicit_types(self) -> dict:
         """The type of every explicit state under the vector, as
-        ``compute_types`` gives it; its tests are logged but not added to
-        ``tests``."""
+        ``compute_types`` gives it, read on this evaluation; the tests it
+        makes are not added to ``tests``."""
         return _explicit_types(self.rep, self.ev, self.closure)
-
-    def holds(self, phi: Formula, vector) -> bool | None:
-        """Whether phi holds at some explicit state under vector, read on
-        this evaluation and its memo, or None when vector answers some
-        logged test otherwise than the evaluation did.
-
-        The memo depends on every test in the log, ``explicit_types``'
-        and earlier calls' included, not only on ``tests``.  Once vector
-        agrees with all of them, the guesses are pointed at it, so that a
-        test made while phi is evaluated is answered by vector and logged
-        too."""
-        if any((chi in vector[k]) != answer for (k, chi), answer in self.log.items()):
-            return None
-        for logged, members in zip(self.logged, vector):
-            logged.members = members
-        return holds_somewhere(self.rep, phi, self.ev)
 
 
 def _normalize_guess(rep, c_guess, closure):

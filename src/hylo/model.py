@@ -68,20 +68,6 @@ class HybridModel:
             view = self._views[(plus, converse)] = (succ, pairs)
         return view
 
-    def with_val(self, val: dict) -> HybridModel:
-        """The same frame under another proposition valuation.  Only the
-        valuation is checked; states, relation, nominals and relation
-        views are shared with this model."""
-        val = {p: frozenset(ss) for p, ss in val.items()}
-        known = set(self.states)
-        for p, ss in val.items():
-            unknown = ss - known
-            if unknown:
-                raise ValueError(f"valuation of {p!r} mentions unknown states {sorted(unknown)}")
-        out = object.__new__(HybridModel)
-        out.__dict__.update(self.__dict__, val=val)
-        return out
-
     @classmethod
     def _trusted(cls, states, rel, val, nomval, views=None) -> HybridModel:
         """A model from parts that are already normalized and valid, built
@@ -145,17 +131,23 @@ def transitive_closure(m: HybridModel) -> HybridModel:
 
 def is_transitive_tree(m: HybridModel) -> bool:
     """True iff rel is the transitive closure of a tree relation: a strict
-    order with exactly one root, in which the predecessors of every state
-    form a chain (so each state below the root has one direct predecessor,
-    the greatest of its chain)."""
-    rel = m.rel
-    if any((s, s) in rel for s in m.states) or not is_transitive(m):
+    order that ``_is_tree_order`` accepts."""
+    if any((s, s) in m.rel for s in m.states) or not is_transitive(m):
         return False
-    preds = m._relation(converse=True)[0]
-    if sum(1 for s in m.states if not preds[s]) != 1:
+    return _is_tree_order(m.states, m.rel)
+
+
+def _is_tree_order(nodes, order) -> bool:
+    """Whether a strict order, given as its set of pairs, has exactly one
+    root and the predecessors of every node form a chain (so each node
+    below the root has one direct predecessor, the greatest of its chain)."""
+    preds = {v: [] for v in nodes}
+    for a, b in order:
+        preds[b].append(a)
+    if sum(1 for ps in preds.values() if not ps) != 1:
         return False
     chains = (combinations(ps, 2) for ps in preds.values())
-    return all((a, b) in rel or (b, a) in rel for pairs in chains for a, b in pairs)
+    return all((a, b) in order or (b, a) in order for pairs in chains for a, b in pairs)
 
 
 def generated_submodel(m: HybridModel, s: str) -> HybridModel:

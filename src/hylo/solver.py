@@ -30,18 +30,15 @@ and recorded.  A vector unlike its targets' types is exactly one that
 verify() would reject with a type mismatch, so verdicts and first
 witnesses do not change.
 
-A candidate equals the types of the recording that settled it, so that
-recording's evaluation, with its guesses pointed at the candidate, also
-tells whether phi holds at some explicit state (``Recording.holds``).
-Its memo depends on every test it logged, the explicit part's types
-included, so a candidate that answers one of them otherwise is evaluated
-alone; a structure without c-states is evaluated plainly.  A candidate
-under which phi holds nowhere is rejected there, exactly as verify()
-would reject it.  The others reach verify(), the SAT gate, which checks
-the guesses and phi again from scratch.  For nominal input the gate also
-asks that each recoded nominal hold at no more than one explicit state,
-outside every referenced subtree; any other witness is rejected with its
-own reason and the search goes on.
+Each candidate is evaluated once more, plainly, under its own guesses, to
+tell whether phi holds at some explicit state; a structure without
+c-states has no guesses and is evaluated on its explicit part.  A
+candidate under which phi holds nowhere is rejected there, exactly as
+verify() would reject it.  The others reach verify(), the SAT gate, which
+checks the guesses and phi again from scratch.  For nominal input the
+gate also asks that each recoded nominal hold at no more than one
+explicit state, outside every referenced subtree; any other witness is
+rejected with its own reason and the search goes on.
 
 ``candidates`` counts the candidates, and ``stats["guesses_skipped"]``
 the settled vectors unlike their targets' types; together they are
@@ -66,6 +63,7 @@ from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 
 from .blocktree import NO_STATE, FiniteRep, Recording, holds_somewhere, verify
+from .checker import _Evaluator
 from .formula import (
     Formula,
     _sentence_guard,
@@ -333,10 +331,8 @@ class _Shape:
         recorded evaluation settles, with a slot unlike its target's type,
         is counted as skipped; a vector that none settles is evaluated once
         more and recorded.  Each vector comes with whether phi holds at
-        some explicit state under it, read on the recording that settled
-        it, or, when that recording's log holds a test the vector answers
-        otherwise, on an evaluation under the vector alone.  Without
-        c-states the one vector is empty and needs no recording."""
+        some explicit state under it, evaluated under its own guesses.
+        Without c-states the one vector is empty and needs no recording."""
         if not rep.c_states:
             yield {}, holds_somewhere(rep, compiled.phi)
             return
@@ -363,10 +359,8 @@ class _Shape:
                 known = Recording(rep, compiled.phi, self.slots_below, choice, self.target_state)
                 recorded.append(known)
             if choice == known.types:
-                holds = known.holds(compiled.phi, choice)
-                if holds is None:  # its log holds tests answered otherwise
-                    alone = Recording(rep, compiled.phi, self.slots_below, choice, ())
-                    holds = alone.holds(compiled.phi, choice)
+                refs = {s: [choice[k] for k in ks] for s, ks in self.slots_below.items()}
+                holds = holds_somewhere(rep, compiled.phi, _Evaluator(rep._m_model, refs))
                 yield {c: choice[k] for c, k in self.slot.items()}, holds
             else:
                 stats["guesses_skipped"] += 1
@@ -413,7 +407,14 @@ def _names_one_state(rep, nominals):
     return all(len(rep.val[p]) <= 1 and rep.val[p].isdisjoint(referenced) for p in nominals)
 
 
-def _search(phi, budget, complete_only, nominal_warning, bounds):
+def _search(phi, budget, complete_only):
+    """The bounded search over transitive frames or, with complete_only,
+    over single cliques, whose bounds and budget leave one node and no
+    reference."""
+    _sentence_guard(phi)
+    bounds = bounds_for(phi)
+    if complete_only:
+        bounds, budget = (1, bounds[1], 0), Budget(budget.max_clique, 1, 0)
     compiled = _Compiled(phi)
     recoded, atoms = compiled.phi, compiled.atoms
     stats = {
@@ -424,6 +425,11 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
         "rejected": {},
     }
     candidates = 0
+
+    def answer(status, **fields):
+        fields.update(nominal_warning=bool(noms_of(phi)), bounds=bounds, candidates=candidates, stats=stats)
+        return SatResult(status, **fields)
+
     for nodes, cliq, n_c in budget.levels():
         kinds_pool = _node_kinds(cliq, complete_only)
         pair_pool = [(node, t) for node in range(nodes) for t in range(nodes)]
@@ -456,15 +462,7 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
                                 if reason is None and not _names_one_state(rep, compiled.nominals):
                                     reason = NOMINAL_SPLIT
                             if reason is None:
-                                return SatResult(
-                                    "sat",
-                                    witness_rep=rep,
-                                    witness_guess=guess,
-                                    nominal_warning=nominal_warning,
-                                    bounds=bounds,
-                                    candidates=candidates,
-                                    stats=stats,
-                                )
+                                return answer("sat", witness_rep=rep, witness_guess=guess)
                             reason = reason.split(":")[0]
                             stats["rejected"][reason] = stats["rejected"].get(reason, 0) + 1
     limit = (budget.max_nodes, budget.max_clique, budget.max_c)
@@ -472,25 +470,17 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
     # hold at many states: once the gate has turned down one of its
     # witnesses, exhausting them no longer shows the input UNSAT
     if all(a >= b for a, b in zip(limit, bounds)) and NOMINAL_SPLIT not in stats["rejected"]:
-        return SatResult(
+        return answer(
             "unsat",
             exhaustive=True,
-            nominal_warning=nominal_warning,
-            bounds=bounds,
-            candidates=candidates,
-            stats=stats,
             note=(
                 "exhausted all representations within the conservative "
                 f"completeness bounds nodes={bounds[0]}, clique={bounds[1]}, "
                 f"c={bounds[2]}"
             ),
         )
-    return SatResult(
+    return answer(
         "unknown",
-        nominal_warning=nominal_warning,
-        bounds=bounds,
-        candidates=candidates,
-        stats=stats,
         note=(
             "search exhausted the budget without reaching the conservative "
             f"completeness bounds nodes={bounds[0]}, clique={bounds[1]}, "
@@ -501,23 +491,9 @@ def _search(phi, budget, complete_only, nominal_warning, bounds):
 
 def sat_transitive(phi: Formula, budget: Budget = Budget()) -> SatResult:
     """Satisfiability of an HL-down sentence over transitive frames."""
-    _sentence_guard(phi)
-    warning = bool(noms_of(phi))
-    return _search(
-        phi, budget, complete_only=False, nominal_warning=warning, bounds=bounds_for(phi)
-    )
+    return _search(phi, budget, complete_only=False)
 
 
 def sat_complete(phi: Formula, budget: Budget = Budget()) -> SatResult:
     """Satisfiability over complete frames: single-clique representations."""
-    _sentence_guard(phi)
-    warning = bool(noms_of(phi))
-    budget_c = Budget(budget.max_clique, 1, 0)
-    _, clique_bound, _ = bounds_for(phi)
-    return _search(
-        phi,
-        budget_c,
-        complete_only=True,
-        nominal_warning=warning,
-        bounds=(1, clique_bound, 0),
-    )
+    return _search(phi, budget, complete_only=True)

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -245,22 +246,32 @@ def _hld_formulas():
 
 
 def _verify_texts(text, guess_texts):
-    """verify on freshly parsed formulas, its answer as plain text."""
-    res = verify(chain_rep(), parse(text), {"c0": frozenset(parse(t) for t in guess_texts)})
+    """verify on freshly parsed formulas, its answer as plain text, and a
+    weak reference to the parsed formula."""
+    phi = parse(text)
+    res = verify(chain_rep(), phi, {"c0": frozenset(parse(t) for t in guess_texts)})
     types = {s: sorted(print_formula(chi) for chi in t) for s, t in res.types.items()}
-    return res.accepted, res.reason, types
+    return (res.accepted, res.reason, types), weakref.ref(phi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_hld_formulas(), st.data())
 def test_verify_depends_on_structure_only(body, data):
-    text = print_formula(Down(svar("x"), body))
+    phi = Down(svar("x"), body)
+    text = print_formula(phi)
+    held = weakref.ref(phi)  # alive after the del only if another formula holds it
+    del phi
     closure = sorted(print_formula(chi) for chi in diamond_closure(parse(text)))
     guess_texts = data.draw(st.sets(st.sampled_from(closure))) if closure else set()
-    first = _verify_texts(text, guess_texts)
-    gc.collect()  # let new nodes reuse the addresses of dead ones
-    assert _verify_texts(text, guess_texts) == first
-    assert _verify_texts(text, guess_texts) == first
+    first, root = _verify_texts(text, guess_texts)
+    # the first parse's root has left the intern table unless another
+    # formula holds it, so new nodes may reuse the addresses of dead ones;
+    # nodes hold no cycles, so the collector is only a fallback
+    if root() is not held():
+        gc.collect()
+    assert root() is held()
+    assert _verify_texts(text, guess_texts)[0] == first
+    assert _verify_texts(text, guess_texts)[0] == first
 
 
 def _two_leaf_rep():

@@ -203,18 +203,6 @@ def test_adjacency_is_cached_in_state_order_and_handed_out_as_copies():
     assert m._relation(converse=True)[1] == {(a, b) for b, a in m.rel}
 
 
-def test_with_val_shares_the_frame_and_checks_the_valuation():
-    m = M(["a", "b"], [("a", "b")], {"p": {"a"}}, {"i": "b"})
-    m2 = m.with_val({"p": {"b"}, "q": set()})
-    assert m2 == M(["a", "b"], [("a", "b")], {"p": {"b"}, "q": set()}, {"i": "b"})
-    for plus in (False, True):
-        for converse in (False, True):
-            assert m2._relation(plus, converse) is m._relation(plus, converse)
-    assert m.val == {"p": frozenset({"a"})}
-    with pytest.raises(ValueError, match="unknown states"):
-        m.with_val({"p": {"zz"}})
-
-
 def _checked(m):
     """The same parts through the validating constructor."""
     return HybridModel(m.states, m.rel, m.val, m.nomval)

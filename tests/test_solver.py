@@ -214,9 +214,8 @@ def test_guesses_the_empty_guess_does_not_settle_are_evaluated_again(monkeypatch
 @given(_hld_formulas(), st.data())
 def test_the_solver_reads_the_verdict_verify_gives(body, data):
     # a solver structure under a valuation: the first consistent vectors,
-    # in the solver's order, each with the verdict read on the recording
-    # that settled it (the empty-guess one also gave the explicit part's
-    # types whenever a slot is guessed)
+    # in the solver's order, each with the verdict read on its evaluation
+    # under its own guesses
     phi = Down(svar("x"), body)
     nodes = data.draw(st.integers(1, 3))
     parents = data.draw(st.sampled_from(_canonical_trees(nodes)))

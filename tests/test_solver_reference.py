@@ -2,8 +2,8 @@
 enumeration in ``solver_reference.py``, and against ground truth that
 needs no solver: sentences UNSAT on every frame must never come out SAT.
 In every search here, each guess vector the solver hands to verify is
-accepted there: the solver rejects the others on the recorded evaluation
-that settled them.
+accepted there: the solver rejects the others on an evaluation under
+their own guesses.
 """
 
 import json
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import hylo.solver
-from hylo.blocktree import Recording, realize, verify
+from hylo.blocktree import realize, verify
 from hylo.checker import eval_formula
 from hylo.formula import nom, noms_of, parse, recode_nominals
 from hylo.model import HybridModel
@@ -39,8 +39,9 @@ BUDGETS = [(2, 2, 1), (1, 3, 1), (2, 1, 2), (1, 2, 2)]
 def verify_accepts_every_vector(monkeypatch):
     """The solver's verify, failing the search on any rejection: the
     recorded evaluations settle every guess vector unlike its targets'
-    types, and reject every vector under which phi holds at no explicit
-    state, before it reaches verify.  Yields the list of verify results."""
+    types, and each candidate's evaluation under its own guesses rejects
+    it where phi holds at no explicit state, before it reaches verify.
+    Yields the list of verify results."""
     results = []
 
     def checked(rep, phi, guess):
@@ -217,23 +218,13 @@ def test_nominal_witnesses_realize_to_models_of_the_sentence():
     assert (len(NOMINAL_SENTENCES), sat) == (38, 138)
 
 
-def test_candidates_the_empty_guess_recording_cannot_tell_are_evaluated_alone(monkeypatch):
+def test_candidates_the_empty_guess_recording_settles_reach_verify_only_when_sat():
     # the empty-guess recording also gave the explicit part's types, and
-    # its memo keeps what their tests answered under the empty guess; a
-    # candidate it settles that answers one of them otherwise is read on an
-    # evaluation under that candidate alone, so verify sees no rejection
-    untold, read = [], Recording.holds
-
-    def holds(self, phi, vector):
-        out = read(self, phi, vector)
-        if out is None:
-            untold.append(vector)
-        return out
-
-    monkeypatch.setattr(hylo.solver.Recording, "holds", holds)
+    # its evaluation kept what their tests answered under the empty guess;
+    # each candidate it settles is read under its own guesses, so the
+    # strict fixture sees verify reject none of them
     result = sat_transitive(parse("~<>p & ~q & <><>p"), Budget(max_clique=2, max_nodes=2, max_c=1))
-    assert result.status == "unknown"
-    assert len(untold) == 99
+    assert (result.status, result.candidates) == ("unknown", 1656)
 
 
 # The benchmark's budget-exhausting searches (perfbench/workloads.py,
@@ -264,8 +255,8 @@ def test_grid_searches_hand_verify_only_consistent_guesses(verify_accepts_every_
         assert result.status == "unknown", text
         candidates += result.candidates
         skipped += result.stats["guesses_skipped"]
-    # each candidate is rejected on the recording that settled it: verify
-    # sees only SAT answers, and these searches have none
+    # each candidate is rejected on its evaluation under its own guesses:
+    # verify sees only SAT answers, and these searches have none
     assert verify_accepts_every_vector == []
     # the enumeration before recorded evaluations handed all 10,750 to verify
     assert (candidates, skipped) == (4398, 6352)
