@@ -17,6 +17,7 @@ from hylo.model import (
     save_model,
     transitive_closure,
 )
+from hylo.model import _is_tree_order
 
 
 def M(states, rel, val=None, nom=None):
@@ -86,6 +87,39 @@ def test_transitive_trees_number_k_to_the_k_minus_1():
         relations = (compress(pairs, bits) for bits in product((0, 1), repeat=len(pairs)))
         assert sum(is_transitive_tree(M(names, rel)) for rel in relations) == k ** (k - 1)
 
+
+
+def test_tree_orders_are_the_closures_of_rooted_parent_maps():
+    # the test that is_transitive_tree and FiniteRep share, on every strict
+    # order of up to 4 index nodes: it accepts exactly the ancestor relations
+    # of the rooted trees, built here by following each node's parent
+    for k in (1, 2, 3, 4):
+        nodes = range(k)
+        trees = set()
+        for parents in product([None, *nodes], repeat=k):
+            if parents.count(None) != 1:
+                continue
+            order = set()
+            for v in nodes:
+                u, seen = parents[v], {v}
+                while u is not None and u not in seen:
+                    order.add((u, v))
+                    seen.add(u)
+                    u = parents[u]
+                if u is not None:  # a cycle of parents
+                    break
+            else:
+                trees.add(frozenset(order))
+        assert len(trees) == k ** (k - 1)
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        for bits in product((0, 1), repeat=len(pairs)):
+            order = frozenset(compress(pairs, bits))
+            if any((a, d) not in order for a, b in order for c, d in order if b == c and a != d):
+                continue  # not transitive
+            if any((b, a) in order for a, b in order):
+                continue  # not a strict order
+            assert _is_tree_order(nodes, order) == (order in trees), (k, sorted(order))
+    assert not _is_tree_order(range(0), frozenset())
 
 def test_generated_submodel():
     m = M(
