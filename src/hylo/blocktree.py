@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 
-from .checker import _Evaluator
+from .checker import _Evaluator, type_at
 from .formula import Formula, diamond_closure, record
 from .model import HybridModel, _closure, _is_tree_order, _name_lists, _name_map, _names, _pairs, cliques
 
@@ -158,42 +158,22 @@ class FiniteRep:
         return list(self._c_succ.get(s, ()))
 
 
-def _prepare(rep, phi, c_guess):
-    """The closure of phi, the guess checked against it, and the checker on
-    the explicit part, which follows references through the guessed types."""
-    closure = diamond_closure(phi)
-    guess = _normalize_guess(rep, c_guess, closure)
-    refs = {s: [guess[c] for c in cs] for s, cs in rep._c_succ.items()}
-    return closure, guess, _Evaluator(rep._m_model, refs)
+def _evaluator(rep, slots, vector):
+    """The checker on the explicit part, following references through
+    guessed types: ``slots`` maps each explicit state to the keys in
+    ``vector`` of its reference successors' guesses."""
+    return _Evaluator(rep._m_model, {s: [vector[k] for k in ks] for s, ks in slots.items()})
 
 
 def _explicit_types(rep, ev, closure):
     """Types of the explicit states: closure sentences true at each or at
     an explicit state below it."""
-    truths = {
-        s: frozenset(chi for chi in closure if ev.run(chi, {}, s)) for s in rep.m_states
-    }
-    types = {}
-    for s in rep.m_states:
-        here = set(truths[s])
-        for t in ev.succ[s]:
-            here |= truths[t]
-        types[s] = frozenset(here)
-    return types
+    return {s: type_at(ev, closure, s) for s in rep.m_states}
 
 
-def holds_somewhere(rep, phi, ev=None):
-    """Whether phi holds at some explicit state: on the evaluator ev or,
-    without one, on the explicit part alone, which is exact when rep has
-    no c-states."""
-    if ev is None:
-        ev = _Evaluator(rep._m_model)
+def holds_somewhere(rep, phi, ev):
+    """Whether phi holds at some explicit state on the evaluator ev."""
     return any(ev.run(phi, {}, s) for s in rep.m_states)
-
-
-def _types(rep, ev, closure, guess):
-    """Types of every state under one guess."""
-    return {**_explicit_types(rep, ev, closure), **guess}
 
 
 def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
@@ -206,22 +186,27 @@ def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
     sentence of a type has an explicit witness, because references only
     replace subtrees whose types repeat.
     """
-    closure, guess, ev = _prepare(rep, phi, c_guess)
-    return _types(rep, ev, closure, guess)
+    closure = diamond_closure(phi)
+    guess = _normalize_guess(rep, c_guess, closure)
+    return {**_explicit_types(rep, _evaluator(rep, rep._c_succ, guess), closure), **guess}
 
 
 class _Logged:
-    """A guessed type that logs each test of its membership: the checker's
-    reference hook reads a guess only through ``in``."""
+    """A guessed type that logs each test of its membership, and the
+    sentences found: the checker's reference hook reads a guess only
+    through ``in``."""
 
-    __slots__ = ("slot", "members", "log")
+    __slots__ = ("members", "tested", "found")
 
-    def __init__(self, slot, members, log):
-        self.slot, self.members, self.log = slot, members, log
+    def __init__(self, members):
+        self.members, self.tested, self.found = members, set(), set()
 
     def __contains__(self, chi):
-        answer = self.log[self.slot, chi] = chi in self.members
-        return answer
+        self.tested.add(chi)
+        if chi in self.members:
+            self.found.add(chi)
+            return True
+        return False
 
 
 class Recording:
@@ -238,26 +223,16 @@ class Recording:
     """
 
     def __init__(self, rep: FiniteRep, phi: Formula, slots: dict, vector, targets):
-        closure = diamond_closure(phi)
-        log = {}  # every test made of a guess, (slot, sentence) -> answer
-        logged = [_Logged(k, t, log) for k, t in enumerate(vector)]
-        refs = {s: [logged[k] for k in ks] for s, ks in slots.items()}
-        ev = _Evaluator(rep._m_model, refs)
-        self.rep, self.ev, self.closure = rep, ev, closure
+        self.rep, self.closure = rep, diamond_closure(phi)
+        logged = [_Logged(t) for t in vector]
+        self.ev = _evaluator(rep, slots, logged)
         #: the type of each target state under the vector
-        self.types = tuple(
-            frozenset(chi for chi in closure if any(ev.run(chi, {}, t) for t in [s, *ev.succ[s]]))
-            for s in targets
-        )
+        self.types = tuple(type_at(self.ev, self.closure, s) for s in targets)
         #: the tests those types depend on, as (slot, sentences tested, those
         #: found in the guess), one per slot tested
-        per_slot = {}
-        for (k, chi), answer in log.items():
-            tested, found = per_slot.setdefault(k, (set(), set()))
-            tested.add(chi)
-            if answer:
-                found.add(chi)
-        self.tests = tuple((k, frozenset(t), frozenset(f)) for k, (t, f) in per_slot.items())
+        self.tests = tuple(
+            (k, frozenset(g.tested), frozenset(g.found)) for k, g in enumerate(logged) if g.tested
+        )
 
     def settles(self, vector) -> bool:
         """Whether vector answers every logged test as this one did, so
@@ -309,7 +284,9 @@ def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
     mismatch stops at the first sentence that differs; phi is evaluated
     only once every guess matched.  Only an accepted result carries the
     type of every state; a rejected one's ``types`` is empty."""
-    closure, guess, ev = _prepare(rep, phi, c_guess)
+    closure = diamond_closure(phi)
+    guess = _normalize_guess(rep, c_guess, closure)
+    ev = _evaluator(rep, rep._c_succ, guess)
     known = {}  # the type of each target that a guess has matched
     for c in rep.c_states:
         target, want = rep.ref[c], guess[c]
@@ -325,7 +302,7 @@ def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
         known[target] = want
     if not holds_somewhere(rep, phi, ev):
         return VerifyResult(False, NO_STATE, {})
-    return VerifyResult(True, None, _types(rep, ev, closure, guess))
+    return VerifyResult(True, None, {**_explicit_types(rep, ev, closure), **guess})
 
 
 def realize(rep: FiniteRep, depth: int) -> HybridModel:

@@ -198,7 +198,12 @@ def phi_type(m: HybridModel, phi: Formula, s: str) -> frozenset[Formula]:
     check_hld(phi)
     if s not in set(m.states):
         raise UnknownStateError(f"unknown state {s!r}")
-    closure = diamond_closure(phi)
-    ev = _Evaluator(m)
-    scope = [s] + ev.succ[s]
+    return type_at(_Evaluator(m), diamond_closure(phi), s)
+
+
+def type_at(ev: _Evaluator, closure, s: str) -> frozenset[Formula]:
+    """The closure sentences that ev finds true at s or at some successor
+    of s: the one definition of a state's type, for ``phi_type`` and for
+    the block-tree layer, whose evaluators follow guessed references."""
+    scope = [s, *ev.succ[s]]
     return frozenset(chi for chi in closure if any(ev.run(chi, {}, t) for t in scope))

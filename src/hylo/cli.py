@@ -79,7 +79,7 @@ def _build_parser():
     group.add_argument("--formula")
     group.add_argument("--fo")
     p.add_argument(
-        "--jobs", type=_POSITIVE, default=1, help="worker processes, at most one per size (--formula only)"
+        "--jobs", type=_POSITIVE, default=1, help="selects nothing: the sweep runs in one process (--formula only)"
     )
 
     p = sub.add_parser("translate", help="apply a translation rule")
@@ -157,14 +157,6 @@ def _oracle_frame(name):
     return "transitive" if name == "trans" else name
 
 
-def _oracle_worker(payload):
-    from . import model, oracle
-
-    phi, frame, k = payload
-    hit = oracle._lane_search(phi, frame, k, sizes=(k,))
-    return None if hit is None else (model.model_to_dict(hit[0]), hit[1])
-
-
 def _cmd_oracle(args):
     from . import model, oracle
     from .satellites import parse_fo
@@ -184,34 +176,12 @@ def _cmd_oracle(args):
         }
         print(json.dumps(doc))
         return 0
-    phi = parse(args.formula)
-    if args.jobs > 1:
-        found = _parallel_oracle(phi, frame, args.max_states, args.jobs)
-    else:
-        found = oracle.brute_sat(phi, frame, args.max_states)
-        found = None if found is None else (model.model_to_dict(found.model), found.state)
+    found = oracle.brute_sat(parse(args.formula), frame, args.max_states)
     if found is None:
         print(f"not found within bound {args.max_states}")
         return 1
-    doc, state = found
-    print(json.dumps({"model": doc, "state": state}))
+    print(json.dumps({"model": model.model_to_dict(found.model), "state": found.state}))
     return 0
-
-
-def _parallel_oracle(phi, frame, max_states, jobs):
-    """Size slices fan out to at most one worker each.  Results are read in
-    size order and the smallest-size hit wins, so the answer matches the
-    serial canonical order regardless of job count; leaving the pool
-    terminates the slices still running."""
-    import multiprocessing
-
-    # a node pickles as its constructor call, so it re-interns in the worker
-    payloads = [(phi, frame, k) for k in range(1, max_states + 1)]
-    with multiprocessing.Pool(processes=min(jobs, len(payloads))) as pool:
-        for res in pool.imap(_oracle_worker, payloads):
-            if res is not None:
-                return res
-    return None
 
 
 def _until_parts(phi, args):
@@ -316,11 +286,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "oracle" and args.fo is not None and args.jobs > 1:
-        parser.error("argument --jobs: not allowed with argument --fo")
+def _run(args):
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:  # parse, fragment and input errors
@@ -329,6 +295,40 @@ def main(argv=None) -> int:
     except Exception as exc:  # exit 1 would read as UNSAT / false
         print(f"hylo: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_INTERNAL
+
+
+# Evaluation, translation and the lane engine recurse once per nesting level
+# of a formula, so a command runs on a thread whose stack and recursion limit
+# take any depth the parser reads.
+_STACK_BYTES = 256 << 20
+_RECURSION_LIMIT = 1 << 16
+
+
+def _run_deep(args):
+    """Run the command on one worker thread with a deep stack, restoring
+    the thread stack size and the recursion limit afterwards.  The main
+    thread only waits, so Ctrl-C still interrupts it."""
+    import threading
+
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(_run(args)), daemon=True)
+    stack, limit = threading.stack_size(_STACK_BYTES), sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
+    try:
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(stack)
+        sys.setrecursionlimit(limit)
+    return codes[0] if codes else EX_INTERNAL
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "oracle" and args.fo is not None and args.jobs > 1:
+        parser.error("argument --jobs: not allowed with argument --fo")
+    return _run_deep(args)
 
 
 if __name__ == "__main__":

@@ -584,13 +584,12 @@ def _first_lane(row):
     return 64 * plane + bit, state
 
 
-def _lane_search(phi, frame, max_states, atoms=(), sizes=None):
+def _lane_search(phi, frame, max_states, atoms=()):
     """The first (model, state) where the sentence phi holds: the one sweep
     behind brute_sat, brute_global_sat (which asks for A phi) and
-    find_eval_difference (which asks for ~(f1 <-> f2)).  ``atoms`` adds
-    atoms phi does not have to the valuations; ``sizes`` restricts the
-    sweep to those model sizes (one slice of a parallel sweep); by default
-    it covers 1..max_states.
+    find_eval_difference (which asks for ~(f1 <-> f2)), over the model
+    sizes 1..max_states.  ``atoms`` adds atoms phi does not have to the
+    valuations.
 
     The first hit is the least (size, class, lane, placement); each
     placement keeps only its own first hit in a batch.
@@ -601,7 +600,7 @@ def _lane_search(phi, frame, max_states, atoms=(), sizes=None):
     noms = tuple(sorted(set(noms_of(phi)) | set(extra_noms)))
     # the other classes are transitive already, so there R+ is R
     needs_plus = frame == "any" and _needs_closure(phi)
-    for k in sizes or range(1, max_states + 1):
+    for k in range(1, max_states + 1):
         engine = _LaneEngine(props, noms, k)
         placements = list(product(range(k), repeat=len(noms)))
         per_batch = max(1, _WORD_BUDGET // (k * engine.m))

@@ -62,8 +62,7 @@ from __future__ import annotations
 from functools import cache, cached_property, lru_cache
 from itertools import combinations, product
 
-from .blocktree import NO_STATE, FiniteRep, Recording, holds_somewhere, verify
-from .checker import _Evaluator
+from .blocktree import NO_STATE, FiniteRep, Recording, _evaluator, holds_somewhere, verify
 from .formula import (
     Formula,
     _sentence_guard,
@@ -334,7 +333,7 @@ class _Shape:
         some explicit state under it, evaluated under its own guesses.
         Without c-states the one vector is empty and needs no recording."""
         if not rep.c_states:
-            yield {}, holds_somewhere(rep, compiled.phi)
+            yield {}, holds_somewhere(rep, compiled.phi, _evaluator(rep, {}, ()))
             return
         # the empty-guess evaluation is the first recording; it also gives
         # the types realized in the explicit part when a slot is guessed
@@ -359,8 +358,7 @@ class _Shape:
                 known = Recording(rep, compiled.phi, self.slots_below, choice, self.target_state)
                 recorded.append(known)
             if choice == known.types:
-                refs = {s: [choice[k] for k in ks] for s, ks in self.slots_below.items()}
-                holds = holds_somewhere(rep, compiled.phi, _Evaluator(rep._m_model, refs))
+                holds = holds_somewhere(rep, compiled.phi, _evaluator(rep, self.slots_below, choice))
                 yield {c: choice[k] for c, k in self.slot.items()}, holds
             else:
                 stats["guesses_skipped"] += 1

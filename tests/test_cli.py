@@ -191,53 +191,6 @@ def test_oracle_jobs_identical(capsys):
     assert out1 == out2
 
 
-class _InlinePool:
-    """Stands in for multiprocessing.Pool: records the worker count asked
-    for, and runs each size slice in this process only when its result is
-    read, so the slices run show where the command stopped reading."""
-
-    made = []
-
-    def __init__(self, processes):
-        self.processes = processes
-        self.ran = []
-        self.made.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def imap(self, func, payloads):
-        for payload in payloads:
-            self.ran.append(payload[2])
-            yield func(payload)
-
-
-@pytest.mark.parametrize(
-    "formula,max_states,jobs,code,processes,ran",
-    [
-        ("<>p & ~p", 2, 64, 0, 2, [1, 2]),  # the first hit is on size 2
-        ("p", 3, 2, 0, 2, [1]),  # a hit on size 1 stops the sweep
-        ("p & ~p", 2, 3, 1, 2, [1, 2]),  # a miss reads every size
-    ],
-)
-def test_oracle_jobs_cap_workers_at_the_sizes_and_stop_at_the_first_hit(
-    capsys, monkeypatch, formula, max_states, jobs, code, processes, ran
-):
-    import multiprocessing
-
-    _InlinePool.made.clear()
-    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
-    argv = ["oracle", "--frame", "any", "--max-states", str(max_states), "--formula", formula]
-    serial = run(capsys, *argv)
-    assert run(capsys, *argv, "--jobs", str(jobs)) == serial
-    assert serial[0] == code
-    [pool] = _InlinePool.made
-    assert (pool.processes, pool.ran) == (processes, ran)
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -451,20 +404,24 @@ from hylo.cli import main
 print(main(sys.argv[1:]))
 print(" ".join(sorted(sys.modules)))
 """
-_ORACLE = {"numpy", "multiprocessing", "hylo.oracle"}
+_ORACLE = {"numpy", "hylo.oracle"}
 _REDUCTIONS = {"hylo.translate", "hylo.satellites"}
-# a module no command needs: hylo builds its records without it
-_NEVER = {"dataclasses"}
+# modules no command needs: hylo builds its records without dataclasses, and
+# the oracle sweeps in its own process whatever --jobs says
+_NEVER = {"dataclasses", "multiprocessing"}
 
 
-def _command_process(tmp_path, argv):
+def _command_env():
     import hylo
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(hylo.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def _command_process(tmp_path, argv):
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP, *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_command_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.stderr == "", proc.stderr
     *out, code, modules = proc.stdout.splitlines()
@@ -481,6 +438,8 @@ def _command_process(tmp_path, argv):
         (["realize", "--rep", "rep.json", "--depth", "2"], _ORACLE | _REDUCTIONS),
         (["translate", "--rule", "st", "--formula", "<>p"], _ORACLE),
         (["translate", "--rule", "spy-at", "--fo", "E x. R(x,x)"], _ORACLE),
+        (["oracle", "--frame", "any", "--max-states", "3", "--formula", "<>p & ~p", "--jobs", "2"],
+         {"hylo.translate"}),
     ],
 )
 def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
@@ -508,17 +467,52 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
         (["check", "--model", "m.json", "--formula", "<>" * 900 + "p", "--state", "a"], "true"),
         (["sat", "--frame", "trans", "--formula", "<>" * 400 + "p", "--max-clique", "1",
           "--max-nodes", "1", "--max-c", "0", "--witness", "w.json"], "SAT (witness written to w.json)"),
+        (["check", "--model", "m.json", "--formula", "<>" * 10000 + "p", "--state", "a"], "true"),
+        (["sat", "--frame", "trans", "--formula", "<>" * 10000 + "p", "--max-clique", "1",
+          "--max-nodes", "1", "--max-c", "0", "--witness", "w.json"], "SAT (witness written to w.json)"),
+        (["oracle", "--frame", "trans", "--max-states", "1", "--formula", "<>" * 10000 + "p"],
+         '"state": "s0"'),
+        (["translate", "--rule", "ml-until", "--formula", "<>" * 10000 + "p"], "U(" * 10000),
+        (["translate", "--rule", "st", "--formula", "<>" * 10000 + "p"], "E y9999. R(y9998,y9999)"),
     ],
-    ids=["parse-900", "parse-brackets-300", "parse-3000", "parse-not-3000", "parse-at-3000", "check-900", "sat-400"],
+    ids=[
+        "parse-900", "parse-brackets-300", "parse-3000", "parse-not-3000", "parse-at-3000",
+        "check-900", "sat-400", "check-10000", "sat-10000", "oracle-10000", "ml-until-10000",
+        "st-10000",
+    ],
 )
 def test_deeply_nested_formulas_get_a_verdict(tmp_path, argv, line):
     # the per-node facts (signature, free variables, atoms), the printer,
     # the checker's compile step and a prefix chain in the parser take no
-    # Python frame per nesting level, and a bracket level costs the parser two
+    # Python frame per nesting level, and a bracket level costs the parser
+    # two; evaluation, translation and the lane engine recurse per level, on
+    # the command thread's deep stack
     doc = {"states": ["a"], "rel": [["a", "a"]], "val": {"p": ["a"]}, "nom": {}}
     (tmp_path / "m.json").write_text(json.dumps(doc))
     code, out, _ = _command_process(tmp_path, argv)
-    assert code == 0 and line in out
+    assert code == 0 and any(line in text for text in out)
+
+
+def test_ctrl_c_ends_a_running_search(tmp_path):
+    # the command runs on a worker thread, and the main thread that waits
+    # for it still takes the interrupt
+    import signal
+    import time
+
+    argv = ["sat", "--frame", "trans", "--exhaustive", "--formula", "[]p & <>~p"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _STARTUP, *argv],
+        cwd=tmp_path, env=_command_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        time.sleep(2)
+        assert proc.poll() is None  # still searching
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=5)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode != 0 and "KeyboardInterrupt" in err
 
 
 def test_oracle_command_loads_the_oracle(tmp_path):
