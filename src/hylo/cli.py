@@ -298,8 +298,11 @@ def _run(args):
 
 
 # Evaluation, translation and the lane engine recurse once per nesting level
-# of a formula, so a command runs on a thread whose stack and recursion limit
-# take any depth the parser reads.
+# of a formula, up to three Python frames per character of its text.  A
+# formula shorter than _SHORT_TEXT characters fits in the default recursion
+# limit and runs on the main thread; a longer one runs on a thread whose
+# stack and recursion limit take about 10,000 nesting levels.
+_SHORT_TEXT = 100
 _STACK_BYTES = 256 << 20
 _RECURSION_LIMIT = 1 << 16
 
@@ -328,7 +331,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "oracle" and args.fo is not None and args.jobs > 1:
         parser.error("argument --jobs: not allowed with argument --fo")
-    return _run_deep(args)
+    texts = [getattr(args, name, None) or "" for name in ("formula", "fo")]
+    return _run(args) if max(map(len, texts)) < _SHORT_TEXT else _run_deep(args)
 
 
 if __name__ == "__main__":

@@ -456,6 +456,12 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
     assert modules & (absent | _NEVER) == set()
 
 
+def _st_diamond_chain(n):
+    """The standard translation of n nested diamonds over p, as printed."""
+    steps = [f"E y{i}. R({f'y{i - 1}' if i else 'x'},y{i}) & " for i in range(n)]
+    return "(".join(steps) + f"p(y{n - 1})" + ")" * (n - 1)
+
+
 @pytest.mark.parametrize(
     "argv,line",
     [
@@ -471,9 +477,11 @@ def test_commands_load_only_the_modules_they_run(tmp_path, argv, absent):
         (["sat", "--frame", "trans", "--formula", "<>" * 10000 + "p", "--max-clique", "1",
           "--max-nodes", "1", "--max-c", "0", "--witness", "w.json"], "SAT (witness written to w.json)"),
         (["oracle", "--frame", "trans", "--max-states", "1", "--formula", "<>" * 10000 + "p"],
-         '"state": "s0"'),
-        (["translate", "--rule", "ml-until", "--formula", "<>" * 10000 + "p"], "U(" * 10000),
-        (["translate", "--rule", "st", "--formula", "<>" * 10000 + "p"], "E y9999. R(y9998,y9999)"),
+         json.dumps({"model": {"states": ["s0"], "rel": [["s0", "s0"]], "val": {"p": ["s0"]}, "nom": {}},
+                     "state": "s0"})),
+        (["translate", "--rule", "ml-until", "--formula", "<>" * 10000 + "p"],
+         "U(" * 10000 + "p" + ", false)" * 10000),
+        (["translate", "--rule", "st", "--formula", "<>" * 10000 + "p"], _st_diamond_chain(10000)),
     ],
     ids=[
         "parse-900", "parse-brackets-300", "parse-3000", "parse-not-3000", "parse-at-3000",
@@ -485,28 +493,53 @@ def test_deeply_nested_formulas_get_a_verdict(tmp_path, argv, line):
     # the per-node facts (signature, free variables, atoms), the printer,
     # the checker's compile step and a prefix chain in the parser take no
     # Python frame per nesting level, and a bracket level costs the parser
-    # two; evaluation, translation and the lane engine recurse per level, on
-    # the command thread's deep stack
+    # two; evaluation, translation and the lane engine recurse per level, and
+    # a formula of 100 characters or more runs on the command thread's deep
+    # stack
     doc = {"states": ["a"], "rel": [["a", "a"]], "val": {"p": ["a"]}, "nom": {}}
     (tmp_path / "m.json").write_text(json.dumps(doc))
     code, out, _ = _command_process(tmp_path, argv)
-    assert code == 0 and any(line in text for text in out)
+    assert code == 0 and line in out
+
+
+def test_short_formulas_run_on_the_main_thread(monkeypatch):
+    import threading
+
+    from hylo import cli
+
+    ran = []
+    monkeypatch.setattr(cli, "_run", lambda args: ran.append(threading.current_thread()) or 0)
+    for text in ("p" + " & p" * 24, "p" + " & p" * 25):  # 97 and 101 characters
+        assert cli.main(["parse", "--formula", text]) == 0
+    assert ran[0] is threading.main_thread() and ran[1] is not threading.main_thread()
+
+
+# prints which thread the command starts on, then runs it
+_REPORT_THREAD = """
+import sys, threading
+from hylo import cli
+run = cli._run
+def report(args):
+    print("main" if threading.current_thread() is threading.main_thread() else "worker", flush=True)
+    return run(args)
+cli._run = report
+cli.main(sys.argv[1:])
+"""
 
 
 def test_ctrl_c_ends_a_running_search(tmp_path):
-    # the command runs on a worker thread, and the main thread that waits
-    # for it still takes the interrupt
+    # a long formula runs on the worker thread, and the main thread that
+    # waits for it still takes the interrupt; the exhaustive search on this
+    # UNSAT sentence runs for minutes
     import signal
-    import time
 
-    argv = ["sat", "--frame", "trans", "--exhaustive", "--formula", "[]p & <>~p"]
+    argv = ["sat", "--frame", "trans", "--exhaustive", "--formula", " & ".join(["[]p & <>~p"] * 8)]
     proc = subprocess.Popen(
-        [sys.executable, "-c", _STARTUP, *argv],
+        [sys.executable, "-c", _REPORT_THREAD, *argv],
         cwd=tmp_path, env=_command_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     try:
-        time.sleep(2)
-        assert proc.poll() is None  # still searching
+        assert proc.stdout.readline() == "worker\n"
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=5)
     finally:
