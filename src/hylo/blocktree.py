@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 
 from .checker import _Evaluator, type_at
-from .formula import Formula, diamond_closure, record
+from .formula import SHALLOW, Formula, deep_stack, diamond_closure, on_deep_stack, record
 from .model import HybridModel, _closure, _is_tree_order, _name_lists, _name_map, _names, _pairs, cliques
 
 
@@ -186,6 +186,8 @@ def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
     sentence of a type has an explicit witness, because references only
     replace subtrees whose types repeat.
     """
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, compute_types, rep, phi, c_guess)
     closure = diamond_closure(phi)
     guess = _normalize_guess(rep, c_guess, closure)
     return {**_explicit_types(rep, _evaluator(rep, rep._c_succ, guess), closure), **guess}
@@ -284,6 +286,8 @@ def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
     mismatch stops at the first sentence that differs; phi is evaluated
     only once every guess matched.  Only an accepted result carries the
     type of every state; a rejected one's ``types`` is empty."""
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, verify, rep, phi, c_guess)
     closure = diamond_closure(phi)
     guess = _normalize_guess(rep, c_guess, closure)
     ev = _evaluator(rep, rep._c_succ, guess)

@@ -26,6 +26,7 @@ from .formula import (
     diamond_closure,
     free_vars,
 )
+from .formula import SHALLOW, deep_stack, on_deep_stack
 from .model import HybridModel, is_transitive
 
 
@@ -169,6 +170,8 @@ _CASES = {
 
 def eval_formula(m: HybridModel, g: dict, s: str, f: Formula) -> bool:
     """Truth of f at state s under assignment g."""
+    if f.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(f, eval_formula, m, g, s, f)
     states = set(m.states)
     if s not in states:
         raise UnknownStateError(f"unknown state {s!r}")
@@ -180,6 +183,8 @@ def eval_formula(m: HybridModel, g: dict, s: str, f: Formula) -> bool:
 
 def global_eval(m: HybridModel, f: Formula) -> bool:
     """Truth of the sentence f at every state of m."""
+    if f.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(f, global_eval, m, f)
     fv = free_vars(f)
     if fv:
         raise UnboundVariableError(f"not a sentence, free: {sorted(fv)}")
@@ -193,6 +198,8 @@ def phi_type(m: HybridModel, phi: Formula, s: str) -> frozenset[Formula]:
     On a transitive model the successor set of s covers the whole subtree
     below s, so this is the type of s for phi.
     """
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, phi_type, m, phi, s)
     if not is_transitive(m):
         raise ValueError("phi_type requires a transitive model")
     check_hld(phi)

@@ -297,42 +297,12 @@ def _run(args):
         return EX_INTERNAL
 
 
-# Evaluation, translation and the lane engine recurse once per nesting level
-# of a formula, up to three Python frames per character of its text.  A
-# formula shorter than _SHORT_TEXT characters fits in the default recursion
-# limit and runs on the main thread; a longer one runs on a thread whose
-# stack and recursion limit take about 10,000 nesting levels.
-_SHORT_TEXT = 100
-_STACK_BYTES = 256 << 20
-_RECURSION_LIMIT = 1 << 16
-
-
-def _run_deep(args):
-    """Run the command on one worker thread with a deep stack, restoring
-    the thread stack size and the recursion limit afterwards.  The main
-    thread only waits, so Ctrl-C still interrupts it."""
-    import threading
-
-    codes = []
-    worker = threading.Thread(target=lambda: codes.append(_run(args)), daemon=True)
-    stack, limit = threading.stack_size(_STACK_BYTES), sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _RECURSION_LIMIT))
-    try:
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(stack)
-        sys.setrecursionlimit(limit)
-    return codes[0] if codes else EX_INTERNAL
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "oracle" and args.fo is not None and args.jobs > 1:
         parser.error("argument --jobs: not allowed with argument --fo")
-    texts = [getattr(args, name, None) or "" for name in ("formula", "fo")]
-    return _run(args) if max(map(len, texts)) < _SHORT_TEXT else _run_deep(args)
+    return _run(args)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ strength, operand floors) that both its parser and its printer
 from __future__ import annotations
 
 import re
+import sys
+import threading
 import weakref
 from functools import cache, cached_property, partial
 from types import FunctionType
@@ -50,6 +52,8 @@ class _Interned(type):
     Equal structure therefore means the same object, so nodes compare and
     hash by identity and serve directly as structural memo keys.  The
     table holds nodes weakly: a node lives only while something uses it.
+    A new node's ``height`` is one more than its tallest field that is a
+    node (a subformula, an atom, a term), and 0 when it has none.
     """
 
     def __call__(cls, *args):
@@ -57,6 +61,7 @@ class _Interned(type):
         node = _TABLE.get(key)
         if node is None:
             node = super().__call__(*args)
+            node.__dict__["height"] = max([getattr(a, "height", -1) for a in args], default=-1) + 1
             _TABLE[key] = node
         return node
 
@@ -193,6 +198,49 @@ def _upward(f, slot, compute, wanted=None):
             g.__dict__[slot] = compute(g)
             stack.pop()
     return f.__dict__[slot]
+
+
+# Evaluation, translation and search take up to three Python frames a nesting
+# level, so SHALLOW levels fit in the default recursion limit beside a caller;
+# each recursion source hands a taller formula to on_deep_stack.
+SHALLOW = 200
+_HOPS = threading.Lock()  # the recursion limit is process-wide: one hop at a time
+
+
+class _DeepStack(threading.local):
+    active = False  # true on a hop's worker, which never hops again
+
+
+deep_stack = _DeepStack()
+
+
+def on_deep_stack(f: _Node, call, *args):
+    """Return call(*args), or raise its exception, run on a daemon thread
+    with a 256 MiB stack and the recursion limit raised by four frames a
+    level of f, both restored after.  The caller waits, so Ctrl-C reaches it."""
+    out = []
+
+    def work():
+        deep_stack.active = True
+        try:
+            out.append((True, call(*args)))
+        except BaseException as exc:
+            out.append((False, exc))
+
+    with _HOPS:
+        limit, stack = sys.getrecursionlimit(), threading.stack_size(256 << 20)
+        try:
+            sys.setrecursionlimit(limit + 4 * f.height)
+            worker = threading.Thread(target=work, daemon=True)
+            worker.start()
+            worker.join()
+        finally:
+            threading.stack_size(stack)
+            sys.setrecursionlimit(limit)
+    done, value = out.pop()
+    if done:
+        return value
+    raise value
 
 
 @_node
@@ -541,6 +589,8 @@ def rebuild(f: _Node, kids) -> _Node:
 
 def map_nodes(f: _Node, rewrite) -> _Node:
     """Bottom-up rewrite: children first, then the node itself."""
+    if f.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(f, map_nodes, f, rewrite)
     return rewrite(rebuild(f, [map_nodes(c, rewrite) for c in children(f)]))
 
 
@@ -634,6 +684,8 @@ def strip_free(f: Formula) -> Formula:
 
 def _false_for(f, names):
     """f with every free occurrence of the state variables in names replaced by false."""
+    if f.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(f, _false_for, f, names)
     if not f.fv & names:
         return f
     if isinstance(f, Atom) or isinstance(f, At) and f.term.kind == SVAR and f.term.name in names:

@@ -77,6 +77,7 @@ from .formula import (
     props_of,
     record,
 )
+from .formula import SHALLOW, deep_stack, on_deep_stack
 from .model import HybridModel, _decode_valuation
 from . import satellites as sat
 
@@ -594,6 +595,8 @@ def _lane_search(phi, frame, max_states, atoms=()):
     The first hit is the least (size, class, lane, placement); each
     placement keeps only its own first hit in a batch.
     """
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, _lane_search, phi, frame, max_states, atoms)
     _check_bound(frame, max_states, "max_states")
     extra_props, extra_noms = _split_atoms(atoms)
     props = tuple(sorted(set(props_of(phi)) | set(extra_props)))
@@ -961,6 +964,8 @@ def brute_fo_sat(alpha: sat.FOFormula, frame: str, max_elems: int):
     Backtracks over undecided atoms with frame propagation; sound and
     complete within the bound.
     """
+    if alpha.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(alpha, brute_fo_sat, alpha, frame, max_elems)
     fv = sat.fo_free_vars(alpha)
     if fv:
         raise ValueError(f"not a sentence, free: {sorted(fv)}")

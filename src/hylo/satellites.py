@@ -14,7 +14,7 @@ from functools import cached_property, partial
 from itertools import product
 
 from .formula import MARKS, TIGHTEST, Language, Op, ParseError, _Node, _node, _Tokens, _values, compiled, record
-from .formula import render, subformulas, token_maps
+from .formula import SHALLOW, _fact, deep_stack, on_deep_stack, render, subformulas, token_maps
 from .model import _closure, _name_lists, _name_map, _names
 
 
@@ -54,7 +54,7 @@ class FOFormula(_Node):
     def __str__(self):
         return fo_to_text(self)
 
-    @cached_property
+    @_fact
     def fv(self) -> frozenset[str]:
         """Variables with an occurrence not under a matching quantifier."""
         out = frozenset().union(*(p.fv for p in _values(self) if not isinstance(p, str)))
@@ -86,7 +86,7 @@ class FOFormula(_Node):
                 # shares a code with a binder still in scope
                 inner = {**bound, h.var: max(bound.values(), default=-1) + 1}
                 return (type(h), rec(h.body, inner))
-            return (type(h), *(part(p, bound) for p in _values(h)))
+            return (type(h), *[part(p, bound) for p in _values(h)])
 
         code = rec(self, {})
         return code, tuple(slots)
@@ -207,34 +207,21 @@ def fo_rename(f: FOFormula, bind, free, scope=None) -> FOFormula:
     A quantifier on v binds ``bind(v, scope)`` instead, where scope maps
     each variable bound above to its binder's new name; an occurrence
     takes its binder's new name, and a free one becomes ``free(name)``.
-    The walk is on an explicit stack, in the order of a recursive one: a
-    node is rebuilt once its formula parts are, from the end of ``out``.
     """
-    out, stack = [], [(f, scope or {}, False)]
-    while stack:
-        g, scope, ready = stack.pop()
-        quantified = isinstance(g, (Exists, Forall))
-        if ready and quantified:
-            out.append(type(g)(scope, out.pop()))  # scope is the new name here
-        elif ready:
-            kids = sum(isinstance(p, FOFormula) for p in _values(g))
-            done = iter(out[len(out) - kids :])
-            del out[len(out) - kids :]
-            parts = []
-            for p in _values(g):
-                if isinstance(p, FOFormula):
-                    p = next(done)
-                elif isinstance(p, FOVar):
-                    p = FOVar(scope[p.name]) if p.name in scope else free(p.name)
-                parts.append(p)
-            out.append(type(g)(*parts))
-        elif quantified:
-            new = bind(g.var, scope)
-            stack += [(g, new, True), (g.body, {**scope, g.var: new}, False)]
-        else:
-            stack.append((g, scope, True))
-            stack += [(p, scope, False) for p in reversed(_values(g)) if isinstance(p, FOFormula)]
-    return out[0]
+    if f.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(f, fo_rename, f, bind, free, scope)
+    scope = scope or {}
+    if isinstance(f, (Exists, Forall)):
+        new = bind(f.var, scope)
+        return type(f)(new, fo_rename(f.body, bind, free, {**scope, f.var: new}))
+    parts = []
+    for p in _values(f):
+        if isinstance(p, FOFormula):
+            p = fo_rename(p, bind, free, scope)
+        elif isinstance(p, FOVar):
+            p = FOVar(scope[p.name]) if p.name in scope else free(p.name)
+        parts.append(p)
+    return type(f)(*parts)
 
 
 ALL_U1 = Language("[all,(u,1)]", frozenset(["R", "pred"]))
@@ -288,6 +275,8 @@ def fo_eval(s: FOStructure, env: dict, alpha: FOFormula) -> bool:
     """Classical truth over a finite structure.  Evaluation is compiled:
     each node carries one closure ``(s, env) -> bool``, made from its
     ``_FO_CASES`` entry on first use and kept on the node."""
+    if alpha.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(alpha, fo_eval, s, env, alpha)
     return compiled(alpha, _FO_CASES, "_fo_eval", "an FO node")(s, dict(env))
 
 
@@ -659,6 +648,8 @@ class _PdlEvaluator:
         return self._get(f, _PDL_FORMULAS)
 
     def _get(self, g, cases):
+        if g.height > SHALLOW and not deep_stack.active:
+            return on_deep_stack(g, self._get, g, cases)
         out = self.memo.get(g)
         if out is None:
             case = cases.get(type(g))

@@ -76,6 +76,7 @@ from .formula import (
     record,
     svars_of,
 )
+from .formula import SHALLOW, deep_stack, on_deep_stack
 from .model import _decode_valuation
 
 
@@ -409,6 +410,8 @@ def _search(phi, budget, complete_only):
     """The bounded search over transitive frames or, with complete_only,
     over single cliques, whose bounds and budget leave one node and no
     reference."""
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, _search, phi, budget, complete_only)
     _sentence_guard(phi)
     bounds = bounds_for(phi)
     if complete_only:

@@ -55,6 +55,7 @@ from .formula import (
     rebuild,
     svar,
 )
+from .formula import SHALLOW, deep_stack, on_deep_stack
 from . import satellites as sat
 
 
@@ -213,6 +214,8 @@ def standard_translation(phi: Formula, anchor: str = "x", complete_frames: bool 
     With complete_frames the diamond rule drops its relation guard, which
     is the monadic-class image used over complete frames.
     """
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, standard_translation, phi, anchor, complete_frames)
     if complete_frames:
         check_hld(phi)
     ctx = _STContext(phi, anchor)
@@ -329,6 +332,8 @@ def _fo_to_hl(alpha, reach, place, step, props):
     places the proposition props[P], t=u places u, and R(t,u) places step(u).
     Constants become nominals and variables state variables.
     """
+    if alpha.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(alpha, _fo_to_hl, alpha, reach, place, step, props)
 
     def term(t):
         return Atom(NOM if isinstance(t, sat.FOConst) else SVAR, t.name)
@@ -336,7 +341,7 @@ def _fo_to_hl(alpha, reach, place, step, props):
     def rec(g):
         kind = type(g)
         if kind in _FO_BOOLEANS:
-            return _FO_BOOLEANS[kind](*map(rec, children(g)))
+            return _FO_BOOLEANS[kind](*[rec(c) for c in children(g)])
         if kind is sat.Exists:
             return reach(Down(svar(g.var), rec(g.body)))
         if kind is sat.Forall:
@@ -480,6 +485,8 @@ def tt_to_nat_tense(phi: Formula) -> Formula:
 def tt_to_nat_at(phi: Formula) -> Formula:
     """The @-variant: simulate P through the spy point, then force
     unique direct successors with the binder simulation of Until."""
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, tt_to_nat_at, phi)
     check_language(phi, _HLD_FP)
     names = _Names(phi)
     spy = names.svar("i")
@@ -633,6 +640,8 @@ def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
     """The composition map into tree PDL, one node at a time; a nominal
     becomes the atom _pdl_atoms gives it.  A diamond or box (F, G) is the
     Until with guard true, and E, A look along up*;down*."""
+    if phi.height > SHALLOW and not deep_stack.active:
+        return on_deep_stack(phi, pdl_translate, phi, flat)
     check_language(phi, _HLE_US)
     noms = _pdl_atoms(phi)
     if flat:
@@ -679,7 +688,7 @@ def pdl_translate(phi: Formula, flat: bool = False) -> sat.PdlFormula:
     def rec(g):
         if isinstance(g, Atom):
             return sat.PdlAtom(noms[g.name] if g.kind == NOM else g.name)
-        return image[type(g)](*map(rec, children(g)))
+        return image[type(g)](*[rec(c) for c in children(g)])
 
     return rec(phi)
 

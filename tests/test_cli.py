@@ -482,58 +482,66 @@ def _st_diamond_chain(n):
         (["translate", "--rule", "ml-until", "--formula", "<>" * 10000 + "p"],
          "U(" * 10000 + "p" + ", false)" * 10000),
         (["translate", "--rule", "st", "--formula", "<>" * 10000 + "p"], _st_diamond_chain(10000)),
+        (["translate", "--rule", "ml-until", "--formula", "<>" * 40000 + "p"],
+         "U(" * 40000 + "p" + ", false)" * 40000),
     ],
     ids=[
         "parse-900", "parse-brackets-300", "parse-3000", "parse-not-3000", "parse-at-3000",
         "check-900", "sat-400", "check-10000", "sat-10000", "oracle-10000", "ml-until-10000",
-        "st-10000",
+        "st-10000", "ml-until-40000",
     ],
 )
 def test_deeply_nested_formulas_get_a_verdict(tmp_path, argv, line):
-    # the per-node facts (signature, free variables, atoms), the printer,
-    # the checker's compile step and a prefix chain in the parser take no
-    # Python frame per nesting level, and a bracket level costs the parser
-    # two; evaluation, translation and the lane engine recurse per level, and
-    # a formula of 100 characters or more runs on the command thread's deep
-    # stack
+    # the node heights and facts (signature, free variables, atoms), the
+    # printer, the checker's compile step and a prefix chain in the parser
+    # take no Python frame per nesting level, and a bracket level costs the
+    # parser two; evaluation, translation and the lane engine recurse per
+    # level, so a formula taller than formula.SHALLOW levels runs on a
+    # deep-stack thread whose recursion limit follows its height
     doc = {"states": ["a"], "rel": [["a", "a"]], "val": {"p": ["a"]}, "nom": {}}
     (tmp_path / "m.json").write_text(json.dumps(doc))
     code, out, _ = _command_process(tmp_path, argv)
     assert code == 0 and line in out
 
 
-def test_short_formulas_run_on_the_main_thread(monkeypatch):
+def test_a_thread_that_cannot_start_is_an_internal_error(tmp_path, capsys, monkeypatch):
     import threading
 
-    from hylo import cli
+    def refuse(thread):
+        raise RuntimeError("can't start new thread")
 
-    ran = []
-    monkeypatch.setattr(cli, "_run", lambda args: ran.append(threading.current_thread()) or 0)
-    for text in ("p" + " & p" * 24, "p" + " & p" * 25):  # 97 and 101 characters
-        assert cli.main(["parse", "--formula", text]) == 0
-    assert ran[0] is threading.main_thread() and ran[1] is not threading.main_thread()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    doc = {"states": ["a"], "rel": [["a", "a"]], "val": {"p": ["a"]}, "nom": {}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", "--model", str(path), "--formula", "<>" * 300 + "p", "--state", "a")
+    assert (code, out) == (70, "")
+    assert err == "hylo: internal error: RuntimeError: can't start new thread\n"
 
 
-# prints which thread the command starts on, then runs it
+# prints which thread the search starts on, then runs it
 _REPORT_THREAD = """
 import sys, threading
-from hylo import cli
-run = cli._run
-def report(args):
-    print("main" if threading.current_thread() is threading.main_thread() else "worker", flush=True)
-    return run(args)
-cli._run = report
+from hylo import cli, solver
+hop = solver.on_deep_stack
+def report(f, call, *args):
+    def run(*args):
+        print("main" if threading.current_thread() is threading.main_thread() else "worker", flush=True)
+        return call(*args)
+    return hop(f, run, *args)
+solver.on_deep_stack = report
 cli.main(sys.argv[1:])
 """
 
 
 def test_ctrl_c_ends_a_running_search(tmp_path):
-    # a long formula runs on the worker thread, and the main thread that
-    # waits for it still takes the interrupt; the exhaustive search on this
-    # UNSAT sentence runs for minutes
+    # a formula taller than formula.SHALLOW levels is searched on a worker
+    # thread, and the main thread that waits for it still takes the
+    # interrupt; the exhaustive search on this UNSAT sentence runs for minutes
     import signal
 
-    argv = ["sat", "--frame", "trans", "--exhaustive", "--formula", " & ".join(["[]p & <>~p"] * 8)]
+    text = "~" * 300 + "(" + " & ".join(["[]p & <>~p"] * 8) + ")"
+    argv = ["sat", "--frame", "trans", "--exhaustive", "--formula", text]
     proc = subprocess.Popen(
         [sys.executable, "-c", _REPORT_THREAD, *argv],
         cwd=tmp_path, env=_command_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

@@ -446,6 +446,12 @@ def test_equal_atom_sets_are_one_object():
     assert props_of(parse("p & q")) is props_of(parse("q -> p"))
 
 
+def test_a_node_gets_its_height_when_built():
+    # one more than its tallest field that is a node; a malformed operand
+    # does not stop the build
+    assert (p.height, Down(x, x).height, Diamond(Down(x, p)).height, And(Bot(), 5).height) == (0, 1, 2, 1)
+
+
 @pytest.mark.parametrize("depth", [400, 900])
 def test_deep_formulas_get_their_facts(depth):
     # built by a loop, since the parser and printer take a frame per level
@@ -454,6 +460,7 @@ def test_deep_formulas_get_their_facts(depth):
     for _ in range(depth):
         f, recoded = Diamond(f), Diamond(recoded)
     assert f.signature == {"<>", "↓", "nom", "var"}
+    assert (f.height, g.height) == (depth + 2, 2)
     assert free_vars(f) == frozenset()
     assert atoms_of(f) == {nom("i"), p, x}
     assert (props_of(f), noms_of(f), svars_of(f)) == (("p",), ("i",), ("x",))

@@ -408,11 +408,20 @@ def test_pdl_print_parse_roundtrip(f):
 
 
 def test_deep_fo_and_pdl_prefix_chains_parse():
-    # prefix chains are read in a loop, and parse_fo renames on a stack
+    # prefix chains are read in a loop, parse_fo renames a formula this tall
+    # on a deep-stack thread, and the free variables are a fact, computed on
+    # an explicit stack
     f = parse_fo("~" * 3000 + "q(c)")
     for _ in range(3000):
         f = f.body
     assert f is Pred("q", FOConst("c"))
+    assert fo_free_vars(parse_fo("E x. " + "~" * 3000 + "p(x)")) == frozenset()
+    # an atom is a level above its terms, the innermost diamond above its program
+    assert parse_fo("E x. " + "~" * 3000 + "p(x)").height == parse_pdl("~<down;left*>" * 1500 + "p").height == 3002
+    g = Rel(FOVar("x"), FOVar("y"))
+    for _ in range(3000):
+        g = FONot(g)
+    assert fo_free_vars(Exists("x", g)) == {"y"}
     g = parse_pdl("~<down;left*>" * 1500 + "p")
     for _ in range(1500):
         assert type(g) is PdlNot and g.body.program is Seq(DownP(), Star(Left()))
