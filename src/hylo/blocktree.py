@@ -10,15 +10,14 @@ so the valuation is a single proposition map and formulas given to
 
 Truth on a representation is the checker's: ``checker._Evaluator`` runs on
 the explicit part and follows links through C-states by consulting guessed
-types, through its reference hook.  Its evaluation is compiled, one closure
-per formula node, and its memo holds only modal and Until nodes, so
-``verify`` reuses for phi the modal answers it computed while it checked
-the guesses.  A ``Recording`` evaluates under a vector of guesses and logs
-each test the hook makes of them, which is all that the evaluation
-depends on the guesses for: any vector that answers every logged test
-alike gives its targets the same types.  ``holds_somewhere`` answers
-whether phi holds at some explicit state, for ``verify`` and for the
-solver alike.
+types, through its reference hook.  ``verify`` and ``compute_types`` read
+every explicit state's type through ``checker.type_at`` on one such
+evaluation, whose memo ``verify`` then reuses for phi.  A ``Recording``
+evaluates under a vector of guesses and logs each test the hook makes of
+them, which is all that the evaluation depends on the guesses for: any
+vector that answers every logged test alike gives its targets the same
+types.  ``holds_somewhere`` answers whether phi holds at some explicit
+state, for ``verify`` and for the solver alike.
 """
 
 from __future__ import annotations
@@ -172,7 +171,7 @@ def _explicit_types(rep, ev, closure):
 
 
 def holds_somewhere(rep, phi, ev):
-    """Whether phi holds at some explicit state on the evaluator ev."""
+    """Whether phi holds at some explicit state on ev, in a guarded caller."""
     return any(ev.run(phi, {}, s) for s in rep.m_states)
 
 
@@ -188,9 +187,16 @@ def compute_types(rep: FiniteRep, phi: Formula, c_guess: dict) -> dict:
     """
     if phi.height > SHALLOW and not deep_stack.active:
         return on_deep_stack(phi, compute_types, rep, phi, c_guess)
+    return _typed(rep, phi, c_guess)[1]
+
+
+def _typed(rep, phi, c_guess):
+    """The evaluator under the checked guesses, and every state's type: an
+    explicit state's read through ``type_at``, a c-state's its guess."""
     closure = diamond_closure(phi)
     guess = _normalize_guess(rep, c_guess, closure)
-    return {**_explicit_types(rep, _evaluator(rep, rep._c_succ, guess), closure), **guess}
+    ev = _evaluator(rep, rep._c_succ, guess)
+    return ev, {**_explicit_types(rep, ev, closure), **guess}
 
 
 class _Logged:
@@ -221,7 +227,8 @@ class Recording:
     answers those tests the same way evaluates every sentence as this one
     does: the result is recorded with what it depended on, as in
     dependency-directed backtracking (Stallman & Sussman 1977).  ``types``
-    and ``tests`` are fixed when it is built.
+    and ``tests`` are fixed when it is built, in a guarded caller: it is no
+    entry point.
     """
 
     def __init__(self, rep: FiniteRep, phi: Formula, slots: dict, vector, targets):
@@ -249,13 +256,12 @@ class Recording:
 
 
 def _normalize_guess(rep, c_guess, closure):
-    guess = {c: frozenset(c_guess.get(c, frozenset())) for c in rep.c_states}
     missing = [c for c in rep.c_states if c not in c_guess]
     if missing:
         raise ValueError(f"c_guess missing states: {missing}")
+    guess = {c: frozenset(c_guess[c]) for c in rep.c_states}
     for c, t in guess.items():
-        extra = t - closure
-        if extra:
+        if extra := t - closure:
             raise ValueError(
                 f"guessed type of {c!r} contains non-closure sentences: "
                 f"{[str(x) for x in extra]}"
@@ -278,35 +284,19 @@ class VerifyResult:
 
 
 def verify(rep: FiniteRep, phi: Formula, c_guess: dict) -> VerifyResult:
-    """Accept iff every guess matches the referenced state's computed type
-    and phi holds at some explicit state.
-
-    The guesses are checked first, c-state by c-state: the target's type is
-    built one closure sentence at a time and compared as it grows, so a
-    mismatch stops at the first sentence that differs; phi is evaluated
-    only once every guess matched.  Only an accepted result carries the
-    type of every state; a rejected one's ``types`` is empty."""
+    """Accept iff every guess equals its target's type as ``compute_types``
+    gives it (the first in c-state order that differs rejects), and then phi
+    holds at some explicit state.  A rejected result's ``types`` is empty."""
     if phi.height > SHALLOW and not deep_stack.active:
         return on_deep_stack(phi, verify, rep, phi, c_guess)
-    closure = diamond_closure(phi)
-    guess = _normalize_guess(rep, c_guess, closure)
-    ev = _evaluator(rep, rep._c_succ, guess)
-    known = {}  # the type of each target that a guess has matched
+    ev, types = _typed(rep, phi, c_guess)
     for c in rep.c_states:
-        target, want = rep.ref[c], guess[c]
-        if target in known:
-            same = known[target] == want
-        else:
-            scope = [target, *ev.succ[target]]
-            same = all(any(ev.run(chi, {}, s) for s in scope) == (chi in want) for chi in closure)
-        if not same:
-            return VerifyResult(
-                False, f"type mismatch: guess for {c!r} differs from type of {target!r}", {}
-            )
-        known[target] = want
+        if types[c] != types[rep.ref[c]]:
+            reason = f"type mismatch: guess for {c!r} differs from type of {rep.ref[c]!r}"
+            return VerifyResult(False, reason, {})
     if not holds_somewhere(rep, phi, ev):
         return VerifyResult(False, NO_STATE, {})
-    return VerifyResult(True, None, {**_explicit_types(rep, ev, closure), **guess})
+    return VerifyResult(True, None, types)
 
 
 def realize(rep: FiniteRep, depth: int) -> HybridModel:

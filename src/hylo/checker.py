@@ -140,11 +140,18 @@ def _until(f, left, right):
         if out is None:
             step = ev.m._relation(form.step_plus, form.backward)[0]
             between, guard = ev.m._relation(form.guard_plus, form.backward)
-            out = ev.memo[key] = any(
-                left(ev, g, n)
-                and all(right(ev, g, u) for u in between[s] if (u, n) in guard)
-                for n in step[s]
-            )
+            # plain loops, not any/all over generators: a C call per level
+            # would break the deep-stack hop's budget of frames a level
+            out = False
+            for n in step[s]:
+                if left(ev, g, n):
+                    for u in between[s]:
+                        if (u, n) in guard and not right(ev, g, u):
+                            break
+                    else:
+                        out = True
+                        break
+            ev.memo[key] = out
         return out
 
     return until
@@ -211,6 +218,8 @@ def phi_type(m: HybridModel, phi: Formula, s: str) -> frozenset[Formula]:
 def type_at(ev: _Evaluator, closure, s: str) -> frozenset[Formula]:
     """The closure sentences that ev finds true at s or at some successor
     of s: the one definition of a state's type, for ``phi_type`` and for
-    the block-tree layer, whose evaluators follow guessed references."""
+    the block-tree layer, whose evaluators follow guessed references.  It
+    takes an evaluator and runs inside a caller that guards the depth; it
+    is no entry point."""
     scope = [s, *ev.succ[s]]
     return frozenset(chi for chi in closure if any(ev.run(chi, {}, t) for t in scope))

@@ -65,6 +65,8 @@ class FOFormula(_Node):
         """Alpha-invariant code plus the free variables in slot order,
         computed once per node: formulas that differ only in the names of
         their bound variables get the same code."""
+        if self.height > SHALLOW and not deep_stack.active:
+            return on_deep_stack(self, FOFormula.alpha_code.func, self)
         slots: list[str] = []
 
         def part(p, bound):

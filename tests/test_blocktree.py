@@ -289,8 +289,8 @@ def _two_leaf_rep():
 @settings(max_examples=100, deadline=None)
 @given(_hld_formulas(), st.data())
 def test_verify_answers_as_the_full_types_do(body, data):
-    # verify stops at the first closure sentence that differs, but rejects
-    # for the same c-state, and for the same reason, as the full types do
+    # verify rejects for the first c-state whose guess differs from the type
+    # compute_types gives its target, for that reason, and accepts with those types
     phi = Down(svar("x"), body)
     closure = sorted(diamond_closure(phi), key=print_formula)
     rep = _two_leaf_rep()

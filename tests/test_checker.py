@@ -24,6 +24,7 @@ from hylo.formula import (
     Down,
     FragmentError,
     Not,
+    Since,
     Top,
     Until,
     diamond_closure,
@@ -231,6 +232,11 @@ def _dia(n, leaf=P):
     return _chain(Diamond, n, leaf)
 
 
+def _eval_chain(node, h):
+    """eval_formula at LOOP_P's state on h applications of node over p."""
+    return eval_formula(LOOP_P, {}, "a", _chain(node, h, P))
+
+
 def _fo_chain(h, var="x"):
     """E x. ~...~ p(x), h levels tall: an atom is one level above its terms."""
     return Exists(var, _chain(FONot, h - 2, Pred("p", FOVar(var))))
@@ -242,6 +248,15 @@ def _st_chain(h):
     for i in reversed(range(h)):
         out = Exists(f"y{i}", FOAnd(Rel(FOVar(f"y{i - 1}" if i else "x"), FOVar(f"y{i}")), out))
     return out
+
+
+def _alpha_spine(h):
+    """The alpha code of _fo_chain(h) read down its spine: the levels above
+    the atom, the atom's code and the free-variable slots."""
+    (code, slots), levels = _fo_chain(h).alpha_code, 0
+    while code[0] is not Pred:
+        code, levels = code[1], levels + 1
+    return levels, code, slots
 
 
 def _pdl_spine(f, h):
@@ -259,6 +274,9 @@ def _pdl_spine(f, h):
 # (the value it returns, the value it must return)
 DEPTH_CASES = {
     "eval_formula": lambda h: (eval_formula(LOOP_P, {}, "a", _dia(h)), True),
+    "eval_formula U(p, phi)": lambda h: (_eval_chain(lambda g: Until(P, g), h), True),
+    "eval_formula S(p, phi)": lambda h: (_eval_chain(lambda g: Since(P, g), h), True),
+    "eval_formula U(phi, false)": lambda h: (_eval_chain(lambda g: Until(g, Bot()), h), False),
     "global_eval": lambda h: (global_eval(LOOP_P, _dia(h)), True),
     "phi_type": lambda h: (phi_type(LOOP_P, _dia(h), "a"), frozenset(subformulas(_dia(h - 1)))),
     "verify": lambda h: (verify(REP_P, _dia(h), {}).accepted, True),
@@ -270,6 +288,7 @@ DEPTH_CASES = {
     "find_eval_difference": lambda h: (find_eval_difference(_dia(h - 2), _dia(h - 2), "transitive", 1), None),
     "fo_eval": lambda h: (fo_eval(ONE_P, {}, _fo_chain(h)), h % 2 == 0),
     "brute_fo_sat": lambda h: (brute_fo_sat(_fo_chain(h), "transitive", 1) is not None, True),
+    "alpha_code": lambda h: (_alpha_spine(h), (h - 1, (Pred, "p", ("b", 0)), ())),
     "fo_rename": lambda h: (fo_rename(_fo_chain(h), lambda v, scope: "z", FOVar), _fo_chain(h, "z")),
     "pdl_eval": lambda h: (pdl_eval(LEAF_P, "r", _chain(PdlNot, h, PdlAtom("p"))), h % 2 == 0),
     "pdl_program_relation": lambda h: (pdl_program_relation(LEAF_P, _chain(Star, h, DownP())), {("r", "r")}),
